@@ -284,26 +284,34 @@ def _witness(n: int, rows, names: list[int], acc: list[int]) -> bool:
 # clique counting
 
 
-def clique_counts(n: int, rows, cap: int = 9) -> list[int]:
-    """Number of k-vertex cliques for k = 1..cap (index k-1).
+def cliques(n: int, rows, cap: int = 9):
+    """Every clique once, as an increasing tuple of vertex indices.
 
     Raises ValueError if a clique larger than ``cap`` exists; callers treat
     that as a pathological input rather than silently truncating.
     """
-    counts = [0] * cap
-
-    def dfs(size: int, cand: int) -> None:
-        counts[size - 1] += 1
-        if cand and size == cap:
-            raise ValueError(f"clique larger than cap {cap}")
-        rest = cand
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            u = b.bit_length() - 1
-            dfs(size + 1, rest & rows[u])
-
     for v in range(n):
-        higher = ~((1 << (v + 1)) - 1)
-        dfs(1, rows[v] & higher)
+        yield (v,)
+        # (clique, vertices above its last one that extend it); no recursion
+        stack = [((v,), rows[v] >> (v + 1) << (v + 1))]
+        while stack:
+            base, cand = stack.pop()
+            if cand and len(base) == cap:
+                raise ValueError(f"clique larger than cap {cap}")
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                u = b.bit_length() - 1
+                grown = base + (u,)
+                yield grown
+                more = cand & rows[u]
+                if more:
+                    stack.append((grown, more))
+
+
+def clique_counts(n: int, rows, cap: int = 9) -> list[int]:
+    """Number of k-vertex cliques for k = 1..cap (index k-1); see cliques."""
+    counts = [0] * cap
+    for c in cliques(n, rows, cap):
+        counts[len(c) - 1] += 1
     return counts

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import _kernels as kernels
+from ._kernels._pure import subgraph_rows
 from .graph import (
     Graph,
     GraphError,
+    _mask_of,
+    _with_vertex,
     build_graph,
     canonical_key,
-    induced_subgraph,
     is_connected,
     rim,
 )
@@ -90,32 +92,24 @@ def surface_dimension(g: Graph) -> Optional[int]:
 # spheres
 
 
-def _deleted(g: Graph, v: str) -> Graph:
-    return induced_subgraph(g, [w for w in g.vertices if w != v])
-
-
-def _is_sphere(g: Graph, n: int, check_all_deletions: bool) -> bool:
+def _is_sphere(g: Graph, n: int) -> bool:
     if n < 0:
         return False
     if n == 0:
         return g.order == 2 and g.size == 0
     key = (canonical_key(g), n)
     hit = _sphere_memo.get(key)
-    if hit is not None and check_all_deletions:
+    if hit is not None:
         return hit
     if g.order == 0 or not is_connected(g):
         result = False
     else:
-        result = all(_is_sphere(rim(g, v), n - 1, check_all_deletions) for v in g.vertices)
-        if result:
-            todo = g.vertices if check_all_deletions else g.vertices[:1]
-            for v in todo:
-                d = _deleted(g, v)
-                if not kernels.is_contractible(d.order, d._rows):
-                    result = False
-                    break
-    if check_all_deletions:
-        _sphere_memo[key] = result
+        full = (1 << g.order) - 1
+        result = all(_is_sphere(rim(g, v), n - 1) for v in g.vertices) and all(
+            kernels.is_contractible(*subgraph_rows(g._rows, full ^ (1 << i)))
+            for i in range(g.order)
+        )
+    _sphere_memo[key] = result
     return result
 
 
@@ -124,26 +118,23 @@ def _sphere_witness(g: Graph, n: int) -> Optional[str]:
     if n == 0 or g.order == 0:
         return None
     for v in sorted(g.vertices):
-        if not _is_sphere(rim(g, v), n - 1, True):
+        if not _is_sphere(rim(g, v), n - 1):
             return v
+    full = (1 << g.order) - 1
     for v in sorted(g.vertices):
-        d = _deleted(g, v)
-        if not kernels.is_contractible(d.order, d._rows):
+        if not kernels.is_contractible(*subgraph_rows(g._rows, full ^ (1 << g._index[v]))):
             return v
     return None
 
 
-def is_n_sphere(g: Graph, n: int, check_all_deletions: bool = True) -> ClassificationVerdict:
+def is_n_sphere(g: Graph, n: int) -> ClassificationVerdict:
     """Recognize a digital n-sphere.
 
-    The contractibility-after-deletion clause is checked for every vertex by
-    default. ``check_all_deletions=False`` is a cheaper documented heuristic
-    that samples a single vertex; it can accept graphs the full check would
-    reject, and its answers are not memoized.
+    The contractibility-after-deletion clause is checked for every vertex.
     """
     if n < 0:
         raise GraphError("sphere dimension must be >= 0")
-    if _is_sphere(g, n, check_all_deletions):
+    if _is_sphere(g, n):
         return ClassificationVerdict(KIND_SPHERE, n)
     return ClassificationVerdict(KIND_NONE, None, _sphere_witness(g, n))
 
@@ -156,7 +147,7 @@ def is_n_manifold(g: Graph, n: int) -> ClassificationVerdict:
         witness = sorted(g.vertices)[0] if g.order else None
         return ClassificationVerdict(KIND_NONE, None, witness)
     for v in sorted(g.vertices):
-        if not _is_sphere(rim(g, v), n - 1, True):
+        if not _is_sphere(rim(g, v), n - 1):
             return ClassificationVerdict(KIND_NONE, None, v)
     return ClassificationVerdict(KIND_MANIFOLD, n)
 
@@ -177,9 +168,7 @@ def is_n_disk(g: Graph, boundary, n: int) -> bool:
     apex = "apex"
     while g.has_vertex(apex):
         apex += "+"
-    vs = list(g.vertices) + [apex]
-    es = list(g.edges()) + [(apex, b) for b in sorted(boundary)]
-    return _is_sphere(build_graph(vs, es), n, True)
+    return _is_sphere(_with_vertex(g, apex, _mask_of(g, boundary)), n)
 
 
 def minimal_sphere(n: int) -> Graph:

@@ -1,7 +1,11 @@
 """Immutable finite simple undirected graphs and the primitive constructions.
 
-Vertex labels are opaque strings; every algorithm in the package works on
-dense internal indices with bitmask adjacency rows. Graphs are values: no
+Vertex labels are opaque strings. Inside the package the hot paths (greedy
+reduction, contractible transformations, rim and deletion tests) work on
+the row form only: dense indices, ``rows[i]`` an integer whose bit ``j`` is
+set exactly when vertices ``i`` and ``j`` are adjacent, and an integer mask
+of the vertices in play. A labelled :class:`Graph` is built only at the API
+boundary, from a final mask or a single row edit. Graphs are values: no
 operation mutates its input, so shared graphs are safe under concurrency.
 """
 
@@ -10,6 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernels as kernels
+from ._kernels._pure import _bits, _component_masks, subgraph_rows
 
 
 class GraphError(ValueError):
@@ -94,15 +99,6 @@ class Graph:
         return v in self._index
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -115,8 +111,7 @@ def build_graph(vertices: Sequence[str], edges: Iterable[tuple[str, str]] = ()) 
     """
     labels = tuple(vertices)
     for lab in labels:
-        if not isinstance(lab, str):
-            raise GraphError(f"vertex labels must be strings, got {lab!r}")
+        _check_label(lab)
     if len(set(labels)) != len(labels):
         dup = next(lab for i, lab in enumerate(labels) if lab in labels[:i])
         raise GraphError(f"duplicate vertex {dup!r}")
@@ -135,9 +130,9 @@ def build_graph(vertices: Sequence[str], edges: Iterable[tuple[str, str]] = ()) 
     return Graph(labels, tuple(rows))
 
 
-def from_masks(labels: tuple[str, ...], rows: tuple[int, ...]) -> Graph:
-    """Internal fast constructor; callers guarantee symmetry and no loops."""
-    return Graph(labels, rows)
+def _check_label(lab) -> None:
+    if not isinstance(lab, str):
+        raise GraphError(f"vertex labels must be strings, got {lab!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -167,24 +162,51 @@ def edge_rim(g: Graph, u: str, v: str) -> Graph:
 
 def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:
     """Induced subgraph on the vertex set ``keep``."""
+    return _induced_mask(g, _mask_of(g, keep))
+
+
+def _mask_of(g: Graph, labels: Iterable[str]) -> int:
     mask = 0
-    for v in keep:
+    for v in labels:
         mask |= 1 << g._require(v)
-    return _induced_mask(g, mask)
+    return mask
 
 
 def _induced_mask(g: Graph, mask: int) -> Graph:
-    verts = _bits(mask)
-    labels = tuple(g._labels[i] for i in verts)
-    pos = {i: k for k, i in enumerate(verts)}
-    rows = []
-    for i in verts:
-        r = g._rows[i] & mask
-        nr = 0
-        for j in _bits(r):
-            nr |= 1 << pos[j]
-        rows.append(nr)
-    return Graph(labels, tuple(rows))
+    labels = tuple(g._labels[i] for i in _bits(mask))
+    return Graph(labels, tuple(subgraph_rows(g._rows, mask)[1]))
+
+
+# ---------------------------------------------------------------------------
+# row edits
+#
+# The one-row or two-bit edits behind the contractible transformations. Each
+# keeps the existing vertex order and appends a new vertex last: witness
+# traces from contraction_order name vertices by index, so that order is
+# part of the contract.
+
+
+def _without_vertex(g: Graph, i: int) -> Graph:
+    return _induced_mask(g, ((1 << g.order) - 1) ^ (1 << i))
+
+
+def _with_vertex(g: Graph, v: str, rim_mask: int) -> Graph:
+    """Append the fresh label ``v`` adjacent to the vertices of ``rim_mask``."""
+    _check_label(v)
+    bit = 1 << g.order
+    rows = list(g._rows)
+    for i in _bits(rim_mask):
+        rows[i] |= bit
+    rows.append(rim_mask)
+    return Graph(g._labels + (v,), tuple(rows))
+
+
+def _flip_edge(g: Graph, i: int, j: int) -> Graph:
+    """Delete the edge (i, j) if present, attach it otherwise."""
+    rows = list(g._rows)
+    rows[i] ^= 1 << j
+    rows[j] ^= 1 << i
+    return Graph(g._labels, tuple(rows))
 
 
 def relabeled(g: Graph, mapping: Mapping[str, str]) -> Graph:
@@ -247,19 +269,9 @@ def is_connected(g: Graph) -> bool:
 
 def components(g: Graph) -> tuple[tuple[str, ...], ...]:
     """Connected components as sorted label tuples, sorted by first label."""
-    n = g.order
-    unseen = (1 << n) - 1
-    comps = []
-    while unseen:
-        start = unseen & -unseen
-        seen = start
-        frontier = start
-        while frontier:
-            new = 0
-            for v in _bits(frontier):
-                new |= g._rows[v]
-            frontier = new & unseen & ~seen
-            seen |= frontier
-        unseen &= ~seen
-        comps.append(tuple(sorted(g._labels[i] for i in _bits(seen))))
-    return tuple(sorted(comps))
+    return tuple(
+        sorted(
+            tuple(sorted(g._labels[i] for i in _bits(mask)))
+            for mask in _component_masks(g.order, g._rows)
+        )
+    )

@@ -11,12 +11,16 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
 from . import _kernels as kernels
+from ._kernels._pure import _bits, subgraph_rows
 from .graph import (
     Graph,
-    build_graph,
+    _flip_edge,
+    _induced_mask,
+    _mask_of,
+    _with_vertex,
+    _without_vertex,
     canonical_key,
     edge_rim,
-    induced_subgraph,
     rim,
 )
 
@@ -116,6 +120,11 @@ def _contractible_masks(g: Graph) -> bool:
     return kernels.is_contractible(g.order, g._rows)
 
 
+def _contractible_on(rows, mask: int) -> bool:
+    """Is the subgraph induced on the vertices of ``mask`` contractible?"""
+    return kernels.is_contractible(*subgraph_rows(rows, mask))
+
+
 def is_simple_point(g: Graph, v: str) -> bool:
     """True when the rim of ``v`` is contractible."""
     return _contractible_masks(rim(g, v))
@@ -158,7 +167,7 @@ def apply_transformation(g: Graph, step: Step) -> Graph:
             raise TransformationError(f"delete-point {step.v!r}: vertex not present")
         if not is_simple_point(g, step.v):
             raise TransformationError(f"delete-point {step.v!r}: rim is not contractible")
-        return induced_subgraph(g, [w for w in g.vertices if w != step.v])
+        return _without_vertex(g, g._index[step.v])
 
     if isinstance(step, AttachPoint):
         if g.has_vertex(step.v):
@@ -166,13 +175,12 @@ def apply_transformation(g: Graph, step: Step) -> Graph:
         missing = [w for w in step.rim if not g.has_vertex(w)]
         if missing:
             raise TransformationError(f"attach-point {step.v!r}: unknown rim vertices {missing}")
-        if not _contractible_masks(induced_subgraph(g, step.rim)):
+        rim_mask = _mask_of(g, step.rim)
+        if not _contractible_on(g._rows, rim_mask):
             raise TransformationError(
                 f"attach-point {step.v!r}: rim set does not induce a contractible subgraph"
             )
-        vs = list(g.vertices) + [step.v]
-        es = list(g.edges()) + [(step.v, w) for w in sorted(step.rim)]
-        return build_graph(vs, es)
+        return _with_vertex(g, step.v, rim_mask)
 
     if isinstance(step, DeleteEdge):
         if not g.has_edge(step.u, step.v):
@@ -181,9 +189,7 @@ def apply_transformation(g: Graph, step: Step) -> Graph:
             raise TransformationError(
                 f"delete-edge ({step.u!r}, {step.v!r}): edge rim is not contractible"
             )
-        drop = {frozenset((step.u, step.v))}
-        es = [e for e in g.edges() if frozenset(e) not in drop]
-        return build_graph(list(g.vertices), es)
+        return _flip_edge(g, g._index[step.u], g._index[step.v])
 
     if isinstance(step, AttachEdge):
         for w in (step.u, step.v):
@@ -193,13 +199,12 @@ def apply_transformation(g: Graph, step: Step) -> Graph:
             raise TransformationError("attach-edge: endpoints coincide")
         if g.has_edge(step.u, step.v):
             raise TransformationError(f"attach-edge ({step.u!r}, {step.v!r}): already an edge")
-        common = set(g.neighbors(step.u)) & set(g.neighbors(step.v))
-        if not _contractible_masks(induced_subgraph(g, common)):
+        iu, iv = g._index[step.u], g._index[step.v]
+        if not _contractible_on(g._rows, g._rows[iu] & g._rows[iv]):
             raise TransformationError(
                 f"attach-edge ({step.u!r}, {step.v!r}): common-neighbor rim is not contractible"
             )
-        es = list(g.edges()) + [(step.u, step.v)]
-        return build_graph(list(g.vertices), es)
+        return _flip_edge(g, iu, iv)
 
     raise TransformationError(f"unknown step {step!r}")
 
@@ -247,23 +252,25 @@ def reduce(g: Graph) -> tuple[Graph, HomotopyTrace]:
 
     Deterministic: each round removes the simple vertex with the smallest
     degree, ties broken by label order. The residue is homotopy equivalent
-    to the input by construction.
+    to the input by construction. The rounds run on the input's rows and a
+    mask of the surviving vertices; only the neighbors of a deleted vertex
+    are tested again.
     """
-    cur = g
+    rows, labels = g._rows, g._labels
+    alive = (1 << g.order) - 1
+    simple = {i for i in range(g.order) if _contractible_on(rows, rows[i])}
     steps: list[Step] = []
-    simple = {v: is_simple_point(cur, v) for v in cur.vertices}
-    while True:
-        candidates = [v for v, ok in simple.items() if ok]
-        if not candidates:
-            break
-        v = min(candidates, key=lambda w: (cur.degree(w), w))
-        touched = cur.neighbors(v)
-        steps.append(DeletePoint(v))
-        cur = induced_subgraph(cur, [w for w in cur.vertices if w != v])
-        del simple[v]
-        for u in touched:
-            simple[u] = is_simple_point(cur, u)
-    return cur, HomotopyTrace(tuple(steps))
+    while simple:
+        v = min(simple, key=lambda i: ((rows[i] & alive).bit_count(), labels[i]))
+        steps.append(DeletePoint(labels[v]))
+        alive ^= 1 << v
+        simple.discard(v)
+        for u in _bits(rows[v] & alive):
+            if _contractible_on(rows, rows[u] & alive):
+                simple.add(u)
+            else:
+                simple.discard(u)
+    return _induced_mask(g, alive), HomotopyTrace(tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -302,21 +309,19 @@ def _search_moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
     unbounded, and the remaining moves already connect the graphs this
     search is used on.
     """
-    for v in sorted(g.vertices):
-        if is_simple_point(g, v):
-            yield DeletePoint(v), induced_subgraph(g, [w for w in g.vertices if w != v])
-    vs = sorted(g.vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1 :]:
-            if g.has_edge(u, v):
-                if is_simple_edge(g, u, v):
-                    es = [e for e in g.edges() if frozenset(e) != frozenset((u, v))]
-                    yield DeleteEdge(u, v), build_graph(list(g.vertices), es)
-            else:
-                common = set(g.neighbors(u)) & set(g.neighbors(v))
-                if common and _contractible_masks(induced_subgraph(g, common)):
-                    es = list(g.edges()) + [(u, v)]
-                    yield AttachEdge(u, v), build_graph(list(g.vertices), es)
+    rows, labels = g._rows, g._labels
+    order = sorted(range(g.order), key=labels.__getitem__)
+    for i in order:
+        if _contractible_on(rows, rows[i]):
+            yield DeletePoint(labels[i]), _without_vertex(g, i)
+    for k, i in enumerate(order):
+        for j in order[k + 1 :]:
+            common = rows[i] & rows[j]
+            if (rows[i] >> j) & 1:
+                if _contractible_on(rows, common):
+                    yield DeleteEdge(labels[i], labels[j]), _flip_edge(g, i, j)
+            elif common and _contractible_on(rows, common):
+                yield AttachEdge(labels[i], labels[j]), _flip_edge(g, i, j)
 
 
 def _bidirectional_connect(

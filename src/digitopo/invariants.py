@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from typing import Any
 
 from . import _kernels as kernels
+from ._kernels._pure import _bits, cliques
 from ._smith import gf2_rank, smith_diagonal
-from .graph import Graph
+from .graph import Graph, GraphError
 
 # Cliques above this size are treated as pathological input; the corpus
 # stays well below (Chebyshev-adjacent cube blocks peak at 8 in 3 dimensions).
@@ -76,52 +77,45 @@ def same_profile(a: HomologyProfile, b: HomologyProfile) -> bool:
 
 def clique_vector(g: Graph) -> CliqueVector:
     """Exact clique counts, trimmed at the clique number."""
-    counts = kernels.clique_counts(g.order, g._rows, CLIQUE_CAP)
+    try:
+        counts = kernels.clique_counts(g.order, g._rows, CLIQUE_CAP)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from exc
     while counts and counts[-1] == 0:
         counts.pop()
     return CliqueVector(tuple(counts))
 
 
+def _alternating_sum(counts) -> int:
+    return sum(c if k % 2 == 0 else -c for k, c in enumerate(counts))
+
+
 def euler_characteristic(g: Graph) -> int:
     """Alternating sum over the clique vector."""
-    return sum(c if k % 2 == 0 else -c for k, c in enumerate(clique_vector(g)))
+    return _alternating_sum(clique_vector(g))
 
 
 def _cliques_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
-    """All cliques as tuples of label-sorted vertex indices, grouped by size."""
-    order = sorted(range(g.order), key=lambda i: g.vertices[i])
+    """All cliques as tuples of label-sorted vertex indices, grouped by size.
+
+    Index k-1 holds the k-vertex cliques; the list ends at the clique number.
+    """
+    order = sorted(range(g.order), key=g._labels.__getitem__)
     rank = {v: k for k, v in enumerate(order)}
     # adjacency in rank space
     rows = [0] * g.order
     for i, r in enumerate(g._rows):
-        ri = rank[i]
-        m = r
-        while m:
-            b = m & -m
-            m ^= b
-            rows[ri] |= 1 << rank[b.bit_length() - 1]
-
-    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(CLIQUE_CAP + 1)]
-
-    def dfs(base: tuple[int, ...], cand: int) -> None:
-        by_size[len(base)].append(base)
-        if len(base) == CLIQUE_CAP:
-            if cand:
-                raise ValueError(f"clique larger than cap {CLIQUE_CAP}")
-            return
-        rest = cand
-        while rest:
-            b = rest & -rest
-            rest ^= b
-            u = b.bit_length() - 1
-            dfs(base + (u,), rest & rows[u])
-
-    for v in range(g.order):
-        higher = ~((1 << (v + 1)) - 1)
-        dfs((v,), rows[v] & higher)
+        for j in _bits(r):
+            rows[rank[i]] |= 1 << rank[j]
+    by_size: list[list[tuple[int, ...]]] = [[] for _ in range(CLIQUE_CAP)]
+    try:
+        for c in cliques(g.order, rows, CLIQUE_CAP):
+            by_size[len(c) - 1].append(c)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from exc
     while by_size and not by_size[-1]:
         by_size.pop()
-    return by_size[1:]  # index k-1 holds k-vertex cliques
+    return by_size
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +178,10 @@ def homology(g: Graph) -> HomologyProfile:
     the boundary matrices; GF(2) Betti numbers from bitmask elimination.
     Profiles run from dimension 0 to the complex dimension.
     """
-    by_size = _cliques_by_size(g)
+    return _homology_of(_cliques_by_size(g))
+
+
+def _homology_of(by_size: list[list[tuple[int, ...]]]) -> HomologyProfile:
     top = len(by_size)  # complex dimension + 1
     if top == 0:
         return HomologyProfile((), (), ())
@@ -230,9 +227,10 @@ def homology(g: Graph) -> HomologyProfile:
 
 def invariant_report(g: Graph) -> dict[str, Any]:
     """JSON-ready bundle of every preserved quantity."""
-    prof = homology(g)
+    by_size = _cliques_by_size(g)
+    prof = _homology_of(by_size)
     return {
-        "euler": euler_characteristic(g),
+        "euler": _alternating_sum(len(group) for group in by_size),
         "betti_q": list(prof.betti_q),
         "betti_z2": list(prof.betti_z2),
         "torsion": [list(t) for t in prof.torsion],

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from .graph import Graph, GraphError, build_graph
@@ -39,17 +38,6 @@ def graph_from_obj(obj: Any) -> Graph:
         seen.add(key)
         edges.append((e[0], e[1]))
     return build_graph(vertices, edges)
-
-
-def dumps_graph(g: Graph, pretty: bool = False) -> str:
-    obj = graph_to_obj(g)
-    if pretty:
-        return json.dumps(obj, indent=2, sort_keys=True)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def loads_graph(text: str) -> Graph:
-    return graph_from_obj(json.loads(text))
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +78,6 @@ def parse_edge_list(text: str) -> Graph:
         else:
             raise GraphError(f"cannot parse edge-list line: {raw!r}")
     return build_graph(vertices, edges)
-
-
-def format_edge_list(g: Graph) -> str:
-    lines = []
-    covered = set()
-    for u, v in g.edges():
-        lines.append(f"{u} {v}")
-        covered.add(u)
-        covered.add(v)
-    for v in sorted(g.vertices):
-        if v not in covered:
-            lines.append(v)
-    return "\n".join(lines) + "\n"
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, build_graph, edge_rim
+from ._kernels._pure import _bits
+from .graph import Graph, GraphError, _flip_edge, _with_vertex
 from .homotopy import AttachPoint, DeleteEdge, HomotopyTrace
 
 
@@ -47,13 +48,12 @@ def r_transform(m: Graph, u: str, v: str, x: str) -> tuple[Graph, RStep]:
         raise GraphError(f"({u!r}, {v!r}) is not an edge")
     if m.has_vertex(x):
         raise GraphError(f"label {x!r} is already a vertex")
-    shared = edge_rim(m, u, v).vertices
-    rim_labels = tuple(sorted({u, v, *shared}))
-    vs = list(m.vertices) + [x]
-    es = [e for e in m.edges() if frozenset(e) != frozenset((u, v))]
-    es += [(x, w) for w in rim_labels]
-    out = build_graph(vs, es)
-    if out.order != m.order + 1 or out.size != m.size + len(shared) + 1:
+    iu, iv = m._index[u], m._index[v]
+    shared = m._rows[iu] & m._rows[iv]
+    rim_mask = shared | (1 << iu) | (1 << iv)
+    rim_labels = tuple(sorted(m._labels[i] for i in _bits(rim_mask)))
+    out = _flip_edge(_with_vertex(m, x, rim_mask), iu, iv)
+    if out.order != m.order + 1 or out.size != m.size + shared.bit_count() + 1:
         raise AssertionError("edge-to-point replacement produced inconsistent counts")
     return out, RStep((u, v), x, rim_labels)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from digitopo.graph import Graph, build_graph, induced_subgraph, join, rim
+from digitopo.graph import Graph, build_graph, induced_subgraph, join, relabeled, rim
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +115,15 @@ def all_labeled_graphs(n: int, prefix: str = "v"):
     for bits in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
         yield build_graph(vs, edges)
+
+
+def small_graphs_out_of_label_order(max_n: int = 5):
+    """Every labeled graph on at most max_n vertices, its vertex order the
+    reverse of label order, so index and label tie-breaks cannot coincide."""
+    for n in range(max_n + 1):
+        reverse = {f"v{i}": f"v{n - 1 - i}" for i in range(n)}
+        for g in all_labeled_graphs(n):
+            yield relabeled(g, reverse)
 
 
 def shuffled_copy(rng: random.Random, g: Graph) -> Graph:

@@ -62,10 +62,6 @@ class TestSpheres:
         assert good.failing_witness is None
         assert bad.kind == "None" and bad.failing_witness is not None
 
-    def test_heuristic_flag_single_deletion(self):
-        # the heuristic samples one vertex; on honest spheres it agrees
-        assert is_n_sphere(octahedron(), 2, check_all_deletions=False).ok
-
     def test_negative_dimension_rejected(self):
         with pytest.raises(GraphError):
             is_n_sphere(cycle_graph(4), -1)

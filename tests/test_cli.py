@@ -92,6 +92,20 @@ class TestReduceInvariantsReplay:
         assert code == 0
         assert obj["euler"] == 0 and obj["betti_q"] == [1, 2, 1]
 
+    def test_invariants_clique_above_cap_exit_2(self, files, capsys):
+        vs = [f"k{i}" for i in range(10)]
+        k10 = {"vertices": vs, "edges": [[a, b] for i, a in enumerate(vs) for b in vs[i + 1 :]]}
+        (files / "k10.json").write_text(json.dumps(k10))
+        code, out, err = run(capsys, "invariants", str(files / "k10.json"))
+        assert code == 2 and not out
+        assert err == "input error: clique larger than cap 9\n"
+
+    def test_replay_non_string_label_exit_2(self, files, capsys):
+        (files / "trace.json").write_text(json.dumps([{"op": "attach-point", "v": 5, "rim": ["a"]}]))
+        code, out, err = run(capsys, "replay", str(files / "c4.json"), str(files / "trace.json"))
+        assert code == 2 and not out
+        assert err == "input error: vertex labels must be strings, got 5\n"
+
     def test_replay_round_trip(self, files, capsys):
         (files / "tree.txt").write_text("a b\nb c\n")
         code, out, _ = run(capsys, "reduce", str(files / "tree.txt"))

@@ -1,5 +1,6 @@
 """Simple points/edges, transformations, traces, reduction, equivalence."""
 
+import itertools
 import random
 
 import pytest
@@ -12,9 +13,10 @@ from conftest import (
     random_accepted_steps,
     random_contractible_graph,
     random_graph,
+    small_graphs_out_of_label_order,
     wheel,
 )
-from digitopo.graph import build_graph, canonical_key
+from digitopo.graph import build_graph, canonical_key, induced_subgraph
 from digitopo.homotopy import (
     AttachEdge,
     AttachPoint,
@@ -22,6 +24,7 @@ from digitopo.homotopy import (
     DeletePoint,
     HomotopyTrace,
     TransformationError,
+    _contractible_masks,
     apply_trace,
     apply_transformation,
     homotopy_equivalent,
@@ -119,6 +122,65 @@ class TestApplyTransformation:
             apply_transformation(g, DeleteEdge("c0", "c1"))
 
 
+class TestStepResultsExhaustive:
+    """Each step kind on every graph of at most 5 vertices yields exactly the
+    graph build_graph makes from the expected lists, vertex order included:
+    witness traces name vertices by index, so the order is part of the contract."""
+
+    @staticmethod
+    def same(out, vertices, edges):
+        expected = build_graph(vertices, edges)
+        assert out.vertices == expected.vertices
+        assert set(out.edges()) == set(expected.edges())
+
+    def test_every_step_kind(self):
+        seen = set()
+        for g in small_graphs_out_of_label_order(5):
+            vs = list(g.vertices)
+            es = list(g.edges())
+            for v in vs:
+                step = DeletePoint(v)
+                if not is_simple_point(g, v):
+                    with pytest.raises(TransformationError):
+                        apply_transformation(g, step)
+                    continue
+                self.same(
+                    apply_transformation(g, step),
+                    [w for w in vs if w != v],
+                    [e for e in es if v not in e],
+                )
+                seen.add("delete-point")
+            for size in range(1, len(vs) + 1):
+                for rim_set in itertools.combinations(vs, size):
+                    step = AttachPoint("x", frozenset(rim_set))
+                    if not _contractible_masks(induced_subgraph(g, rim_set)):
+                        with pytest.raises(TransformationError):
+                            apply_transformation(g, step)
+                        continue
+                    self.same(
+                        apply_transformation(g, step),
+                        vs + ["x"],
+                        es + [("x", w) for w in rim_set],
+                    )
+                    seen.add("attach-point")
+            for u, v in itertools.combinations(vs, 2):
+                if g.has_edge(u, v):
+                    step, ok = DeleteEdge(u, v), is_simple_edge(g, u, v)
+                    expected = [e for e in es if set(e) != {u, v}]
+                else:
+                    common = set(g.neighbors(u)) & set(g.neighbors(v))
+                    step = AttachEdge(u, v)
+                    ok = _contractible_masks(induced_subgraph(g, common))
+                    expected = es + [(u, v)]
+                if not ok:
+                    with pytest.raises(TransformationError):
+                        apply_transformation(g, step)
+                    continue
+                self.same(apply_transformation(g, step), vs, expected)
+                seen.add(type(step).__name__)
+        assert seen == {"delete-point", "attach-point", "DeleteEdge", "AttachEdge"}
+
+
 class TestTraces:
     def test_round_trip_json(self):
         trace = HomotopyTrace(
@@ -137,9 +199,6 @@ class TestTraces:
             g = random_contractible_graph(rng, rng.randint(2, 8))
             size = rng.randint(1, min(3, g.order))
             s = frozenset(rng.sample(list(g.vertices), size))
-            from digitopo.homotopy import _contractible_masks
-            from digitopo.graph import induced_subgraph
-
             if not _contractible_masks(induced_subgraph(g, s)):
                 continue
             trace = HomotopyTrace((AttachPoint("zz", s), DeletePoint("zz")))
@@ -178,6 +237,18 @@ class TestReduce:
         _, trace = reduce(g)
         # both endpoints have degree 1; label order picks 'a' first
         assert trace.steps[0] == DeletePoint("a")
+
+    def test_each_step_deletes_the_min_degree_label_simple_point(self):
+        for g in small_graphs_out_of_label_order(5):
+            residue, trace = reduce(g)
+            cur = g
+            for step in trace:
+                simple = [v for v in cur.vertices if is_simple_point(cur, v)]
+                assert step == DeletePoint(min(simple, key=lambda w: (cur.degree(w), w)))
+                cur = induced_subgraph(cur, [w for w in cur.vertices if w != step.v])
+            assert not any(is_simple_point(cur, v) for v in cur.vertices)
+            assert residue.vertices == cur.vertices
+            assert set(residue.edges()) == set(cur.edges())
 
     def test_trace_replays_to_residue(self):
         rng = random.Random(5)

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from conftest import cycle_graph, octahedron, random_graph
+from conftest import cycle_graph, octahedron, random_graph, small_graphs_out_of_label_order
 from digitopo.catalog import get
 from digitopo.classify import is_n_manifold, is_n_sphere
-from digitopo.graph import GraphError, canonical_key, edge_rim
+from digitopo.graph import GraphError, build_graph, canonical_key, edge_rim
 from digitopo.homotopy import apply_trace
 from digitopo.invariants import euler_characteristic, homology, same_profile
 from digitopo.transform import fresh_label, r_transform
@@ -49,6 +49,21 @@ class TestRTransform:
             assert out.size == g.size + shared + 1
             assert set(out.neighbors("zz1")) == {u, v} | set(edge_rim(g, u, v).vertices)
             assert not out.has_edge(u, v)
+
+    def test_result_matches_build_graph_exhaustively(self):
+        # the new point is appended last; witness traces depend on that order
+        for g in small_graphs_out_of_label_order(5):
+            vs = list(g.vertices)
+            for u, v in g.edges():
+                out, step = r_transform(g, u, v, "x")
+                rim_set = {u, v} | (set(g.neighbors(u)) & set(g.neighbors(v)))
+                expected = build_graph(
+                    vs + ["x"],
+                    [e for e in g.edges() if set(e) != {u, v}] + [("x", w) for w in rim_set],
+                )
+                assert out.vertices == expected.vertices
+                assert set(out.edges()) == set(expected.edges())
+                assert step.rim_labels == tuple(sorted(rim_set))
 
     def test_expansion_replays(self):
         g = octahedron()
