@@ -15,7 +15,8 @@ import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 from digitopo._kernels import _pure  # noqa: E402
 
@@ -31,18 +32,23 @@ except ImportError:
 def _inputs():
     """Workloads shaped like the package's real call sites.
 
-    Contractibility rows use small or honestly contractible graphs; the
-    exact decision on large non-contractible graphs with many deletable
-    vertices is exponential by nature and is not a kernel call the package
-    makes (reduction only ever tests rim-sized graphs).
+    Contractibility rows cover each tier of the pure kernel: graphs the
+    greedy pass reduces to a point (the wheel, the 3x3x3 solid block of
+    Chebyshev-adjacent cubes) and stuck residues whose homology refutes
+    contractibility (the torus, the 3-sphere, and the 26-vertex rim of an
+    interior cube, the rim test that dominates reducing solid 3-D models).
+    The compiled kernel runs the exact search on all of them, so its
+    refutations grow with the number of deletion orders.
     """
+    import itertools
+
     import random
 
     from digitopo.catalog import get
     from digitopo.classify import minimal_sphere
     from digitopo.covers import BoxCell
     from digitopo.digitizer import cubical_model, model_graph, shape_circle
-    from digitopo.graph import build_graph
+    from digitopo.graph import build_graph, rim
 
     rng = random.Random(11)
     canon_graphs = {
@@ -59,10 +65,21 @@ def _inputs():
         [f"c{i}" for i in range(k)] + ["hub"],
         [(f"c{i}", f"c{(i + 1) % k}") for i in range(k)] + [(f"c{i}", "hub") for i in range(k)],
     )
+    cubes = list(itertools.product(range(3), repeat=3))
+    block = build_graph(
+        [str(c) for c in cubes],
+        [
+            (str(a), str(b))
+            for a, b in itertools.combinations(cubes, 2)
+            if max(abs(x - y) for x, y in zip(a, b)) == 1
+        ],
+    )
     contract_graphs = {
         "wheel-12 (contractible)": wheel,
+        "3x3x3 block (contractible)": block,
         "torus16 (irreducible)": get("torus16").graph,
         "minimal 3-sphere (irreducible)": minimal_sphere(3),
+        "26-vertex cube rim (irreducible)": rim(block, str((1, 1, 1))),
     }
     return canon_graphs, contract_graphs
 
@@ -77,13 +94,13 @@ def _time(fn, repeat=3):
 
 
 def _table(rows_spec, backends):
-    print(f"{'workload':40s}" + "".join(f"{name:>12s}" for name, _ in backends) + f"{'speedup':>10s}")
+    print(f"{'workload':50s}" + "".join(f"{name:>12s}" for name, _ in backends) + f"{'speedup':>10s}")
     for label, g, call in rows_spec:
         n, rows = g.order, g._rows
         times = []
         for _, mod in backends:
             times.append(_time(lambda m=mod: call(m, n, rows)))
-        line = f"{label:40s}"
+        line = f"{label:50s}"
         for t in times:
             line += f"{t * 1e3:>10.2f}ms"
         if len(times) == 2 and times[1]:
@@ -131,7 +148,8 @@ def macro():
     print("\nmacro workload, cold caches per process:")
     sys.stdout.flush()
     for pure in ("0", "1"):
-        env = dict(os.environ, DIGITOPO_PURE_KERNELS=pure)
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, DIGITOPO_PURE_KERNELS=pure, PYTHONPATH=path)
         subprocess.run([sys.executable, "-c", _MACRO], env=env, check=True)
 
 

@@ -8,6 +8,15 @@ The compiled extension (`_core`, Cython) and the pure-Python module
     contraction_order(n, rows)  witnessing deletion order, or None
     clique_counts(n, rows, cap) counts of k-vertex cliques
 
+They reach the same verdicts and orders by different routes. `_pure` decides
+contractibility in three tiers: greedy simple-point deletion (True when it
+reaches a point, and its deletion order is the witness), then the homology
+of the stuck residue (False unless it is that of a point), then the exact
+backtracking search on what is left. It memoizes verdicts on the exact input
+rows, and on canonical forms only for nodes of the exact search. `_core` runs
+the exact search directly, memoized on canonical forms at every node; its
+first branch is the greedy order, so the witnesses agree.
+
 The compiled backend handles graphs up to 64 vertices; larger graphs route
 to the pure backend automatically. Set DIGITOPO_PURE_KERNELS=1 to force the
 pure backend (used by the parity tests and the benchmark).

@@ -6,14 +6,18 @@ adjacent. Python integers make this work for any vertex count; the optional
 compiled backend (`digitopo._kernels._core`) accelerates the same calls for
 graphs with at most 64 vertices.
 
-Everything is deterministic. Contractibility answers are memoized on exact
-canonical forms, so isomorphic presentations can never receive different
-answers, and a cached verdict is always safe to reuse.
+Everything is deterministic and every verdict is exact. Contractibility is
+decided in three tiers (greedy deletion, homology of the stuck residue,
+exact search; see `is_contractible`) and memoized in one table under two
+kinds of exact keys: the input rows, and the canonical forms of the exact
+search's nodes. A cached verdict is always safe to reuse.
 """
 
 from __future__ import annotations
 
 import os
+
+from .._smith import gf2_rank
 
 BACKEND = "pure"
 
@@ -21,17 +25,19 @@ BACKEND = "pure"
 # adjacency; 1 = disconnected, sorted multiset of component keys), payload.
 _EMPTY_KEY = (0).to_bytes(2, "big") + b"\x00"
 
-# Contractibility memo, keyed on canonical form. The cap guards unbounded
+# Contractibility memo. Keys are exact: ``(n, tuple(rows))`` for every
+# decided graph (label-dependent, but far cheaper than a canonical form), and
+# canonical bytes for the nodes of the exact search. The cap guards unbounded
 # growth on adversarial workloads; clearing is always sound.
 _MEMO_CAP = int(os.environ.get("DIGITOPO_MEMO_CAP", "1000000"))
-_contractible: dict[bytes, bool] = {}
+_contractible: dict[object, bool] = {}
 
 
 def clear_caches() -> None:
     _contractible.clear()
 
 
-def _memo_put(key: bytes, value: bool) -> None:
+def _memo_put(key, value: bool) -> None:
     if len(_contractible) >= _MEMO_CAP:
         _contractible.clear()
     _contractible[key] = value
@@ -174,36 +180,31 @@ def canon_bytes(n: int, rows) -> bytes:
         buckets.setdefault(rows[v].bit_count(), []).append(v)
     cells = _refine(rows, [tuple(buckets[d]) for d in sorted(buckets)])
 
+    # depth-first over the refinement tree on an explicit stack: the tree is
+    # as deep as the graph has vertices. The minimum does not depend on the
+    # visiting order.
     best: bytes | None = None
-
-    def search(cells: list[tuple[int, ...]]) -> None:
-        nonlocal best
-        target = None
-        for i, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = i
-                break
+    stack = [cells]
+    while stack:
+        cells = stack.pop()
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
         if target is None:
             cand = _pack(rows, [cell[0] for cell in cells])
             if best is None or cand < best:
                 best = cand
-            return
+            continue
         cell = cells[target]
         branched: list[int] = []
         for v in cell:
-            twin = False
-            for u in branched:
-                if rows[u] == rows[v] or rows[u] ^ rows[v] == (1 << u) | (1 << v):
-                    twin = True
-                    break
-            if twin:
+            if any(
+                rows[u] == rows[v] or rows[u] ^ rows[v] == (1 << u) | (1 << v)
+                for u in branched
+            ):
                 continue
             branched.append(v)
             rest = tuple(w for w in cell if w != v)
-            child = cells[:target] + [(v,), rest] + cells[target + 1 :]
-            search(_refine(rows, child))
+            stack.append(_refine(rows, cells[:target] + [(v,), rest] + cells[target + 1 :]))
 
-    search(cells)
     assert best is not None
     return header + b"\x00" + best
 
@@ -211,73 +212,203 @@ def canon_bytes(n: int, rows) -> bytes:
 # ---------------------------------------------------------------------------
 # contractibility
 #
-# A graph reduces to one point iff some vertex with a contractible rim can be
-# deleted leaving a contractible graph. The DFS below tries candidates in
-# greedy order (minimum degree, then index), which makes the first explored
-# branch the greedy pass; on failure it backtracks through every candidate,
-# so the final verdict is exact rather than order-dependent.
+# A graph reduces to one point iff some vertex with a contractible rim (a
+# simple point) can be deleted leaving a contractible graph. Three tiers
+# decide it, and each tier's answer is exact:
+#
+# 1. Greedy: delete simple points in (degree, index) order, re-testing only
+#    the neighbors of each deleted vertex. Reaching one vertex proves
+#    contractibility, and the deletion order is the first branch of the
+#    exact search. A cone needs no pass (see `decide`).
+# 2. Invariants: simple-point deletions preserve homology (Ivashchenko,
+#    Discrete Math. 126, 1994) and a contractible graph has the homology of
+#    a point, so a stuck residue whose Euler characteristic is not 1, or
+#    whose reduced GF(2) homology is nonzero, refutes contractibility.
+# 3. Exact search: greedy deletion can stall on contractible inputs
+#    (Benedetti & Lutz, Exp. Math. 23, 2014), so what survives tier 2 gets
+#    the backtracking search over every simple point.
+#
+# Rim tests at every tier call back into is_contractible, whose verdicts are
+# memoized on the exact rows. Rims arrive densely reindexed, so a rim that
+# recurs after unrelated deletions recurs under the same key. Canonical
+# forms key only the nodes of the exact search.
 
 
 def is_contractible(n: int, rows) -> bool:
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    if not connected(n, rows):
-        return False
-    key = canon_bytes(n, rows)
+    """Exact decision: do simple-point deletions reduce the graph to a point?"""
+    if n < 2:
+        return n == 1
+    key = (n, tuple(rows))
     hit = _contractible.get(key)
-    if hit is not None:
-        return hit
-    result = False
-    order = sorted(range(n), key=lambda v: (rows[v].bit_count(), v))
-    for v in order:
-        rn, rrows = subgraph_rows(rows, rows[v])
-        if not is_contractible(rn, rrows):
+    if hit is None:
+        hit = decide(n, rows)[0]
+        _memo_put(key, hit)
+    return hit
+
+
+def decide(n: int, rows) -> tuple[bool, int]:
+    """The verdict, unmemoized at the top, and the tier (1-3) that reached it.
+
+    A cone (some vertex adjacent to all others) is decided by tier 1 without
+    a pass: every other vertex's rim is a cone too, so greedy deletion
+    always reaches a point. Skipping the pass keeps cliques from nesting
+    one rim test per clique vertex. The empty and the disconnected graphs
+    are refuted by tier 2: their reduced homology is nonzero in degree -1
+    or 0.
+    """
+    full = (1 << n) - 1
+    if any(r | 1 << v == full for v, r in enumerate(rows)):
+        return True, 1
+    if n == 0 or not connected(n, rows):
+        return False, 2
+    alive, _ = _greedy(n, rows)
+    if not alive & (alive - 1):
+        return True, 1
+    if not _acyclic(*subgraph_rows(rows, alive)):
+        return False, 2
+    return _exact(n, rows), 3
+
+
+def _simple(rows, v: int, alive: int) -> bool:
+    return is_contractible(*subgraph_rows(rows, rows[v] & alive))
+
+
+def _greedy(n: int, rows) -> tuple[int, list[int]]:
+    """Tier 1: the mask of vertices left when greedy deletion stalls, and
+    the deletion order (each deleted vertex the simple one of minimum
+    degree, then index)."""
+    alive = (1 << n) - 1
+    simple = {v for v in range(n) if _simple(rows, v, alive)}
+    order: list[int] = []
+    while simple:
+        v = min(simple, key=lambda i: ((rows[i] & alive).bit_count(), i))
+        order.append(v)
+        alive ^= 1 << v
+        simple.discard(v)
+        for u in _bits(rows[v] & alive):
+            if _simple(rows, u, alive):
+                simple.add(u)
+            else:
+                simple.discard(u)
+    return alive, order
+
+
+def _acyclic(n: int, rows) -> bool:
+    """Tier 2: does the clique complex of a connected graph have the
+    homology of a point?
+
+    Checks the Euler characteristic, then the GF(2) Betti numbers from
+    boundary ranks, lowest dimension first. Connectivity gives b0 = 1, so
+    the edge boundary has rank n - 1 and its matrix is never built.
+    """
+    by_size: list[list[tuple[int, ...]]] = []
+    for c in cliques(n, rows, n):
+        if len(c) > len(by_size):
+            by_size.append([])
+        by_size[len(c) - 1].append(c)
+    if sum(len(g) if k % 2 == 0 else -len(g) for k, g in enumerate(by_size)) != 1:
+        return False
+    rank = n - 1  # of the boundary from 1-simplices (edges) to vertices
+    for k in range(1, len(by_size) - 1):
+        index = {s: i for i, s in enumerate(by_size[k])}
+        cols = []
+        for s in by_size[k + 1]:
+            col = 0
+            for i in range(len(s)):
+                col |= 1 << index[s[:i] + s[i + 1 :]]
+            cols.append(col)
+        upper = gf2_rank(cols)
+        if len(by_size[k]) != rank + upper:
+            return False
+        rank = upper
+    # the top Betti number follows from the Euler characteristic
+    return True
+
+
+def _exact(n: int, rows) -> bool:
+    """Tier 3: backtracking over every simple point, on an explicit stack.
+
+    A node is a graph whose greedy pass stalls; its children delete its
+    simple points in greedy order. A child that the greedy pass reduces to
+    a point proves its parent; any other child becomes a node unless the
+    memo knows its canonical form. Children skip tier 2: deleting a simple
+    point preserves homology, so every node has the homology of the root.
+    """
+    key = canon_bytes(n, rows)
+    found = _contractible.get(key)
+    if found is not None:
+        return found
+    stack = [(key, n, rows, iter(_greedy_order(n, rows)))]
+    while stack:
+        key, n, rows, candidates = stack[-1]
+        full = (1 << n) - 1
+        child = None
+        if not found:
+            for v in candidates:
+                if not _simple(rows, v, full):
+                    continue
+                cn, crows = subgraph_rows(rows, full ^ (1 << v))
+                alive, _ = _greedy(cn, crows)
+                if not alive & (alive - 1):
+                    found = True
+                    break
+                ckey = canon_bytes(cn, crows)
+                found = _contractible.get(ckey)
+                if found is None:
+                    child = (ckey, cn, crows, iter(_greedy_order(cn, crows)))
+                    break
+                if found:
+                    break
+        if child is not None:
+            stack.append(child)
             continue
-        dn, drows = subgraph_rows(rows, ((1 << n) - 1) ^ (1 << v))
-        if is_contractible(dn, drows):
-            result = True
-            break
-    _memo_put(key, result)
-    return result
+        found = bool(found)
+        _memo_put(key, found)
+        stack.pop()
+    return found
+
+
+def _greedy_order(n: int, rows) -> list[int]:
+    return sorted(range(n), key=lambda v: (rows[v].bit_count(), v))
 
 
 def contraction_order(n: int, rows) -> list[int] | None:
     """A witnessing deletion order down to one vertex, or None.
 
-    The search reuses negative memo entries for pruning but rebuilds the
-    positive path explicitly, so the returned order always replays.
+    The order is the first successful branch of the exact search: the tier-1
+    order whenever greedy deletion reaches a point. Only a stalled greedy
+    pass falls back to `_witness`.
     """
-    if n == 0:
+    if n == 0 or not connected(n, rows):
         return None
+    alive, order = _greedy(n, rows)
+    if not alive & (alive - 1):
+        return order
+    if not is_contractible(n, rows):
+        return None
+    return _witness(n, rows)
+
+
+def _witness(n: int, rows) -> list[int]:
+    """Deletion order of a contractible graph whose greedy pass stalls.
+
+    Each step deletes the first simple vertex, in greedy order, whose
+    deletion leaves a contractible graph, until the greedy pass finishes.
+    """
+    names = list(range(n))
     acc: list[int] = []
-    if _witness(n, list(rows), list(range(n)), acc):
-        return acc
-    return None
-
-
-def _witness(n: int, rows, names: list[int], acc: list[int]) -> bool:
-    if n == 1:
-        return True
-    if not connected(n, rows):
-        return False
-    key = canon_bytes(n, rows)
-    if _contractible.get(key) is False:
-        return False
-    order = sorted(range(n), key=lambda v: (rows[v].bit_count(), v))
-    for v in order:
-        rn, rrows = subgraph_rows(rows, rows[v])
-        if not is_contractible(rn, rrows):
-            continue
-        dn, drows = subgraph_rows(rows, ((1 << n) - 1) ^ (1 << v))
-        dnames = [names[u] for u in range(n) if u != v]
-        acc.append(names[v])
-        if _witness(dn, drows, dnames, acc):
-            return True
-        acc.pop()
-    _memo_put(key, False)
-    return False
+    while True:
+        full = (1 << n) - 1
+        for v in _greedy_order(n, rows):
+            if _simple(rows, v, full):
+                dn, drows = subgraph_rows(rows, full ^ (1 << v))
+                if is_contractible(dn, drows):
+                    break
+        acc.append(names.pop(v))
+        n, rows = dn, drows
+        alive, order = _greedy(n, rows)
+        if not alive & (alive - 1):
+            return acc + [names[u] for u in order]
 
 
 # ---------------------------------------------------------------------------

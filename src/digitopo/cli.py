@@ -2,9 +2,10 @@
 
 JSON goes to stdout, diagnostics to stderr. Exit codes: 0 when the request
 succeeded, 1 when it computed cleanly but the property failed (invalid
-cover, non-recognized graph, failed replay), 2 on malformed input. Output
-is deterministic: everything upstream uses fixed tie-breaking, and objects
-are serialized with sorted keys.
+cover, non-recognized graph, failed replay), 2 on malformed or unsupported
+input (a clique above the cap). Output is deterministic: everything
+upstream uses fixed tie-breaking, and objects are serialized with sorted
+keys.
 """
 
 from __future__ import annotations

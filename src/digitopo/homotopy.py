@@ -138,12 +138,18 @@ def is_simple_edge(g: Graph, u: str, v: str) -> bool:
 def is_contractible(g: Graph, return_trace: bool = False):
     """Exact decision: can simple-point deletions reduce ``g`` to one point?
 
-    The kernel runs a greedy pass first (minimum degree order) and falls back
-    to full backtracking before answering False, with memoization on
-    canonical forms. The empty graph is not contractible.
+    The kernel decides in three exact tiers. A greedy pass deletes simple
+    points in (degree, vertex order) order and answers True if it reaches
+    one vertex. Otherwise the stuck residue's Euler characteristic and GF(2)
+    homology are checked: deletions preserve homology, so anything but the
+    homology of a point answers False. Only what remains gets the full
+    backtracking search. Verdicts are memoized on the exact adjacency rows,
+    and nodes of the backtracking search on canonical forms. The empty graph
+    is not contractible.
 
     With ``return_trace=True`` returns ``(bool, HomotopyTrace | None)`` where
-    the trace replays the witnessing deletions.
+    the trace replays the witnessing deletions: the greedy order when the
+    greedy pass succeeds, else the first successful branch of the search.
     """
     verdict = _contractible_masks(g)
     if not return_trace:

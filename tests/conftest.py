@@ -50,6 +50,44 @@ def wheel(k: int) -> Graph:
     return build_graph(vs, edges)
 
 
+def chebyshev_block(k: int, dim: int = 3) -> Graph:
+    """The k^dim cubes of a solid block, adjacent when they share a point."""
+    pts = list(itertools.product(range(k), repeat=dim))
+    label = {p: "q" + "_".join(map(str, p)) for p in pts}
+    edges = [
+        (label[p], label[q])
+        for p, q in itertools.combinations(pts, 2)
+        if max(abs(a - b) for a, b in zip(p, q)) == 1
+    ]
+    return build_graph([label[p] for p in pts], edges)
+
+
+def dunce_hat() -> Graph:
+    """Barycentric subdivision of the 8-vertex, 17-triangle dunce hat.
+
+    The triangulation is a 9-gon whose boundary reads a a a^-1, each a
+    subdivided 1-2-3-1, around an inner pentagon r0..r4. The subdivision
+    (simplices adjacent when one contains the other) is a flag complex: 49
+    vertices, Euler characteristic 1 and trivial homology, yet no vertex
+    has a contractible rim.
+    """
+    b = ["1", "2", "3", "1", "2", "3", "1", "3", "2"]
+    arcs = [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 0)]
+    triangles = [("r0", "r1", "r2"), ("r0", "r2", "r3"), ("r0", "r3", "r4")]
+    for j, arc in enumerate(arcs):
+        triangles += [(b[p], b[q], f"r{j}") for p, q in zip(arc, arc[1:])]
+        triangles.append((b[arc[-1]], f"r{j}", f"r{(j + 1) % 5}"))
+    faces = {
+        frozenset(face)
+        for t in triangles
+        for k in (1, 2, 3)
+        for face in itertools.combinations(t, k)
+    }
+    name = {f: "".join(sorted(f)) for f in faces}
+    edges = [(name[s], name[t]) for s in faces for t in faces if s < t]
+    return build_graph(sorted(name.values()), edges)
+
+
 def random_graph(rng: random.Random, n: int, p: float, prefix: str = "v") -> Graph:
     vs = [f"{prefix}{i}" for i in range(n)]
     edges = [(a, b) for a, b in itertools.combinations(vs, 2) if rng.random() < p]

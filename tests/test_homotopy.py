@@ -84,6 +84,23 @@ class TestContractible:
         ok, trace = is_contractible(cycle_graph(5), return_trace=True)
         assert not ok and trace is None
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("wheel4", ["c0", "c1", "c2", "c3"]),
+            ("wheel7", ["c0", "c1", "c2", "c3", "c4", "c5", "c6"]),
+            ("disk_oct5", ["s1a", "s2a", "s0b", "s1b"]),
+            ("disk_path3", ["p0", "p1"]),
+        ],
+    )
+    def test_trace_is_the_first_search_branch(self, name, expected):
+        # the greedy (minimum degree, then index) order, pinned
+        from digitopo import catalog
+
+        g = wheel(int(name[5:])) if name.startswith("wheel") else catalog.get(name).graph
+        ok, trace = is_contractible(g, return_trace=True)
+        assert ok and [step.v for step in trace] == expected
+
 
 class TestApplyTransformation:
     def test_attach_pendant(self):

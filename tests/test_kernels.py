@@ -1,18 +1,26 @@
 """Kernel-level oracles: canonical forms and contractibility decisions.
 
 Brute-force references live in conftest; they share nothing with the kernel
-search (no canonical forms, no memoization).
+search (no canonical forms, no memoization). The exact search the kernel used
+before its greedy and homology tiers is kept below as a second oracle for
+graphs too large for brute force.
 """
 
 import random
+import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_labeled_graphs,
     brute_contractible,
+    chebyshev_block,
     complete_graph,
     cycle_graph,
+    dunce_hat,
     octahedron,
     path_graph,
     random_graph,
@@ -20,11 +28,61 @@ from conftest import (
 )
 from digitopo import _kernels as kernels
 from digitopo._kernels import _pure
-from digitopo.graph import build_graph
+from digitopo.graph import build_graph, canonical_key, relabeled, rim
+from digitopo.homotopy import reduce
+from digitopo.invariants import euler_characteristic, homology
 
 
 def masks(g):
     return g.order, g._rows
+
+
+# ---------------------------------------------------------------------------
+# the exact search alone: backtracking over every simple point in (degree,
+# index) order, memoized on canonical forms at every node
+
+
+_exact_memo: dict[bytes, bool] = {}
+
+
+def exact_search(n, rows) -> bool:
+    if n == 0:
+        return False
+    if n == 1:
+        return True
+    if not _pure.connected(n, rows):
+        return False
+    key = _pure.canon_bytes(n, rows)
+    if key not in _exact_memo:
+        _exact_memo[key] = exact_search_order(n, rows) is not None
+    return _exact_memo[key]
+
+
+def exact_search_order(n, rows):
+    """First successful branch of the exact search, or None."""
+    if n == 1:
+        return []
+    for v in sorted(range(n), key=lambda v: (rows[v].bit_count(), v)):
+        if not exact_search(*_pure.subgraph_rows(rows, rows[v])):
+            continue
+        dn, drows = _pure.subgraph_rows(rows, ((1 << n) - 1) ^ (1 << v))
+        if exact_search(dn, drows):
+            rest = exact_search_order(dn, drows)
+            return [v] + [u + (u >= v) for u in rest]
+    return None
+
+
+@st.composite
+def graphs_7_to_10(draw):
+    n = draw(st.integers(7, 10))
+    density = draw(st.integers(1, 9))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 9)) < density:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return n, rows
 
 
 class TestContractibleKernel:
@@ -55,11 +113,92 @@ class TestContractibleKernel:
             for g in all_labeled_graphs(n):
                 assert kernels.is_contractible(*masks(g)) == brute_contractible(g), g.edges()
 
+    def test_exhaustive_against_brute_force_on_6(self):
+        for g in all_labeled_graphs(6):
+            assert kernels.is_contractible(*masks(g)) == brute_contractible(g), g.edges()
+
     def test_random_6_and_7_vertex_against_brute_force(self):
         rng = random.Random(3)
         for _ in range(40):
             g = random_graph(rng, rng.randint(6, 7), rng.random())
             assert kernels.is_contractible(*masks(g)) == brute_contractible(g), g.edges()
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_7_to_10())
+    def test_agrees_with_exact_search(self, graph):
+        n, rows = graph
+        verdict = exact_search(n, rows)
+        assert _pure.is_contractible(n, rows) == verdict
+        assert _pure.contraction_order(n, rows) == exact_search_order(n, rows)
+        # tier 3 and the stalled-greedy witness, run on any input
+        assert _pure._exact(n, rows) == verdict
+        if verdict:
+            assert _pure._witness(n, rows) == exact_search_order(n, rows)
+
+
+class TestTiers:
+    """Each tier decides the case it exists for, and says so."""
+
+    def test_greedy_reduces_the_wheel(self):
+        assert _pure.decide(*masks(wheel(6))) == (True, 1)
+        # no vertex of these is adjacent to all others, so the pass runs
+        assert _pure.decide(*masks(path_graph(6))) == (True, 1)
+        assert _pure.decide(*masks(chebyshev_block(4, dim=2))) == (True, 1)
+
+    def test_homology_refutes_the_octahedron(self):
+        assert _pure.decide(*masks(octahedron())) == (False, 2)
+
+    def test_homology_refutes_the_rim_of_an_interior_cube(self):
+        # a 26-vertex 2-sphere; the exact search alone took minutes on it
+        g = rim(chebyshev_block(3), "q1_1_1")
+        assert g.order == 26
+        start = time.perf_counter()
+        assert _pure.decide(*masks(g)) == (False, 2)
+        assert time.perf_counter() - start < 10
+
+    def test_disconnected_is_refuted_by_homology(self):
+        assert _pure.decide(*masks(build_graph(["a", "b"]))) == (False, 2)
+
+    def test_exact_search_decides_the_dunce_hat(self):
+        g = dunce_hat()
+        n, rows = masks(g)
+        # stalls at once with the homology of a point
+        assert not any(_pure.is_contractible(*_pure.subgraph_rows(rows, r)) for r in rows)
+        assert euler_characteristic(g) == 1
+        assert homology(g).betti_z2 == (1, 0, 0)
+        assert _pure.decide(n, rows) == (False, 3)
+        assert kernels.is_contractible(n, rows) is False
+        assert kernels.contraction_order(n, rows) is None
+
+
+class TestRobustness:
+    def test_solid_block_reduces_to_a_point(self):
+        g = chebyshev_block(3)
+        start = time.perf_counter()
+        residue, trace = reduce(g)
+        assert residue.order == 1 and len(trace) == 26
+        assert kernels.is_contractible(*masks(g)) is True
+        assert time.perf_counter() - start < 10
+
+    def test_long_path_is_cheap(self):
+        start = time.perf_counter()
+        assert kernels.is_contractible(*masks(path_graph(160))) is True
+        # the exact search alone took about ten seconds
+        assert time.perf_counter() - start < 2
+
+    def test_large_clique_does_not_nest_rim_tests(self):
+        assert kernels.is_contractible(*masks(complete_graph(400))) is True
+
+    def test_canonical_form_of_a_star_does_not_recurse(self):
+        leaves = [f"l{i}" for i in range(200)]
+        star = build_graph(leaves + ["hub"], [("hub", leaf) for leaf in leaves])
+        moved = relabeled(star, {"hub": "a", "l0": "hub", "l1": "l0"})
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(150)
+        try:
+            assert canonical_key(star) == canonical_key(moved)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestContractionOrder:
