@@ -37,10 +37,11 @@ def clear_caches() -> None:
     _contractible.clear()
 
 
-def _memo_put(key, value: bool) -> None:
-    if len(_contractible) >= _MEMO_CAP:
-        _contractible.clear()
-    _contractible[key] = value
+def _memo_put(table: dict, key, value) -> None:
+    """Store into a memo table, clearing it first when it holds the cap."""
+    if len(table) >= _MEMO_CAP:
+        table.clear()
+    table[key] = value
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +73,9 @@ def connected(n: int, rows) -> bool:
     return seen == full
 
 
-def subgraph_rows(rows, mask: int) -> tuple[int, list[int]]:
-    """Induced subgraph on the set bits of ``mask``, reindexed densely."""
+def subgraph_rows(rows, mask: int) -> tuple[int, tuple[int, ...]]:
+    """Induced subgraph on the set bits of ``mask``, reindexed densely; the
+    rows come back as a tuple, so they can key a memo table as they are."""
     verts = _bits(mask)
     pos = {v: i for i, v in enumerate(verts)}
     out = []
@@ -83,7 +85,18 @@ def subgraph_rows(rows, mask: int) -> tuple[int, list[int]]:
         for u in _bits(r):
             nr |= 1 << pos[u]
         out.append(nr)
-    return len(verts), out
+    return len(verts), tuple(out)
+
+
+def _cone(rows, mask: int) -> bool:
+    """Is some vertex of ``mask`` adjacent to all the others in it?"""
+    rest = mask
+    while rest:
+        b = rest & -rest
+        if rows[b.bit_length() - 1] & mask | b == mask:
+            return True
+        rest ^= b
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +255,7 @@ def is_contractible(n: int, rows) -> bool:
     hit = _contractible.get(key)
     if hit is None:
         hit = decide(n, rows)[0]
-        _memo_put(key, hit)
+        _memo_put(_contractible, key, hit)
     return hit
 
 
@@ -256,8 +269,7 @@ def decide(n: int, rows) -> tuple[bool, int]:
     are refuted by tier 2: their reduced homology is nonzero in degree -1
     or 0.
     """
-    full = (1 << n) - 1
-    if any(r | 1 << v == full for v, r in enumerate(rows)):
+    if _cone(rows, (1 << n) - 1):
         return True, 1
     if n == 0 or not connected(n, rows):
         return False, 2
@@ -270,18 +282,28 @@ def decide(n: int, rows) -> tuple[bool, int]:
 
 
 def _simple(rows, v: int, alive: int) -> bool:
-    return is_contractible(*subgraph_rows(rows, rows[v] & alive))
+    """Is the rim of ``v`` among the ``alive`` vertices contractible? A rim
+    that is a cone is, and is answered without building its rows."""
+    rim = rows[v] & alive
+    return _cone(rows, rim) or is_contractible(*subgraph_rows(rows, rim))
 
 
-def _greedy(n: int, rows) -> tuple[int, list[int]]:
+def _greedy(n: int, rows, tie=None) -> tuple[int, list[int]]:
     """Tier 1: the mask of vertices left when greedy deletion stalls, and
-    the deletion order (each deleted vertex the simple one of minimum
-    degree, then index)."""
+    the deletion order.
+
+    Each deleted vertex is the simple one of minimum degree among the
+    surviving vertices; equal degrees go to the smaller ``tie[i]`` (the
+    index ``i`` itself when ``tie`` is None; `homotopy.reduce` passes the
+    vertex labels). Only the neighbors of a deleted vertex are tested again.
+    """
+    if tie is None:
+        tie = range(n)
     alive = (1 << n) - 1
     simple = {v for v in range(n) if _simple(rows, v, alive)}
     order: list[int] = []
     while simple:
-        v = min(simple, key=lambda i: ((rows[i] & alive).bit_count(), i))
+        v = min(simple, key=lambda i: ((rows[i] & alive).bit_count(), tie[i]))
         order.append(v)
         alive ^= 1 << v
         simple.discard(v)
@@ -363,7 +385,7 @@ def _exact(n: int, rows) -> bool:
             stack.append(child)
             continue
         found = bool(found)
-        _memo_put(key, found)
+        _memo_put(_contractible, key, found)
         stack.pop()
     return found
 

@@ -3,8 +3,11 @@
 The recursion follows the rims: a 0-sphere is two non-adjacent points; an
 n-sphere is a connected graph where every rim is an (n-1)-sphere and every
 one-point deletion leaves a contractible graph; an n-manifold only needs the
-rim condition. The same rim graphs recur massively, so every decision is
-memoized on canonical forms.
+rim condition. The recursion runs on adjacency rows (see `_kernels`), each
+rim reindexed densely by `subgraph_rows`, and labels only name witnesses.
+The same rims recur, so surface dimensions and sphere verdicts of connected
+graphs are memoized in one table keyed on their exact rows, under the
+kernel's cap (`DIGITOPO_MEMO_CAP`, cleared when full).
 """
 
 from __future__ import annotations
@@ -13,17 +16,8 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import _kernels as kernels
-from ._kernels._pure import subgraph_rows
-from .graph import (
-    Graph,
-    GraphError,
-    _mask_of,
-    _with_vertex,
-    build_graph,
-    canonical_key,
-    is_connected,
-    rim,
-)
+from ._kernels._pure import _memo_put, connected, subgraph_rows
+from .graph import Graph, GraphError, _mask_of, build_graph
 
 KIND_SPHERE = "Sphere"
 KIND_MANIFOLD = "Manifold"
@@ -31,13 +25,12 @@ KIND_SURFACE = "Surface"
 KIND_DISK = "Disk"
 KIND_NONE = "None"
 
-_surface_dim_memo: dict[bytes, Optional[int]] = {}
-_sphere_memo: dict[tuple[bytes, int], bool] = {}
+# ("dim", rows) -> surface dimension or None; ("sphere", d, rows) -> bool
+_memo: dict[tuple, Optional[int] | bool] = {}
 
 
 def clear_caches() -> None:
-    _surface_dim_memo.clear()
-    _sphere_memo.clear()
+    _memo.clear()
 
 
 @dataclass(frozen=True)
@@ -64,66 +57,62 @@ class ClassificationVerdict:
 # surfaces
 
 
+def _label_order(g: Graph) -> list[int]:
+    return sorted(range(g.order), key=g._labels.__getitem__)
+
+
+def _dimension(n: int, rows: tuple[int, ...]) -> Optional[int]:
+    if n == 2 and not rows[0]:
+        return 0
+    if not connected(n, rows):
+        return None
+    key = ("dim", rows)
+    if key not in _memo:
+        dims = {_dimension(*subgraph_rows(rows, r)) for r in rows}
+        _memo_put(_memo, key, dims.pop() + 1 if len(dims) == 1 and None not in dims else None)
+    return _memo[key]
+
+
 def surface_dimension(g: Graph) -> Optional[int]:
     """Dimension as a digital surface, or None.
 
     Zero for exactly two non-adjacent points; n > 0 when the graph is
     connected and every rim is an (n-1)-surface.
     """
-    key = canonical_key(g)
-    hit = _surface_dim_memo.get(key, "miss")
-    if hit != "miss":
-        return hit
-    if g.order == 2 and g.size == 0:
-        result: Optional[int] = 0
-    elif g.order == 0 or not is_connected(g):
-        result = None
-    else:
-        dims = {surface_dimension(rim(g, v)) for v in g.vertices}
-        if len(dims) == 1 and None not in dims:
-            result = dims.pop() + 1
-        else:
-            result = None
-    _surface_dim_memo[key] = result
-    return result
+    return _dimension(g.order, g._rows)
 
 
 # ---------------------------------------------------------------------------
 # spheres
 
 
-def _is_sphere(g: Graph, n: int) -> bool:
-    if n < 0:
+def _is_sphere(n: int, rows: tuple[int, ...], d: int) -> bool:
+    if d <= 0:
+        return d == 0 and n == 2 and not rows[0]
+    if not connected(n, rows):
         return False
-    if n == 0:
-        return g.order == 2 and g.size == 0
-    key = (canonical_key(g), n)
-    hit = _sphere_memo.get(key)
-    if hit is not None:
-        return hit
-    if g.order == 0 or not is_connected(g):
-        result = False
-    else:
-        full = (1 << g.order) - 1
-        result = all(_is_sphere(rim(g, v), n - 1) for v in g.vertices) and all(
-            kernels.is_contractible(*subgraph_rows(g._rows, full ^ (1 << i)))
-            for i in range(g.order)
+    key = ("sphere", d, rows)
+    if key not in _memo:
+        full = (1 << n) - 1
+        verdict = all(_is_sphere(*subgraph_rows(rows, r), d - 1) for r in rows) and all(
+            kernels.is_contractible(*subgraph_rows(rows, full ^ (1 << i))) for i in range(n)
         )
-    _sphere_memo[key] = result
-    return result
+        _memo_put(_memo, key, verdict)
+    return _memo[key]
 
 
 def _sphere_witness(g: Graph, n: int) -> Optional[str]:
     """First vertex (label order) failing the sphere recursion, if any."""
     if n == 0 or g.order == 0:
         return None
-    for v in sorted(g.vertices):
-        if not _is_sphere(rim(g, v), n - 1):
-            return v
+    rows, order = g._rows, _label_order(g)
+    for i in order:
+        if not _is_sphere(*subgraph_rows(rows, rows[i]), n - 1):
+            return g._labels[i]
     full = (1 << g.order) - 1
-    for v in sorted(g.vertices):
-        if not kernels.is_contractible(*subgraph_rows(g._rows, full ^ (1 << g._index[v]))):
-            return v
+    for i in order:
+        if not kernels.is_contractible(*subgraph_rows(rows, full ^ (1 << i))):
+            return g._labels[i]
     return None
 
 
@@ -134,7 +123,7 @@ def is_n_sphere(g: Graph, n: int) -> ClassificationVerdict:
     """
     if n < 0:
         raise GraphError("sphere dimension must be >= 0")
-    if _is_sphere(g, n):
+    if _is_sphere(g.order, g._rows, n):
         return ClassificationVerdict(KIND_SPHERE, n)
     return ClassificationVerdict(KIND_NONE, None, _sphere_witness(g, n))
 
@@ -143,12 +132,11 @@ def is_n_manifold(g: Graph, n: int) -> ClassificationVerdict:
     """Recognize a closed digital n-manifold (every rim an (n-1)-sphere)."""
     if n < 1:
         raise GraphError("manifold dimension must be >= 1")
-    if g.order == 0 or not is_connected(g):
-        witness = sorted(g.vertices)[0] if g.order else None
-        return ClassificationVerdict(KIND_NONE, None, witness)
-    for v in sorted(g.vertices):
-        if not _is_sphere(rim(g, v), n - 1):
-            return ClassificationVerdict(KIND_NONE, None, v)
+    if not connected(g.order, g._rows):
+        return ClassificationVerdict(KIND_NONE, None, min(g.vertices, default=None))
+    for i in _label_order(g):
+        if not _is_sphere(*subgraph_rows(g._rows, g._rows[i]), n - 1):
+            return ClassificationVerdict(KIND_NONE, None, g._labels[i])
     return ClassificationVerdict(KIND_MANIFOLD, n)
 
 
@@ -165,10 +153,9 @@ def is_n_disk(g: Graph, boundary, n: int) -> bool:
             raise GraphError(f"boundary vertex {b!r} not in graph")
     if n <= 0:
         return False
-    apex = "apex"
-    while g.has_vertex(apex):
-        apex += "+"
-    return _is_sphere(_with_vertex(g, apex, _mask_of(g, boundary)), n)
+    mask, apex = _mask_of(g, boundary), 1 << g.order
+    rows = tuple(r | apex if mask >> i & 1 else r for i, r in enumerate(g._rows))
+    return _is_sphere(g.order + 1, rows + (mask,), n)
 
 
 def minimal_sphere(n: int) -> Graph:
@@ -198,16 +185,16 @@ def classify(g: Graph, dimension: Optional[int] = None) -> ClassificationVerdict
     """
     d = surface_dimension(g) if dimension is None else dimension
     if d is None:
-        witness = None
-        for v in sorted(g.vertices):
-            if surface_dimension(rim(g, v)) is None:
-                witness = v
+        rows, witness = g._rows, None
+        for i in _label_order(g):
+            if _dimension(*subgraph_rows(rows, rows[i])) is None:
+                witness = g._labels[i]
                 break
         return ClassificationVerdict(KIND_NONE, None, witness)
     if d == 0:
         if g.order == 2 and g.size == 0:
             return ClassificationVerdict(KIND_SPHERE, 0)
-        return ClassificationVerdict(KIND_NONE, None, sorted(g.vertices)[0] if g.order else None)
+        return ClassificationVerdict(KIND_NONE, None, min(g.vertices, default=None))
     sphere = is_n_sphere(g, d)
     if sphere.ok:
         return sphere

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Optional, Union
 
 from . import _kernels as kernels
-from ._kernels._pure import _bits, subgraph_rows
+from ._kernels._pure import _greedy, subgraph_rows
 from .graph import (
     Graph,
     _flip_edge,
@@ -258,25 +258,12 @@ def reduce(g: Graph) -> tuple[Graph, HomotopyTrace]:
 
     Deterministic: each round removes the simple vertex with the smallest
     degree, ties broken by label order. The residue is homotopy equivalent
-    to the input by construction. The rounds run on the input's rows and a
-    mask of the surviving vertices; only the neighbors of a deleted vertex
-    are tested again.
+    to the input by construction. This is the kernel's greedy pass
+    (`_pure._greedy`) on the input's rows, with labels as the tie-break.
     """
-    rows, labels = g._rows, g._labels
-    alive = (1 << g.order) - 1
-    simple = {i for i in range(g.order) if _contractible_on(rows, rows[i])}
-    steps: list[Step] = []
-    while simple:
-        v = min(simple, key=lambda i: ((rows[i] & alive).bit_count(), labels[i]))
-        steps.append(DeletePoint(labels[v]))
-        alive ^= 1 << v
-        simple.discard(v)
-        for u in _bits(rows[v] & alive):
-            if _contractible_on(rows, rows[u] & alive):
-                simple.add(u)
-            else:
-                simple.discard(u)
-    return _induced_mask(g, alive), HomotopyTrace(tuple(steps))
+    alive, order = _greedy(g.order, g._rows, g._labels)
+    steps = tuple(DeletePoint(g._labels[i]) for i in order)
+    return _induced_mask(g, alive), HomotopyTrace(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,14 @@
 
 import pytest
 
-from conftest import complete_graph, cycle_graph, octahedron, path_graph, wheel
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    octahedron,
+    path_graph,
+    small_graphs_out_of_label_order,
+    wheel,
+)
 from digitopo.classify import (
     ClassificationVerdict,
     classify,
@@ -12,7 +19,15 @@ from digitopo.classify import (
     minimal_sphere,
     surface_dimension,
 )
-from digitopo.graph import GraphError, build_graph, canonical_key, induced_subgraph, join, rim
+from digitopo.graph import (
+    GraphError,
+    build_graph,
+    canonical_key,
+    induced_subgraph,
+    is_connected,
+    join,
+    rim,
+)
 from digitopo.homotopy import is_contractible
 
 
@@ -207,3 +222,66 @@ class TestClassify:
     def test_verdict_serialization(self):
         v = ClassificationVerdict("Sphere", 2, None)
         assert v.to_obj() == {"kind": "Sphere", "dimension": 2, "witness": None}
+
+
+# ---------------------------------------------------------------------------
+# memo keys are exact adjacency rows, so they depend on the vertex order; the
+# answers must not
+
+
+def rim_dimension(g):
+    """Surface dimension by literal rim recursion, nothing memoized."""
+    if g.order == 2 and g.size == 0:
+        return 0
+    if g.order == 0 or not is_connected(g):
+        return None
+    dims = {rim_dimension(rim(g, v)) for v in g.vertices}
+    return dims.pop() + 1 if len(dims) == 1 and None not in dims else None
+
+
+def rim_sphere(g, n):
+    """The n-sphere definition by literal rim recursion, nothing memoized
+    above the contractibility kernel."""
+    if n <= 0:
+        return n == 0 and g.order == 2 and g.size == 0
+    if g.order == 0 or not is_connected(g):
+        return False
+    return all(rim_sphere(rim(g, v), n - 1) for v in g.vertices) and all(
+        is_contractible(induced_subgraph(g, [w for w in g.vertices if w != v]))
+        for v in g.vertices
+    )
+
+
+def memo_corpus():
+    from digitopo.catalog import get, names
+
+    yield from small_graphs_out_of_label_order(5)
+    for name in names():
+        yield get(name).graph
+    for n in range(1, 5):
+        yield minimal_sphere(n)
+
+
+class TestRowKeyedMemo:
+    def test_vertex_order_does_not_change_the_verdict(self):
+        for g in memo_corpus():
+            flipped = build_graph(tuple(reversed(g.vertices)), g.edges())
+            # labels stay, so even the witness must agree
+            assert classify(g) == classify(flipped), g.edges()
+
+    def test_agrees_with_unmemoized_rim_recursion(self):
+        for g in memo_corpus():
+            assert surface_dimension(g) == rim_dimension(g), g.edges()
+            for n in range(5):
+                assert is_n_sphere(g, n).ok == rim_sphere(g, n), (n, g.edges())
+
+    def test_memo_is_capped_like_the_kernel_memo(self, monkeypatch):
+        from digitopo import classify as recognizers
+        from digitopo._kernels import _pure
+
+        monkeypatch.setattr(_pure, "_MEMO_CAP", 3)
+        recognizers.clear_caches()
+        for n in range(1, 5):
+            assert is_n_sphere(minimal_sphere(n), n).ok
+            assert not is_n_sphere(minimal_sphere(n), n + 1).ok
+            assert len(recognizers._memo) <= 3

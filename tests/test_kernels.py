@@ -189,6 +189,17 @@ class TestRobustness:
     def test_large_clique_does_not_nest_rim_tests(self):
         assert kernels.is_contractible(*masks(complete_graph(400))) is True
 
+    def test_large_clique_reduces_in_quadratic_time(self):
+        # every rim of a clique is a cone; building the rims' rows after
+        # each deletion took minutes
+        g = complete_graph(300)
+        start = time.perf_counter()
+        residue, trace = reduce(g)
+        order = kernels.contraction_order(*masks(g))
+        assert residue.order == 1 and len(trace) == 299
+        assert len(order) == len(set(order)) == 299
+        assert time.perf_counter() - start < 5
+
     def test_canonical_form_of_a_star_does_not_recurse(self):
         leaves = [f"l{i}" for i in range(200)]
         star = build_graph(leaves + ["hub"], [("hub", leaf) for leaf in leaves])
