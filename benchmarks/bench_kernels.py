@@ -2,7 +2,8 @@
 """Benchmark the pure-Python kernels against the compiled extension.
 
 Micro benchmarks call both backend modules directly on the same inputs;
-the macro benchmark re-runs a full workload in a subprocess with
+the layer rows time package layers that have no compiled counterpart; the
+macro benchmark re-runs a full workload in a subprocess with
 DIGITOPO_PURE_KERNELS toggled, so module-level memo tables start cold.
 
 Usage: python benchmarks/bench_kernels.py
@@ -128,6 +129,16 @@ def micro():
     _table(spec, backends)
 
 
+def layers():
+    from digitopo.covers import BoxCell
+    from digitopo.digitizer import cubical_model, shape_sphere
+
+    window = BoxCell.make([-2] * 3, [2] * 3)
+    print(f"\n{'layer':50s}{'pure':>12s}")
+    t = _time(lambda: cubical_model(shape_sphere(), window, "1/3"))
+    print(f"{'cubical_model 3-D sphere, pitch 1/3, [-2,2]^3':50s}{t * 1e3:>10.2f}ms")
+
+
 _MACRO = """
 import time
 import digitopo
@@ -157,4 +168,5 @@ if __name__ == "__main__":
     if _core is None:
         print("compiled kernels not built; showing pure timings only\n")
     micro()
+    layers()
     macro()

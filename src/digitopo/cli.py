@@ -37,14 +37,23 @@ def _read(path: str) -> str:
         raise InputError(f"{path}: {exc}") from exc
 
 
+def _parse_json(path: str, text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_graph(path: str) -> Graph:
     text = _read(path)
     stripped = text.lstrip()
     try:
         if stripped.startswith("{"):
-            return graph_from_obj(json.loads(text))
+            return graph_from_obj(_parse_json(path, text))
         return parse_edge_list(text)
-    except (json.JSONDecodeError, GraphError) as exc:
+    except GraphError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -158,8 +167,8 @@ def _cmd_catalog(args) -> int:
 def _cmd_replay(args) -> int:
     g = _load_graph(args.graph)
     try:
-        trace = HomotopyTrace.from_obj(json.loads(_read(args.trace)))
-    except (json.JSONDecodeError, TransformationError) as exc:
+        trace = HomotopyTrace.from_obj(_parse_json(args.trace, _read(args.trace)))
+    except TransformationError as exc:
         raise InputError(f"{args.trace}: {exc}") from exc
     try:
         result = apply_trace(g, trace)

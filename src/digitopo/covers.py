@@ -147,7 +147,11 @@ class BoxCover:
 
 
 def load_cover(text: str) -> BoxCover:
-    return BoxCover.from_obj(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise CoverError("JSON nested too deeply") from None
+    return BoxCover.from_obj(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,23 @@
 """Cubical models of continuous shapes and their intersection graphs.
 
 A shape is digitized by collecting the lattice cubes at pitch L that meet
-it, judged by a deterministic corner-and-center sample grid (3 positions
-per axis, exact rational arithmetic). The model graph joins cubes whose
-closed boxes intersect, i.e. cubes within Chebyshev distance one. Reducing
-the model graph and reading its invariants reproduces the experiment chain
-shape -> cubical model -> intersection graph.
+it, judged by a deterministic corner-and-center sample grid: 3 positions
+per axis, at multiples of the half pitch L/2. Neighbouring cubes share
+samples, so regions and hypersurfaces are evaluated once per point of the
+shared half-pitch lattice. The expression is compiled into integer
+arithmetic over a common denominator and only the sign of each point is
+kept, so the verdicts are exact and use no floats. The model graph joins
+cubes whose closed boxes intersect, i.e. cubes within Chebyshev distance
+one. Reducing the model graph and reading its invariants reproduces the
+experiment chain shape -> cubical model -> intersection graph.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -34,8 +40,16 @@ class ShapeError(ValueError):
 
 _VAR_NAMES = {"x": 0, "y": 1, "z": 2, "x0": 0, "x1": 1, "x2": 2}
 
+# Operations nest at most this deep, so parsing, `eval_expr` and the
+# compiled evaluator all recurse far below the interpreter's limit.
+MAX_EXPR_DEPTH = 100
+
 
 def parse_expr(obj: Any):
+    return _parse(obj, 0)
+
+
+def _parse(obj: Any, depth: int):
     if isinstance(obj, str):
         if obj in _VAR_NAMES:
             return ("var", _VAR_NAMES[obj])
@@ -46,8 +60,10 @@ def parse_expr(obj: Any):
     if isinstance(obj, (int, float, Fraction)):
         return ("const", _frac(obj))
     if isinstance(obj, (list, tuple)) and obj:
+        if depth == MAX_EXPR_DEPTH:
+            raise ShapeError(f"expression nested deeper than {MAX_EXPR_DEPTH} operations")
         op = obj[0]
-        args = [parse_expr(a) for a in obj[1:]]
+        args = [_parse(a, depth + 1) for a in obj[1:]]
         if op in ("+", "*", "min", "max"):
             if len(args) < 2:
                 raise ShapeError(f"{op} needs at least two operands")
@@ -183,22 +199,21 @@ class CubicalModel:
         }
 
 
-_SAMPLE_FRACTIONS = (Fraction(0), Fraction(1, 2), Fraction(1))
-
-
-def _cube_samples(cube: tuple[int, ...], pitch: Fraction):
-    axes = [[(c + t) * pitch for t in _SAMPLE_FRACTIONS] for c in cube]
-    return itertools.product(*axes)
-
-
 def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel:
     """Cubes inside the window that the membership rule judges to meet the shape.
 
-    Regions include a cube when a sample satisfies f <= 0 or the samples
-    change sign; hypersurfaces need a sign change or an exact zero; curves
-    include every cube entered by the polyline sampled at steps of at most
-    a quarter pitch. Sampling density is part of the contract: a shape
+    Cube c is judged by 3^p samples, on each axis the points k * L/2 with
+    k in {2c, 2c+1, 2c+2}: its two faces and its midpoint. Regions include
+    a cube when a sample satisfies f <= 0; hypersurfaces need an exact
+    zero or both a negative and a positive sample; curves include every
+    cube entered by the polyline sampled at steps of at most a quarter
+    pitch. Sampling density is part of the contract: a shape
     feature smaller than the sample grid can be missed.
+
+    Neighbouring cubes share samples, so a region or hypersurface is
+    evaluated once at every point of the half-pitch lattice over the
+    window's cube range, by `_compile` in exact integer arithmetic, and
+    only the sign of each point is kept.
     """
     L = _frac(pitch)
     if L <= 0:
@@ -230,27 +245,111 @@ def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel
                     cubes.add(cand)
         cubes = {c for c in cubes if all(c[ax] in ranges[ax] for ax in range(p))}
         return CubicalModel(L, p, frozenset(cubes))
+    if not all(ranges):
+        return CubicalModel(L, p, frozenset())
 
-    expr = shape.expr
-    for cube in itertools.product(*ranges):
-        neg = pos = zero = False
-        for pt in _cube_samples(cube, L):
-            v = eval_expr(expr, pt)
-            if v < 0:
-                neg = True
-            elif v > 0:
-                pos = True
-            else:
-                zero = True
-            if (neg or zero) if shape.kind == "region" else (zero or (neg and pos)):
-                break
-        if shape.kind == "region":
-            hit = neg or zero
-        else:
-            hit = zero or (neg and pos)
-        if hit:
+    # Lattice points are laid out flat, the last axis fastest.
+    half = L / 2
+    scale = math.lcm(half.denominator, *_const_denominators(shape.expr))
+    f = _compile(shape.expr, scale, p)[0]
+    step = half.numerator * (scale // half.denominator)
+    axes = [[k * step for k in range(2 * r.start, 2 * r.stop + 1)] for r in ranges]
+    signs = bytearray(
+        _NEG if v < 0 else _POS if v else _ZERO
+        for v in map(f, itertools.product(*axes))
+    )
+    strides = [1] * p
+    for ax in range(p - 2, -1, -1):
+        strides[ax] = strides[ax + 1] * len(axes[ax + 1])
+    offsets = [
+        sum(o * s for o, s in zip(off, strides))
+        for off in itertools.product(range(3), repeat=p)
+    ]
+    hits = _REGION_HITS if shape.kind == "region" else _HYPERSURFACE_HITS
+    corners = itertools.product(
+        *[range(0, 2 * len(r) * s, 2 * s) for r, s in zip(ranges, strides)]
+    )
+    for cube, corner in zip(itertools.product(*ranges), corners):
+        base = sum(corner)
+        seen = 0
+        for o in offsets:
+            seen |= signs[base + o]
+        if hits[seen]:
             cubes.add(cube)
     return CubicalModel(L, p, frozenset(cubes))
+
+
+# Sign codes of lattice samples; a cube ORs the codes of its samples and
+# looks the union up in the membership rule's table.
+_NEG, _ZERO, _POS = 1, 2, 4
+_REGION_HITS = tuple(bool(u & (_NEG | _ZERO)) for u in range(8))
+_HYPERSURFACE_HITS = tuple(
+    bool(u & _ZERO) or u & (_NEG | _POS) == _NEG | _POS for u in range(8)
+)
+
+
+def _const_denominators(expr) -> list[int]:
+    if expr[0] == "const":
+        return [expr[1].denominator]
+    if expr[0] == "var":
+        return []
+    return [d for a in expr[1:] for d in _const_denominators(a)]
+
+
+def _compile(expr, scale: int, ambient: int):
+    """Compile an expression into an exact integer evaluator.
+
+    Returns ``(fn, degree)``. Given a point whose coordinates are integers
+    ``x_i * scale``, ``fn`` returns ``f(x) * scale**degree`` as an int, so
+    its sign is the sign of f. ``scale`` must be a multiple of every
+    constant's denominator.
+    """
+    op = expr[0]
+    if op == "const":
+        c = expr[1]
+        n = c.numerator * (scale // c.denominator)
+        return (lambda pt: n), 1
+    if op == "var":
+        idx = expr[1]
+        if idx >= ambient:
+
+            def missing(pt):
+                raise ShapeError(f"expression uses axis {idx}, point has {ambient}")
+
+            return missing, 1
+        return operator.itemgetter(idx), 1
+    parts = [_compile(a, scale, ambient) for a in expr[1:]]
+    if op == "*":
+        fns = [fn for fn, _ in parts]
+        return (lambda pt: math.prod([fn(pt) for fn in fns])), sum(d for _, d in parts)
+    if op == "square":
+        (a, d), = parts
+        return (lambda pt: a(pt) ** 2), 2 * d
+    if op == "abs":
+        (a, d), = parts
+        return (lambda pt: abs(a(pt))), d
+    if op == "-" and len(parts) == 1:
+        (a, d), = parts
+        return (lambda pt: -a(pt)), d
+    # +, binary -, min and max compare or add operands at one common degree
+    degree = max(d for _, d in parts)
+    fns = [_rescaled(fn, scale ** (degree - d)) for fn, d in parts]
+    if op == "+":
+        return (lambda pt: sum([fn(pt) for fn in fns])), degree
+    if op == "-":
+        a, b = fns
+        return (lambda pt: a(pt) - b(pt)), degree
+    if op == "min":
+        return (lambda pt: min([fn(pt) for fn in fns])), degree
+    if op == "max":
+        return (lambda pt: max([fn(pt) for fn in fns])), degree
+    raise ShapeError(f"unknown operation {op!r}")
+
+
+def _rescaled(fn, factor: int):
+    if factor == 1:
+        return fn
+    return lambda pt: fn(pt) * factor
 
 
 def _cubes_touching(x: Fraction, L: Fraction) -> list[int]:
@@ -333,7 +432,10 @@ def digitize_reduce(shape: ShapeSpec, window: BoxCell, pitch: Any) -> DigitizeRe
 
 def load_shape(text: str) -> tuple[ShapeSpec, Optional[BoxCell], Optional[Fraction]]:
     """Read a shape JSON file; window and pitch are optional fields."""
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ShapeError("JSON nested too deeply") from None
     shape = ShapeSpec.from_obj(obj)
     window = None
     if "window" in obj:

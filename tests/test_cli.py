@@ -178,6 +178,36 @@ class TestDigitize:
         assert (files / "mask.csv").exists()
 
 
+class TestDeepNesting:
+    def test_deep_expression_exit_2(self, files, capsys):
+        expr = '["-", ' * 600 + '"x"' + "]" * 600
+        path = files / "deep_expr.json"
+        path.write_text(
+            '{"kind": "region", "window": {"lo": [-1], "hi": [1]}, "pitch": 1, "expr": ' + expr + "}"
+        )
+        code, out, err = run(capsys, "digitize", str(path))
+        assert code == 2 and not out
+        assert err == f"input error: {path}: expression nested deeper than 100 operations\n"
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["classify"], '{"vertices": %s, "edges": []}'),
+            (["digitize"], '{"kind": "region", "expr": %s}'),
+            (["cover", "validate"], '{"ambient": 1, "n": 1, "cells": %s}'),
+            (["replay", "c4.json"], "%s"),
+        ],
+        ids=["graph", "shape", "cover", "trace"],
+    )
+    def test_deep_json_exit_2(self, files, capsys, argv, text):
+        path = files / "deep.json"
+        path.write_text(text % ("[" * 3000 + "]" * 3000))
+        args = [str(files / a) if a.endswith(".json") else a for a in argv]
+        code, out, err = run(capsys, *args, str(path))
+        assert code == 2 and not out
+        assert err == f"input error: {path}: JSON nested too deeply\n"
+
+
 class TestDeterminismAndDot:
     def test_byte_identical_runs(self, files, capsys):
         _, out1, _ = run(capsys, "invariants", str(files / "oct.json"))

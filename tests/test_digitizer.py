@@ -1,11 +1,15 @@
 """Cubical models, intersection graphs, and the digitize-reduce pipeline."""
 
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from digitopo.covers import BoxCell
 from digitopo.digitizer import (
+    MAX_EXPR_DEPTH,
     CubicalModel,
     ShapeError,
     ShapeSpec,
@@ -31,6 +35,70 @@ WINDOW2 = BoxCell.make([-2, -2], [2, 2])
 WINDOW3 = BoxCell.make([-2, -2, -2], [2, 2, 2])
 
 
+def reference_cubical_model(shape, window, pitch):
+    """Regions and hypersurfaces judged cube by cube with `eval_expr`.
+
+    This is the sampling loop the shared-lattice evaluator replaced: every
+    cube evaluates its own 3^p samples in `Fraction` arithmetic.
+    """
+    L = Fraction(pitch)
+    ranges = [range(math.floor(lo / L), math.ceil(hi / L)) for lo, hi in zip(window.lo, window.hi)]
+    cubes = set()
+    for cube in itertools.product(*ranges):
+        samples = itertools.product(*[[(c + t) * L for t in (0, Fraction(1, 2), 1)] for c in cube])
+        signs = {(v > 0) - (v < 0) for v in (eval_expr(shape.expr, pt) for pt in samples)}
+        if shape.kind == "region":
+            hit = -1 in signs or 0 in signs
+        else:
+            hit = 0 in signs or {-1, 1} <= signs
+        if hit:
+            cubes.add(cube)
+    return CubicalModel(L, window.ambient, frozenset(cubes))
+
+
+_CONSTS = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "-2/3", "3/7", "5/4", "-1/5", "7/3"]),
+    st.sampled_from([0.5, -0.25, 1.5, 0.1, -0.3]),
+)
+
+
+def _exprs(ambient):
+    leaves = _CONSTS | st.sampled_from(["x", "y", "z"][:ambient])
+
+    def node(sub):
+        nary = st.tuples(
+            st.sampled_from(["+", "*", "min", "max"]), st.lists(sub, min_size=2, max_size=3)
+        ).map(lambda t: [t[0], *t[1]])
+        minus = st.lists(sub, min_size=1, max_size=2).map(lambda a: ["-", *a])
+        unary = st.tuples(st.sampled_from(["abs", "square"]), sub).map(list)
+        return nary | minus | unary
+
+    return st.recursive(leaves, node, max_leaves=8)
+
+
+@st.composite
+def _digitizer_cases(draw):
+    ambient = draw(st.integers(1, 3))
+    pitch = Fraction(draw(st.sampled_from(["1", "1/2", "2/5", "1/3", "3/7"])))
+    max_cubes = {1: 8, 2: 5, 3: 3}[ambient]
+    lo, hi, sample = [], [], []
+    for _ in range(ambient):
+        d = draw(st.integers(1, 4))
+        start = pitch * Fraction(draw(st.integers(-3 * d, 2 * d)), d)
+        end = start + pitch * Fraction(draw(st.integers(1, max_cubes * d)), d)
+        lo.append(start)
+        hi.append(end)
+        k = draw(st.integers(2 * math.floor(start / pitch), 2 * math.ceil(end / pitch)))
+        sample.append(k * pitch / 2)
+    expr = draw(_exprs(ambient))
+    if draw(st.booleans()):
+        # move a zero of f onto a lattice sample, so verdicts differ across cubes
+        expr = ["-", expr, eval_expr(parse_expr(expr), sample)]
+    kind = draw(st.sampled_from(["region", "hypersurface"]))
+    return ShapeSpec(kind, expr=parse_expr(expr)), BoxCell.make(lo, hi), pitch
+
+
 class TestExpressions:
     def test_parse_and_eval(self):
         e = parse_expr(["-", ["+", ["square", "x"], ["square", "y"]], 1])
@@ -48,6 +116,22 @@ class TestExpressions:
     def test_rational_strings(self):
         e = parse_expr(["-", "x", "1/3"])
         assert eval_expr(e, (Fraction(1),)) == Fraction(2, 3)
+
+    def test_nesting_bound(self):
+        def nested(depth):
+            obj = "x"
+            for _ in range(depth):
+                obj = ["-", obj]
+            return obj
+
+        deepest = parse_expr(nested(MAX_EXPR_DEPTH))
+        assert eval_expr(deepest, (Fraction(1),)) == 1
+        model = cubical_model(ShapeSpec("region", expr=deepest), BoxCell.make([-2], [2]), 1)
+        assert model.cubes == {(-2,), (-1,), (0,)}
+        with pytest.raises(ShapeError, match="nested deeper than"):
+            parse_expr(nested(MAX_EXPR_DEPTH + 1))
+        with pytest.raises(ShapeError, match="nested deeper than"):
+            parse_expr(nested(3000))
 
 
 class TestCubicalModel:
@@ -76,6 +160,39 @@ class TestCubicalModel:
     def test_pitch_must_be_positive(self):
         with pytest.raises(ShapeError):
             cubical_model(shape_segment(), BoxCell.make([0], [1]), 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_digitizer_cases())
+    def test_lattice_evaluator_matches_per_cube_sampling(self, case):
+        shape, window, pitch = case
+        assert cubical_model(shape, window, pitch) == reference_cubical_model(shape, window, pitch)
+
+    def test_bundled_shapes_match_per_cube_sampling(self):
+        cases = [
+            (shape_circle(), WINDOW2, "1/4"),
+            (shape_disk("3/4"), BoxCell.make(["-5/3", "-1"], [1, "7/5"]), "2/5"),
+            (shape_annulus("3/4", "3/2"), WINDOW2, "1/3"),
+            (shape_sphere(), WINDOW3, "1/2"),
+            (shape_sphere("4/5"), BoxCell.make(["-1/3"] * 3, [1, 1, "6/5"]), "3/7"),
+        ]
+        for shape, window, pitch in cases:
+            model = cubical_model(shape, window, pitch)
+            assert model.cubes
+            assert model == reference_cubical_model(shape, window, pitch)
+
+    def test_empty_cube_range_evaluates_nothing(self):
+        # z does not exist in a 2-D window, so any evaluation would raise
+        uses_z = ShapeSpec("region", expr=parse_expr(["-", "z", 1]))
+        for window in (BoxCell.make([0, -1], [0, 1]), BoxCell.make([-1, "1/2"], [1, "1/2"])):
+            model = cubical_model(uses_z, window, "1/2")
+            assert model == CubicalModel(Fraction(1, 2), 2, frozenset())
+
+    def test_missing_axis_raises_when_a_point_is_evaluated(self):
+        for kind in ("region", "hypersurface"):
+            uses_z = ShapeSpec(kind, expr=parse_expr(["+", "x", ["square", "z"]]))
+            with pytest.raises(ShapeError) as exc:
+                cubical_model(uses_z, WINDOW2, "1/2")
+            assert str(exc.value) == "expression uses axis 2, point has 2"
 
 
 class TestModelGraph:
@@ -189,6 +306,10 @@ class TestShapeIo:
         shape, window, pitch = load_shape(text)
         assert shape.kind == "hypersurface"
         assert window.lo == (-2, -2) and pitch == Fraction(1, 2)
+
+    def test_deeply_nested_json_is_a_shape_error(self):
+        with pytest.raises(ShapeError, match="JSON nested too deeply"):
+            load_shape('{"kind": "region", "expr": ' + "[" * 3000 + "]" * 3000 + "}")
 
     def test_mask_dumps(self):
         model = cubical_model(shape_circle(), WINDOW2, "1/2")
