@@ -129,7 +129,25 @@ def micro():
     _table(spec, backends)
 
 
+def _grown_sphere(dim: int, order: int, seed: int):
+    """A ``dim``-sphere grown from the minimal one by seeded edge-to-point
+    replacements, as in the `recognize` workload of perfbench."""
+    import random
+
+    from digitopo.classify import minimal_sphere
+    from digitopo.transform import fresh_label, r_transform
+
+    rng = random.Random(seed)
+    g = minimal_sphere(dim)
+    while g.order < order:
+        u, v = rng.choice(g.edges())
+        g, _ = r_transform(g, u, v, fresh_label(g))
+    return g
+
+
 def layers():
+    import digitopo
+    from digitopo.classify import classify
     from digitopo.covers import BoxCell
     from digitopo.digitizer import cubical_model, shape_sphere
 
@@ -137,6 +155,16 @@ def layers():
     print(f"\n{'layer':50s}{'pure':>12s}")
     t = _time(lambda: cubical_model(shape_sphere(), window, "1/3"))
     print(f"{'cubical_model 3-D sphere, pitch 1/3, [-2,2]^3':50s}{t * 1e3:>10.2f}ms")
+    for dim, order in ((2, 120), (3, 40)):
+        g = _grown_sphere(dim, order, 12)
+
+        def cold_classify():
+            digitopo._kernels.clear_caches()
+            digitopo.classify.clear_caches()
+            assert classify(g).kind == "Sphere"
+
+        t = _time(cold_classify)
+        print(f"{f'classify {dim}-sphere grown to {order} vertices':50s}{t * 1e3:>10.2f}ms")
 
 
 _MACRO = """

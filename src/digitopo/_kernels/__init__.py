@@ -17,6 +17,11 @@ rows, and on canonical forms only for nodes of the exact search. `_core` runs
 the exact search directly, memoized on canonical forms at every node; its
 first branch is the greedy order, so the witnesses agree.
 
+The sphere recognizer's deletion clause calls `_pure.contractible_within`
+directly, so it runs on `_pure` whatever the backend: it decides each
+``G - v`` on the parent rows with a rim table shared by all n clauses,
+which has no counterpart in `_core`.
+
 The compiled backend handles graphs up to 64 vertices; larger graphs route
 to the pure backend automatically. Set DIGITOPO_PURE_KERNELS=1 to force the
 pure backend (used by the parity tests and the benchmark).

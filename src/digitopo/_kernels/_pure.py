@@ -11,11 +11,14 @@ decided in three tiers (greedy deletion, homology of the stuck residue,
 exact search; see `is_contractible`) and memoized in one table under two
 kinds of exact keys: the input rows, and the canonical forms of the exact
 search's nodes. A cached verdict is always safe to reuse.
+`contractible_within` runs the same tiers on a vertex mask of fixed rows,
+with rim verdicts in a table the caller owns.
 """
 
 from __future__ import annotations
 
 import os
+from heapq import heapify, heappop, heappush
 
 from .._smith import gf2_rank
 
@@ -57,35 +60,43 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def connected(n: int, rows) -> bool:
-    """True when the graph is non-empty and connected."""
-    if n == 0:
-        return False
-    full = (1 << n) - 1
-    seen = 1
-    frontier = 1
+def _component(rows, mask: int) -> int:
+    """The component of the lowest vertex of ``mask`` in the subgraph
+    induced on ``mask``."""
+    seen = frontier = mask & -mask
     while frontier:
         new = 0
         for v in _bits(frontier):
             new |= rows[v]
-        frontier = new & ~seen
+        frontier = new & mask & ~seen
         seen |= frontier
-    return seen == full
+    return seen
+
+
+def connected(n: int, rows) -> bool:
+    """True when the graph is non-empty and connected."""
+    full = (1 << n) - 1
+    return n > 0 and _component(rows, full) == full
 
 
 def subgraph_rows(rows, mask: int) -> tuple[int, tuple[int, ...]]:
-    """Induced subgraph on the set bits of ``mask``, reindexed densely; the
-    rows come back as a tuple, so they can key a memo table as they are."""
-    verts = _bits(mask)
-    pos = {v: i for i, v in enumerate(verts)}
+    """Induced subgraph on the set bits of ``mask``, reindexed densely: a
+    vertex's new index is its rank in ``mask``, the number of set bits below
+    it. The rows come back as a tuple, so they can key a memo table as they
+    are."""
     out = []
-    for v in verts:
-        r = rows[v] & mask
+    rest = mask
+    while rest:
+        b = rest & -rest
+        r = rows[b.bit_length() - 1] & mask
         nr = 0
-        for u in _bits(r):
-            nr |= 1 << pos[u]
+        while r:
+            c = r & -r
+            nr |= 1 << (mask & (c - 1)).bit_count()
+            r ^= c
         out.append(nr)
-    return len(verts), tuple(out)
+        rest ^= b
+    return len(out), tuple(out)
 
 
 def _cone(rows, mask: int) -> bool:
@@ -153,16 +164,8 @@ def _component_masks(n: int, rows) -> list[int]:
     unseen = (1 << n) - 1
     masks = []
     while unseen:
-        seen = unseen & -unseen
-        frontier = seen
-        while frontier:
-            new = 0
-            for v in _bits(frontier):
-                new |= rows[v]
-            frontier = new & unseen & ~seen
-            seen |= frontier
-        unseen &= ~seen
-        masks.append(seen)
+        masks.append(_component(rows, unseen))
+        unseen ^= masks[-1]
     return masks
 
 
@@ -245,6 +248,14 @@ def canon_bytes(n: int, rows) -> bytes:
 # memoized on the exact rows. Rims arrive densely reindexed, so a rim that
 # recurs after unrelated deletions recurs under the same key. Canonical
 # forms key only the nodes of the exact search.
+#
+# `contractible_within` runs the same tiers on a vertex mask of fixed parent
+# rows. Its rim verdicts, nested rims included, go into a table the caller
+# owns, keyed on the rim mask: exact while the rows stay fixed, and shared by
+# every call on the same rows (the n deletion clauses of a sphere test).
+# Dense rows are built only for a stalled pass, for tiers 2 and 3. The
+# rows-keyed memo stays the key for `reduce` and `decide`: there, translated
+# copies of a rim recur under equal rows but under different masks.
 
 
 def is_contractible(n: int, rows) -> bool:
@@ -281,35 +292,72 @@ def decide(n: int, rows) -> tuple[bool, int]:
     return _exact(n, rows), 3
 
 
-def _simple(rows, v: int, alive: int) -> bool:
-    """Is the rim of ``v`` among the ``alive`` vertices contractible? A rim
-    that is a cone is, and is answered without building its rows."""
+def contractible_within(rows, alive: int, rims: dict[int, bool]) -> bool:
+    """Exact decision for the subgraph induced on ``alive``, on the parent rows.
+
+    ``rims`` maps a vertex mask to the verdict for the subgraph it induces;
+    it is read and filled for every rim the greedy pass tests, so pass the
+    same table to every call on the same ``rows``. A stalled pass goes to
+    tiers 2 and 3 on dense rows.
+    """
+    if _cone(rows, alive):
+        return True
+    rest, _ = _greedy(len(rows), rows, start=alive, rims=rims)
+    if not rest & (rest - 1):
+        return rest != 0
+    # simple-point deletions keep the components, so the residue is
+    # connected exactly when the input is
+    if _component(rows, rest) != rest or not _acyclic(*subgraph_rows(rows, rest)):
+        return False
+    return _exact(*subgraph_rows(rows, alive))
+
+
+def _simple(rows, v: int, alive: int, rims: dict[int, bool] | None = None) -> bool:
+    """Is the rim of ``v`` among the ``alive`` vertices contractible? Without
+    a ``rims`` table, a rim that is a cone is answered without building its
+    rows; with one, see `contractible_within`."""
     rim = rows[v] & alive
-    return _cone(rows, rim) or is_contractible(*subgraph_rows(rows, rim))
+    if rims is None:
+        return _cone(rows, rim) or is_contractible(*subgraph_rows(rows, rim))
+    hit = rims.get(rim)
+    if hit is None:
+        hit = rims[rim] = contractible_within(rows, rim, rims)
+    return hit
 
 
-def _greedy(n: int, rows, tie=None) -> tuple[int, list[int]]:
+def _greedy(
+    n: int, rows, tie=None, start: int | None = None, rims: dict[int, bool] | None = None
+) -> tuple[int, list[int]]:
     """Tier 1: the mask of vertices left when greedy deletion stalls, and
     the deletion order.
 
+    The pass starts from the vertices of ``start`` (all ``n`` when None).
     Each deleted vertex is the simple one of minimum degree among the
     surviving vertices; equal degrees go to the smaller ``tie[i]`` (the
     index ``i`` itself when ``tie`` is None; `homotopy.reduce` passes the
     vertex labels). Only the neighbors of a deleted vertex are tested again.
+    Rim tests use the ``rims`` table when one is given (see `_simple`).
     """
     if tie is None:
         tie = range(n)
-    alive = (1 << n) - 1
-    simple = {v for v in range(n) if _simple(rows, v, alive)}
+    alive = (1 << n) - 1 if start is None else start
+    simple = {v for v in _bits(alive) if _simple(rows, v, alive, rims)}
+    # a vertex gets a heap entry each time it tests simple; degrees only drop,
+    # so its latest entry pops first and the older ones find it gone
+    heap = [((rows[v] & alive).bit_count(), tie[v], v) for v in simple]
+    heapify(heap)
     order: list[int] = []
-    while simple:
-        v = min(simple, key=lambda i: ((rows[i] & alive).bit_count(), tie[i]))
+    while heap:
+        v = heappop(heap)[2]
+        if v not in simple:
+            continue
         order.append(v)
         alive ^= 1 << v
         simple.discard(v)
         for u in _bits(rows[v] & alive):
-            if _simple(rows, u, alive):
+            if _simple(rows, u, alive, rims):
                 simple.add(u)
+                heappush(heap, ((rows[u] & alive).bit_count(), tie[u], u))
             else:
                 simple.discard(u)
     return alive, order

@@ -8,6 +8,13 @@ rim reindexed densely by `subgraph_rows`, and labels only name witnesses.
 The same rims recur, so surface dimensions and sphere verdicts of connected
 graphs are memoized in one table keyed on their exact rows, under the
 kernel's cap (`DIGITOPO_MEMO_CAP`, cleared when full).
+
+The deletion clause is not reindexed: each ``G - v`` is decided on the
+sphere candidate's own rows with ``alive = full ^ (1 << v)``, by
+`_pure.contractible_within`. All n clauses of one sphere test share one
+rim table, local to that test and keyed on rim masks, which are exact keys
+while the rows stay fixed; nested rims go into the same table. Dense rows
+are built only when a greedy pass stalls.
 """
 
 from __future__ import annotations
@@ -15,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from . import _kernels as kernels
-from ._kernels._pure import _memo_put, connected, subgraph_rows
+from ._kernels._pure import _memo_put, connected, contractible_within, subgraph_rows
 from .graph import Graph, GraphError, _mask_of, build_graph
 
 KIND_SPHERE = "Sphere"
@@ -86,6 +92,18 @@ def surface_dimension(g: Graph) -> Optional[int]:
 # spheres
 
 
+def _failing_deletion(rows: tuple[int, ...], order) -> Optional[int]:
+    """First vertex in ``order`` whose deletion leaves a non-contractible
+    graph, or None.
+
+    Every deletion is decided on the parent rows, and all of them share one
+    rim table: a rim's mask keys its verdict exactly while the rows are fixed.
+    """
+    full = (1 << len(rows)) - 1
+    rims: dict[int, bool] = {}
+    return next((i for i in order if not contractible_within(rows, full ^ (1 << i), rims)), None)
+
+
 def _is_sphere(n: int, rows: tuple[int, ...], d: int) -> bool:
     if d <= 0:
         return d == 0 and n == 2 and not rows[0]
@@ -93,9 +111,8 @@ def _is_sphere(n: int, rows: tuple[int, ...], d: int) -> bool:
         return False
     key = ("sphere", d, rows)
     if key not in _memo:
-        full = (1 << n) - 1
-        verdict = all(_is_sphere(*subgraph_rows(rows, r), d - 1) for r in rows) and all(
-            kernels.is_contractible(*subgraph_rows(rows, full ^ (1 << i))) for i in range(n)
+        verdict = all(_is_sphere(*subgraph_rows(rows, r), d - 1) for r in rows) and (
+            _failing_deletion(rows, range(n)) is None
         )
         _memo_put(_memo, key, verdict)
     return _memo[key]
@@ -109,11 +126,8 @@ def _sphere_witness(g: Graph, n: int) -> Optional[str]:
     for i in order:
         if not _is_sphere(*subgraph_rows(rows, rows[i]), n - 1):
             return g._labels[i]
-    full = (1 << g.order) - 1
-    for i in order:
-        if not kernels.is_contractible(*subgraph_rows(rows, full ^ (1 << i))):
-            return g._labels[i]
-    return None
+    i = _failing_deletion(rows, order)
+    return None if i is None else g._labels[i]
 
 
 def is_n_sphere(g: Graph, n: int) -> ClassificationVerdict:

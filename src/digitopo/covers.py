@@ -31,11 +31,14 @@ def _frac(x: Any) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        # exact conversion of the decimal text, not of the binary float
-        return Fraction(repr(x))
+    try:
+        if isinstance(x, str):
+            return Fraction(x)
+        if isinstance(x, float):
+            # exact conversion of the decimal text, not of the binary float
+            return Fraction(repr(x))
+    except (ValueError, ZeroDivisionError):
+        pass
     raise CoverError(f"cannot read rational value {x!r}")
 
 

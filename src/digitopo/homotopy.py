@@ -14,6 +14,7 @@ from . import _kernels as kernels
 from ._kernels._pure import _greedy, subgraph_rows
 from .graph import (
     Graph,
+    _check_label,
     _flip_edge,
     _induced_mask,
     _mask_of,
@@ -98,18 +99,28 @@ class HomotopyTrace:
             op = item["op"]
             try:
                 if op == "delete-point":
-                    steps.append(DeletePoint(item["v"]))
+                    steps.append(DeletePoint(_label(item["v"])))
                 elif op == "attach-point":
-                    steps.append(AttachPoint(item["v"], frozenset(item["rim"])))
+                    if not isinstance(item["rim"], list):
+                        raise TransformationError(f"step {i}: rim must be an array of labels")
+                    rim_labels = frozenset(_label(u) for u in item["rim"])
+                    steps.append(AttachPoint(_label(item["v"]), rim_labels))
                 elif op == "delete-edge":
-                    steps.append(DeleteEdge(item["u"], item["v"]))
+                    steps.append(DeleteEdge(_label(item["u"]), _label(item["v"])))
                 elif op == "attach-edge":
-                    steps.append(AttachEdge(item["u"], item["v"]))
+                    steps.append(AttachEdge(_label(item["u"]), _label(item["v"])))
                 else:
                     raise TransformationError(f"step {i}: unknown op {op!r}")
             except KeyError as exc:
                 raise TransformationError(f"step {i}: missing field {exc}") from exc
         return HomotopyTrace(tuple(steps))
+
+
+def _label(lab: Any) -> str:
+    """A vertex label read from a trace; anything but a string is rejected
+    with the same `GraphError` as in a graph file."""
+    _check_label(lab)
+    return lab
 
 
 # ---------------------------------------------------------------------------

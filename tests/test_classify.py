@@ -1,5 +1,8 @@
 """Sphere, manifold, surface and disk recognizers."""
 
+import random
+import time
+
 import pytest
 
 from conftest import (
@@ -10,6 +13,9 @@ from conftest import (
     small_graphs_out_of_label_order,
     wheel,
 )
+from digitopo import _kernels as kernels
+from digitopo import classify as recognizers
+from digitopo._kernels._pure import subgraph_rows
 from digitopo.classify import (
     ClassificationVerdict,
     classify,
@@ -285,3 +291,93 @@ class TestRowKeyedMemo:
             assert is_n_sphere(minimal_sphere(n), n).ok
             assert not is_n_sphere(minimal_sphere(n), n + 1).ok
             assert len(recognizers._memo) <= 3
+
+
+# ---------------------------------------------------------------------------
+# the deletion clause runs on the parent rows with one rim table per sphere
+# test; the verdicts must be those of dense rows for every G - v
+
+
+def grown(g, order, seed):
+    """Grow ``g`` to ``order`` vertices by seeded edge-to-point replacements,
+    which keep the homotopy and manifold type."""
+    from digitopo.transform import fresh_label, r_transform
+
+    rng = random.Random(seed)
+    while g.order < order:
+        u, v = rng.choice(g.edges())
+        g, _ = r_transform(g, u, v, fresh_label(g))
+    return g
+
+
+def dense_failing_deletion(rows, order):
+    """The deletion clause on dense rows for every G - v, as a reference."""
+    full = (1 << len(rows)) - 1
+    for i in order:
+        if not kernels.is_contractible(*subgraph_rows(rows, full ^ (1 << i))):
+            return i
+    return None
+
+
+def clause_corpus():
+    """(graph, the kinds it may classify as) for the catalog graphs, grown
+    2- and 3-spheres with their negatives (one edge added, one vertex
+    deleted), and grown catalog surfaces, whose every G - v fails."""
+    from digitopo.catalog import get, names
+
+    rng = random.Random(21)
+    for name in names():
+        yield get(name).graph, None
+    for dim, sizes in ((2, (12, 20, 30, 40)), (3, (10, 16, 24))):
+        for order in sizes:
+            g = grown(minimal_sphere(dim), order, rng.getrandbits(32))
+            yield g, {"Sphere"}
+            vs = g.vertices
+            u, v = rng.choice([(a, b) for a in vs for b in vs if a < b and not g.has_edge(a, b)])
+            yield build_graph(vs, list(g.edges()) + [(u, v)]), {"None", "Surface"}
+            x = rng.choice(vs)
+            yield induced_subgraph(g, [w for w in vs if w != x]), {"None", "Surface"}
+    for name in ("torus16", "klein16", "rp11"):
+        yield grown(get(name).graph, 30, rng.getrandbits(32)), {"Manifold"}
+
+
+def verdicts(g):
+    recognizers.clear_caches()
+    kernels.clear_caches()
+    out = [classify(g)]
+    for d in (1, 2, 3):
+        out += [is_n_sphere(g, d), is_n_manifold(g, d)]
+    return out
+
+
+class TestDeletionClause:
+    def test_verdicts_match_dense_rows_for_every_deletion(self, monkeypatch):
+        corpus = [g for g, _ in clause_corpus()]
+        got = [verdicts(g) for g in corpus]
+        monkeypatch.setattr(recognizers, "_failing_deletion", dense_failing_deletion)
+        for g, verdict in zip(corpus, got):
+            assert verdicts(g) == verdict, g.edges()
+
+    def test_kinds_of_the_corpus(self):
+        for g, kinds in clause_corpus():
+            assert kinds is None or classify(g).kind in kinds, g.edges()
+
+
+class TestLargeInputs:
+    """Wall-clock guards, with wide margins, on inputs whose deletion clause
+    used to build dense rows for every G - v and every rim inside it."""
+
+    def test_grown_2_sphere_of_120_vertices(self):
+        g = grown(minimal_sphere(2), 120, 12)
+        start = time.perf_counter()
+        assert classify(g) == ClassificationVerdict("Sphere", 2)
+        assert time.perf_counter() - start < 8
+
+    @pytest.mark.parametrize("name", ["torus16", "klein16", "rp11"])
+    def test_grown_catalog_surfaces_of_60_vertices(self, name):
+        from digitopo.catalog import get
+
+        g = grown(get(name).graph, 60, 13)
+        start = time.perf_counter()
+        assert classify(g) == ClassificationVerdict("Manifold", 2)
+        assert time.perf_counter() - start < 5

@@ -106,6 +106,25 @@ class TestReduceInvariantsReplay:
         assert code == 2 and not out
         assert err == "input error: vertex labels must be strings, got 5\n"
 
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ({"op": "attach-point", "v": "x", "rim": "ab"}, "{trace}: step 0: rim must be an array of labels"),
+            ({"op": "attach-point", "v": "x", "rim": 5}, "{trace}: step 0: rim must be an array of labels"),
+            ({"op": "attach-point", "v": "x", "rim": [["a"]]}, "vertex labels must be strings, got ['a']"),
+            ({"op": "delete-point", "v": ["a"]}, "vertex labels must be strings, got ['a']"),
+            ({"op": "delete-edge", "u": "a", "v": 1}, "vertex labels must be strings, got 1"),
+        ],
+        ids=["string-rim", "number-rim", "list-in-rim", "list-label", "number-label"],
+    )
+    def test_replay_malformed_step_exit_2(self, files, capsys, step, message):
+        # a string rim used to be read as the set of its characters
+        trace = files / "trace.json"
+        trace.write_text(json.dumps([step]))
+        code, out, err = run(capsys, "replay", str(files / "c4.json"), str(trace))
+        assert code == 2 and not out
+        assert err == "input error: " + message.format(trace=trace) + "\n"
+
     def test_replay_round_trip(self, files, capsys):
         (files / "tree.txt").write_text("a b\nb c\n")
         code, out, _ = run(capsys, "reduce", str(files / "tree.txt"))
@@ -176,6 +195,45 @@ class TestDigitize:
         )
         assert code == 0
         assert (files / "mask.csv").exists()
+
+
+class TestMalformedRationals:
+    """A rational that does not parse, or has a zero denominator, is an input
+    error; it used to escape as a ValueError or ZeroDivisionError."""
+
+    @pytest.mark.parametrize("pitch", ["abc", "1/0"])
+    def test_pitch_option_exit_2(self, files, capsys, pitch):
+        code, out, err = run(capsys, "digitize", str(files / "circle.json"), "--pitch", pitch)
+        assert code == 2 and not out
+        assert err == f"input error: cannot read rational value '{pitch}'\n"
+
+    def test_shape_constant_exit_2(self, files, capsys):
+        path = files / "zero.json"
+        shape = json.loads((files / "circle.json").read_text())
+        shape["expr"] = ["-", ["square", "x"], "1/0"]
+        path.write_text(json.dumps(shape))
+        code, out, err = run(capsys, "digitize", str(path))
+        assert code == 2 and not out
+        assert err == f"input error: {path}: unknown variable or constant '1/0'\n"
+
+    def test_window_bound_exit_2(self, files, capsys):
+        path = files / "window.json"
+        shape = json.loads((files / "circle.json").read_text())
+        shape["window"]["lo"][0] = "q"
+        path.write_text(json.dumps(shape))
+        code, out, err = run(capsys, "digitize", str(path))
+        assert code == 2 and not out
+        assert err == f"input error: {path}: cannot read rational value 'q'\n"
+
+    @pytest.mark.parametrize("bound", ["q", "1/0"])
+    def test_cover_bound_exit_2(self, files, capsys, bound):
+        path = files / "cover.json"
+        cover = json.loads((files / "circle_cover.json").read_text())
+        cover["cells"][0]["hi"] = [bound]
+        path.write_text(json.dumps(cover))
+        code, out, err = run(capsys, "cover", "validate", str(path))
+        assert code == 2 and not out
+        assert err == f"input error: {path}: cannot read rational value '{bound}'\n"
 
 
 class TestDeepNesting:

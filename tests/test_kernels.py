@@ -136,6 +136,91 @@ class TestContractibleKernel:
             assert _pure._witness(n, rows) == exact_search_order(n, rows)
 
 
+# ---------------------------------------------------------------------------
+# the sphere clause's decision on parent rows, against the dense oracle
+
+
+def dense_oracle(rows, alive):
+    return _pure.is_contractible(*_pure.subgraph_rows(rows, alive))
+
+
+@st.composite
+def graphs_7_to_12_with_masks(draw):
+    n = draw(st.integers(7, 12))
+    density = draw(st.integers(1, 9))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 9)) < density:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    full = (1 << n) - 1
+    more = draw(st.lists(st.integers(0, full), max_size=6))
+    # the masks of the deletion clause first, then arbitrary ones
+    return rows, [full ^ (1 << v) for v in range(n)] + more
+
+
+class TestContractibleWithin:
+    """`contractible_within` decides the subgraph on a mask of fixed rows,
+    sharing one rim table between calls; every verdict, and every verdict it
+    leaves in the table, must be the dense oracle's."""
+
+    def test_every_mask_of_every_graph_up_to_5(self):
+        for n in range(6):
+            for g in all_labeled_graphs(n):
+                rows, rims = g._rows, {}
+                for alive in range(1 << n):
+                    got = _pure.contractible_within(rows, alive, rims)
+                    assert got == dense_oracle(rows, alive), (g.edges(), alive)
+                for mask, verdict in rims.items():
+                    assert verdict == dense_oracle(rows, mask), (g.edges(), mask)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_7_to_12_with_masks())
+    def test_agrees_with_the_dense_oracle(self, case):
+        rows, alive_masks = case
+        rims: dict[int, bool] = {}
+        for alive in alive_masks:
+            assert _pure.contractible_within(rows, alive, rims) == dense_oracle(rows, alive)
+        for mask, verdict in rims.items():
+            assert verdict == dense_oracle(rows, mask)
+
+    def test_stalled_passes_reach_the_exact_tiers(self):
+        # the dunce hat stalls at once with the homology of a point, so only
+        # tier 3 refutes it; a cycle and a two-point graph stall too
+        n, rows = masks(dunce_hat())
+        full = (1 << n) - 1
+        rims: dict[int, bool] = {}
+        assert _pure.contractible_within(rows, full, rims) is False
+        for v in range(0, n, 7):
+            assert _pure.contractible_within(rows, full ^ (1 << v), rims) == dense_oracle(
+                rows, full ^ (1 << v)
+            )
+        c_rows = cycle_graph(6)._rows
+        assert _pure.contractible_within(c_rows, 0b111111, {}) is False
+        assert _pure.contractible_within(c_rows, 0b011111, {}) is True
+        assert _pure.contractible_within(c_rows, 0b001001, {}) is False
+        assert _pure.contractible_within(c_rows, 0, {}) is False
+
+    def test_disconnected_mask_is_refuted_before_the_exact_search(self, monkeypatch):
+        # a point beside a 4-cycle: Euler characteristic 1, and the edge-rank
+        # shortcut of tier 2 assumes a connected graph
+        rows = build_graph(["p", "a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])._rows
+        monkeypatch.setattr(_pure, "_exact", None)
+        assert _pure.contractible_within(rows, 0b11111, {}) is False
+
+    def test_subgraph_rows_reindexes_by_rank(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 12), rng.random())
+            mask = rng.getrandbits(g.order)
+            verts = [v for v in range(g.order) if mask >> v & 1]
+            want = tuple(
+                sum(1 << i for i, u in enumerate(verts) if g._rows[v] >> u & 1) for v in verts
+            )
+            assert _pure.subgraph_rows(g._rows, mask) == (len(verts), want)
+
+
 class TestTiers:
     """Each tier decides the case it exists for, and says so."""
 
