@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Benchmark the pure-Python kernels against the compiled extension.
+"""Benchmark the kernels, the package layers above them, and one workload.
 
-Micro benchmarks call both backend modules directly on the same inputs;
-the layer rows time package layers that have no compiled counterpart; the
-macro benchmark re-runs a full workload in a subprocess with
-DIGITOPO_PURE_KERNELS toggled, so module-level memo tables start cold.
+Micro rows call the kernel functions directly on graphs shaped like the
+package's real call sites; layer rows time `cubical_model` and cold-cache
+`classify`; the macro row runs sphere recognition and a digitization once,
+after clearing every memo table.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -12,38 +12,25 @@ Usage: python benchmarks/bench_kernels.py
 from __future__ import annotations
 
 import os
-import subprocess
 import sys
 import time
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, SRC)
 
-from digitopo._kernels import _pure  # noqa: E402
-
-try:
-    from digitopo._kernels import _core  # type: ignore
-    import importlib
-
-    _core = importlib.import_module("digitopo._kernels._core")
-except ImportError:
-    _core = None
+from digitopo import _kernels as kernels  # noqa: E402
 
 
 def _inputs():
     """Workloads shaped like the package's real call sites.
 
-    Contractibility rows cover each tier of the pure kernel: graphs the
+    Contractibility rows cover each tier of the kernel: graphs the
     greedy pass reduces to a point (the wheel, the 3x3x3 solid block of
     Chebyshev-adjacent cubes) and stuck residues whose homology refutes
     contractibility (the torus, the 3-sphere, and the 26-vertex rim of an
     interior cube, the rim test that dominates reducing solid 3-D models).
-    The compiled kernel runs the exact search on all of them, so its
-    refutations grow with the number of deletion orders.
     """
     import itertools
-
-    import random
 
     from digitopo.catalog import get
     from digitopo.classify import minimal_sphere
@@ -51,7 +38,6 @@ def _inputs():
     from digitopo.digitizer import cubical_model, model_graph, shape_circle
     from digitopo.graph import build_graph, rim
 
-    rng = random.Random(11)
     canon_graphs = {
         "torus16": get("torus16").graph,
         "rp11": get("rp11").graph,
@@ -94,39 +80,30 @@ def _time(fn, repeat=3):
     return best
 
 
-def _table(rows_spec, backends):
-    print(f"{'workload':50s}" + "".join(f"{name:>12s}" for name, _ in backends) + f"{'speedup':>10s}")
+def _table(rows_spec):
+    print(f"{'workload':50s}{'time':>12s}")
     for label, g, call in rows_spec:
-        n, rows = g.order, g._rows
-        times = []
-        for _, mod in backends:
-            times.append(_time(lambda m=mod: call(m, n, rows)))
-        line = f"{label:50s}"
-        for t in times:
-            line += f"{t * 1e3:>10.2f}ms"
-        if len(times) == 2 and times[1]:
-            line += f"{times[0] / times[1]:>9.1f}x"
-        print(line)
+        t = _time(lambda: call(g.order, g._rows))
+        print(f"{label:50s}{t * 1e3:>10.2f}ms")
 
 
 def micro():
     canon_graphs, contract_graphs = _inputs()
-    backends = [("pure", _pure)] + ([("compiled", _core)] if _core else [])
     spec = []
     for gname, g in canon_graphs.items():
-        spec.append((f"canon_bytes {gname}", g, lambda m, n, r: m.canon_bytes(n, r)))
+        spec.append((f"canon_bytes {gname}", g, kernels.canon_bytes))
     for gname, g in contract_graphs.items():
         spec.append(
             (
                 f"is_contractible {gname}",
                 g,
-                lambda m, n, r: (m.clear_caches(), m.is_contractible(n, r)),
+                lambda n, r: (kernels.clear_caches(), kernels.is_contractible(n, r)),
             )
         )
     for gname, g in canon_graphs.items():
         if g.order <= 20:
-            spec.append((f"clique_counts {gname}", g, lambda m, n, r: m.clique_counts(n, r, 9)))
-    _table(spec, backends)
+            spec.append((f"clique_counts {gname}", g, lambda n, r: kernels.clique_counts(n, r, 9)))
+    _table(spec)
 
 
 def _grown_sphere(dim: int, order: int, seed: int):
@@ -152,14 +129,14 @@ def layers():
     from digitopo.digitizer import cubical_model, shape_sphere
 
     window = BoxCell.make([-2] * 3, [2] * 3)
-    print(f"\n{'layer':50s}{'pure':>12s}")
+    print(f"\n{'layer':50s}{'time':>12s}")
     t = _time(lambda: cubical_model(shape_sphere(), window, "1/3"))
     print(f"{'cubical_model 3-D sphere, pitch 1/3, [-2,2]^3':50s}{t * 1e3:>10.2f}ms")
     for dim, order in ((2, 120), (3, 40)):
         g = _grown_sphere(dim, order, 12)
 
         def cold_classify():
-            digitopo._kernels.clear_caches()
+            kernels.clear_caches()
             digitopo.classify.clear_caches()
             assert classify(g).kind == "Sphere"
 
@@ -167,34 +144,25 @@ def layers():
         print(f"{f'classify {dim}-sphere grown to {order} vertices':50s}{t * 1e3:>10.2f}ms")
 
 
-_MACRO = """
-import time
-import digitopo
-from digitopo.classify import is_n_sphere, minimal_sphere
-from digitopo.covers import BoxCell
-from digitopo.digitizer import digitize_reduce, shape_circle
-
-t = time.perf_counter()
-assert is_n_sphere(minimal_sphere(3), 3).ok
-rep = digitize_reduce(shape_circle(), BoxCell.make([-2, -2], [2, 2]), "1/4")
-assert rep.euler == 0
-print(f"{digitopo.KERNEL_BACKEND}: {time.perf_counter() - t:.3f}s "
-      f"(3-sphere recognition + circle digitization at pitch 1/4)")
-"""
-
-
 def macro():
-    print("\nmacro workload, cold caches per process:")
-    sys.stdout.flush()
-    for pure in ("0", "1"):
-        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, DIGITOPO_PURE_KERNELS=pure, PYTHONPATH=path)
-        subprocess.run([sys.executable, "-c", _MACRO], env=env, check=True)
+    import digitopo
+    from digitopo.classify import is_n_sphere, minimal_sphere
+    from digitopo.covers import BoxCell
+    from digitopo.digitizer import digitize_reduce, shape_circle
+
+    kernels.clear_caches()
+    digitopo.classify.clear_caches()
+    t = time.perf_counter()
+    assert is_n_sphere(minimal_sphere(3), 3).ok
+    rep = digitize_reduce(shape_circle(), BoxCell.make([-2, -2], [2, 2]), "1/4")
+    assert rep.euler == 0
+    print(
+        f"\nmacro workload, cold caches: {time.perf_counter() - t:.3f}s "
+        f"(3-sphere recognition + circle digitization at pitch 1/4)"
+    )
 
 
 if __name__ == "__main__":
-    if _core is None:
-        print("compiled kernels not built; showing pure timings only\n")
     micro()
     layers()
     macro()

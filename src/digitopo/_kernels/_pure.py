@@ -2,9 +2,7 @@
 
 A graph enters kernel functions as ``(n, rows)`` where ``rows[i]`` is an
 integer whose bit ``j`` is set exactly when vertices ``i`` and ``j`` are
-adjacent. Python integers make this work for any vertex count; the optional
-compiled backend (`digitopo._kernels._core`) accelerates the same calls for
-graphs with at most 64 vertices.
+adjacent. Python integers make this work for any vertex count.
 
 Everything is deterministic and every verdict is exact. Contractibility is
 decided in three tiers (greedy deletion, homology of the stuck residue,
@@ -17,7 +15,6 @@ with rim verdicts in a table the caller owns.
 
 from __future__ import annotations
 
-import os
 from heapq import heapify, heappop, heappush
 
 from .._smith import gf2_rank
@@ -32,7 +29,7 @@ _EMPTY_KEY = (0).to_bytes(2, "big") + b"\x00"
 # decided graph (label-dependent, but far cheaper than a canonical form), and
 # canonical bytes for the nodes of the exact search. The cap guards unbounded
 # growth on adversarial workloads; clearing is always sound.
-_MEMO_CAP = int(os.environ.get("DIGITOPO_MEMO_CAP", "1000000"))
+_MEMO_CAP = 1_000_000
 _contractible: dict[object, bool] = {}
 
 

@@ -7,7 +7,7 @@ rim condition. The recursion runs on adjacency rows (see `_kernels`), each
 rim reindexed densely by `subgraph_rows`, and labels only name witnesses.
 The same rims recur, so surface dimensions and sphere verdicts of connected
 graphs are memoized in one table keyed on their exact rows, under the
-kernel's cap (`DIGITOPO_MEMO_CAP`, cleared when full).
+kernel's cap (`_pure._MEMO_CAP`, one million entries; cleared when full).
 
 The deletion clause is not reindexed: each ``G - v`` is decided on the
 sphere candidate's own rows with ``alive = full ^ (1 << v)``, by

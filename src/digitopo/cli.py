@@ -18,7 +18,7 @@ from typing import Any
 
 from . import catalog
 from .classify import classify, is_n_manifold, is_n_sphere
-from .covers import CoverError, boundary_trace_cover, load_cover, nerve, validate_lcl
+from .covers import CoverError, _frac, boundary_trace_cover, load_cover, nerve, validate_lcl
 from .digitizer import ShapeError, digitize_reduce, load_shape, mask_csv
 from .graph import Graph, GraphError
 from .homotopy import HomotopyTrace, TransformationError, apply_trace, reduce as reduce_graph
@@ -95,7 +95,10 @@ def _cmd_digitize(args) -> int:
     except (json.JSONDecodeError, ShapeError, CoverError) as exc:
         raise InputError(f"{args.shape}: {exc}") from exc
     if args.pitch is not None:
-        pitch = args.pitch
+        try:
+            pitch = _frac(args.pitch)
+        except CoverError as exc:
+            raise InputError(f"--pitch: {exc}") from exc
     if window is None:
         raise InputError(f"{args.shape}: shape file has no window")
     if pitch is None:

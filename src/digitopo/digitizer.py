@@ -4,7 +4,7 @@ A shape is digitized by collecting the lattice cubes at pitch L that meet
 it, judged by a deterministic corner-and-center sample grid: 3 positions
 per axis, at multiples of the half pitch L/2. Neighbouring cubes share
 samples, so regions and hypersurfaces are evaluated once per point of the
-shared half-pitch lattice. The expression is compiled into integer
+shared half-pitch lattice. `_compile` turns the expression into integer
 arithmetic over a common denominator and only the sign of each point is
 kept, so the verdicts are exact and use no floats. The model graph joins
 cubes whose closed boxes intersect, i.e. cubes within Chebyshev distance
@@ -41,8 +41,13 @@ class ShapeError(ValueError):
 _VAR_NAMES = {"x": 0, "y": 1, "z": 2, "x0": 0, "x1": 1, "x2": 2}
 
 # Operations nest at most this deep, so parsing, `eval_expr` and the
-# compiled evaluator all recurse far below the interpreter's limit.
+# evaluator from `_compile` all recurse far below the interpreter's limit.
 MAX_EXPR_DEPTH = 100
+
+# A window may hold at most this many cubes at the requested pitch; larger
+# ones are refused before any lattice point is evaluated. The bundled inputs
+# stay below 10,000.
+MAX_CUBES = 100_000
 
 
 def parse_expr(obj: Any):
@@ -53,10 +58,12 @@ def _parse(obj: Any, depth: int):
     if isinstance(obj, str):
         if obj in _VAR_NAMES:
             return ("var", _VAR_NAMES[obj])
+        if obj.isidentifier():
+            raise ShapeError(f"unknown variable {obj!r}")
         try:
             return ("const", _frac(obj))
         except CoverError:
-            raise ShapeError(f"unknown variable or constant {obj!r}") from None
+            raise ShapeError(f"constant {obj!r} is not a valid rational") from None
     if isinstance(obj, (int, float, Fraction)):
         return ("const", _frac(obj))
     if isinstance(obj, (list, tuple)) and obj:
@@ -208,7 +215,8 @@ def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel
     zero or both a negative and a positive sample; curves include every
     cube entered by the polyline sampled at steps of at most a quarter
     pitch. Sampling density is part of the contract: a shape
-    feature smaller than the sample grid can be missed.
+    feature smaller than the sample grid can be missed. A window of more
+    than `MAX_CUBES` cubes raises ShapeError.
 
     Neighbouring cubes share samples, so a region or hypersurface is
     evaluated once at every point of the half-pitch lattice over the
@@ -228,6 +236,11 @@ def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel
         first = int(lo if lo.denominator == 1 else lo.__floor__())
         last = int(hi.__ceil__()) - 1
         ranges.append(range(first, last + 1))
+    count = math.prod(len(r) for r in ranges)
+    if count > MAX_CUBES:
+        raise ShapeError(
+            f"window holds {count} cubes at pitch {_fmt(L)}, above the cap of {MAX_CUBES}"
+        )
 
     cubes: set[tuple[int, ...]] = set()
     if shape.kind == "curve":

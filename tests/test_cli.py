@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -205,7 +206,7 @@ class TestMalformedRationals:
     def test_pitch_option_exit_2(self, files, capsys, pitch):
         code, out, err = run(capsys, "digitize", str(files / "circle.json"), "--pitch", pitch)
         assert code == 2 and not out
-        assert err == f"input error: cannot read rational value '{pitch}'\n"
+        assert err == f"input error: --pitch: cannot read rational value '{pitch}'\n"
 
     def test_shape_constant_exit_2(self, files, capsys):
         path = files / "zero.json"
@@ -214,7 +215,7 @@ class TestMalformedRationals:
         path.write_text(json.dumps(shape))
         code, out, err = run(capsys, "digitize", str(path))
         assert code == 2 and not out
-        assert err == f"input error: {path}: unknown variable or constant '1/0'\n"
+        assert err == f"input error: {path}: constant '1/0' is not a valid rational\n"
 
     def test_window_bound_exit_2(self, files, capsys):
         path = files / "window.json"
@@ -234,6 +235,21 @@ class TestMalformedRationals:
         code, out, err = run(capsys, "cover", "validate", str(path))
         assert code == 2 and not out
         assert err == f"input error: {path}: cannot read rational value '{bound}'\n"
+
+
+class TestOversizedWindow:
+    def test_window_above_the_cube_cap_exit_2(self, files, capsys):
+        path = files / "huge.json"
+        shape = json.loads((files / "circle.json").read_text())
+        shape["window"] = {"lo": [0, 0], "hi": [1000, 1000]}
+        path.write_text(json.dumps(shape))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "digitize", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == (
+            "input error: window holds 4000000 cubes at pitch 1/2, above the cap of 100000\n"
+        )
 
 
 class TestDeepNesting:

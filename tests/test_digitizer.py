@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from digitopo.covers import BoxCell
 from digitopo.digitizer import (
+    MAX_CUBES,
     MAX_EXPR_DEPTH,
     CubicalModel,
     ShapeError,
@@ -113,6 +114,12 @@ class TestExpressions:
         with pytest.raises(ShapeError, match="unknown operation"):
             parse_expr(["pow", "x", 2])
 
+    def test_unknown_variable_and_bad_constant_are_named_apart(self):
+        with pytest.raises(ShapeError, match="^unknown variable 'w'$"):
+            parse_expr(["-", "w", 1])
+        with pytest.raises(ShapeError, match="^constant '1/0' is not a valid rational$"):
+            parse_expr(["-", "x", "1/0"])
+
     def test_rational_strings(self):
         e = parse_expr(["-", "x", "1/3"])
         assert eval_expr(e, (Fraction(1),)) == Fraction(2, 3)
@@ -160,6 +167,18 @@ class TestCubicalModel:
     def test_pitch_must_be_positive(self):
         with pytest.raises(ShapeError):
             cubical_model(shape_segment(), BoxCell.make([0], [1]), 0)
+
+    def test_window_cube_cap(self):
+        # a region that holds nowhere still evaluates every lattice point
+        nowhere = ShapeSpec("region", expr=parse_expr(1))
+        assert not cubical_model(nowhere, BoxCell.make([0, 0], [MAX_CUBES // 100, 100]), 1).cubes
+        # the cap is checked before any lattice point: evaluating z in 2-D
+        # would raise a different error
+        uses_z = ShapeSpec("region", expr=parse_expr("z"))
+        with pytest.raises(ShapeError, match="above the cap"):
+            cubical_model(uses_z, BoxCell.make([0, 0], [MAX_CUBES + 1, 1]), 1)
+        with pytest.raises(ShapeError, match="above the cap"):
+            cubical_model(shape_segment(), BoxCell.make([0], [MAX_CUBES + 1]), 1)
 
     @settings(max_examples=300, deadline=None)
     @given(_digitizer_cases())

@@ -28,7 +28,7 @@ from conftest import (
 )
 from digitopo import _kernels as kernels
 from digitopo._kernels import _pure
-from digitopo.graph import build_graph, canonical_key, relabeled, rim
+from digitopo.graph import build_graph, canonical_key, induced_subgraph, relabeled, rim
 from digitopo.homotopy import reduce
 from digitopo.invariants import euler_characteristic, homology
 
@@ -284,6 +284,20 @@ class TestRobustness:
         assert residue.order == 1 and len(trace) == 299
         assert len(order) == len(set(order)) == 299
         assert time.perf_counter() - start < 5
+
+    @pytest.mark.parametrize("k", [5, 6, 8])
+    def test_king_grid_annulus_is_refuted_quickly(self, k):
+        # a k x k king grid minus an interior vertex is a digital annulus;
+        # an exact search alone tries every deletion order on it (seconds at
+        # k = 5, minutes at k = 6)
+        block = chebyshev_block(k, dim=2)
+        g = induced_subgraph(block, set(block.vertices) - {f"q{k // 2}_{k // 2}"})
+        assert g.order == k * k - 1
+        kernels.clear_caches()
+        start = time.perf_counter()
+        assert kernels.is_contractible(*masks(g)) is False
+        assert kernels.contraction_order(*masks(g)) is None
+        assert time.perf_counter() - start < 2
 
     def test_canonical_form_of_a_star_does_not_recurse(self):
         leaves = [f"l{i}" for i in range(200)]
