@@ -2,9 +2,10 @@
 """Benchmark the kernels, the package layers above them, and one workload.
 
 Micro rows call the kernel functions directly on graphs shaped like the
-package's real call sites; layer rows time `cubical_model` and cold-cache
-`classify`; the macro row runs sphere recognition and a digitization once,
-after clearing every memo table.
+package's real call sites; layer rows time `cubical_model`, cold-cache
+`classify`, `homology` of reduced 3-D sphere shells and tier 2 of
+contractibility on the dunce hat; the macro row runs sphere recognition and
+a digitization once, after clearing every memo table.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -15,8 +16,8 @@ import os
 import sys
 import time
 
-SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
-sys.path.insert(0, SRC)
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from digitopo import _kernels as kernels  # noqa: E402
 
@@ -124,9 +125,13 @@ def _grown_sphere(dim: int, order: int, seed: int):
 
 def layers():
     import digitopo
+    from conftest import dunce_hat
+    from digitopo._kernels import _pure
     from digitopo.classify import classify
     from digitopo.covers import BoxCell
-    from digitopo.digitizer import cubical_model, shape_sphere
+    from digitopo.digitizer import cubical_model, model_graph, shape_sphere
+    from digitopo.homotopy import reduce
+    from digitopo.invariants import homology
 
     window = BoxCell.make([-2] * 3, [2] * 3)
     print(f"\n{'layer':50s}{'time':>12s}")
@@ -142,6 +147,15 @@ def layers():
 
         t = _time(cold_classify)
         print(f"{f'classify {dim}-sphere grown to {order} vertices':50s}{t * 1e3:>10.2f}ms")
+    for r, w in (("3/2", "2"), ("2", "5/2")):
+        shell = model_graph(cubical_model(shape_sphere(r), BoxCell.make([f"-{w}"] * 3, [w] * 3), "1/4"))
+        residue, _ = reduce(shell)
+        t = _time(lambda: homology(residue))
+        label = f"homology r={r} shell residue ({residue.order} vertices)"
+        print(f"{label:50s}{t * 1e3:>10.2f}ms")
+    hat = dunce_hat()
+    t = _time(lambda: _pure._acyclic(hat.order, hat._rows))
+    print(f"{'tier 2 (_acyclic) on the 49-vertex dunce hat':50s}{t * 1e3:>10.2f}ms")
 
 
 def macro():

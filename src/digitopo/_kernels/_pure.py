@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .._smith import gf2_rank
+from .._smith import homology_of
 
 BACKEND = "pure"
 
@@ -236,7 +236,8 @@ def canon_bytes(n: int, rows) -> bytes:
 # 2. Invariants: simple-point deletions preserve homology (Ivashchenko,
 #    Discrete Math. 126, 1994) and a contractible graph has the homology of
 #    a point, so a stuck residue whose Euler characteristic is not 1, or
-#    whose reduced GF(2) homology is nonzero, refutes contractibility.
+#    whose reduced integer homology is nonzero, refutes contractibility.
+#    The homology comes from the package's one engine, `homology_of`.
 # 3. Exact search: greedy deletion can stall on contractible inputs
 #    (Benedetti & Lutz, Exp. Math. 23, 2014), so what survives tier 2 gets
 #    the backtracking search over every simple point.
@@ -361,35 +362,16 @@ def _greedy(
 
 
 def _acyclic(n: int, rows) -> bool:
-    """Tier 2: does the clique complex of a connected graph have the
-    homology of a point?
+    """Tier 2: does the clique complex have the integer homology of a point?
 
-    Checks the Euler characteristic, then the GF(2) Betti numbers from
-    boundary ranks, lowest dimension first. Connectivity gives b0 = 1, so
-    the edge boundary has rank n - 1 and its matrix is never built.
+    The Euler characteristic, read off the clique counts, answers most
+    cases before `homology_of` runs.
     """
-    by_size: list[list[tuple[int, ...]]] = []
-    for c in cliques(n, rows, n):
-        if len(c) > len(by_size):
-            by_size.append([])
-        by_size[len(c) - 1].append(c)
+    by_size = cliques_by_size(n, rows, n)
     if sum(len(g) if k % 2 == 0 else -len(g) for k, g in enumerate(by_size)) != 1:
         return False
-    rank = n - 1  # of the boundary from 1-simplices (edges) to vertices
-    for k in range(1, len(by_size) - 1):
-        index = {s: i for i, s in enumerate(by_size[k])}
-        cols = []
-        for s in by_size[k + 1]:
-            col = 0
-            for i in range(len(s)):
-                col |= 1 << index[s[:i] + s[i + 1 :]]
-            cols.append(col)
-        upper = gf2_rank(cols)
-        if len(by_size[k]) != rank + upper:
-            return False
-        rank = upper
-    # the top Betti number follows from the Euler characteristic
-    return True
+    betti_q, _, torsion = homology_of(by_size)
+    return betti_q[0] == 1 and not any(betti_q[1:]) and not any(torsion)
 
 
 def _exact(n: int, rows) -> bool:
@@ -505,6 +487,18 @@ def cliques(n: int, rows, cap: int = 9):
                 more = cand & rows[u]
                 if more:
                     stack.append((grown, more))
+
+
+def cliques_by_size(n: int, rows, cap: int) -> list[list[tuple[int, ...]]]:
+    """Every clique (see `cliques`) grouped by size: index k-1 holds the
+    k-vertex cliques, and the list ends at the clique number."""
+    by_size: list[list[tuple[int, ...]]] = []
+    for c in cliques(n, rows, cap):
+        # a clique comes after its prefix, so sizes grow one at a time
+        if len(c) > len(by_size):
+            by_size.append([])
+        by_size[len(c) - 1].append(c)
+    return by_size
 
 
 def clique_counts(n: int, rows, cap: int = 9) -> list[int]:

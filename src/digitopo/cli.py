@@ -32,9 +32,11 @@ class InputError(Exception):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def _parse_json(path: str, text: str) -> Any:
@@ -108,7 +110,10 @@ def _cmd_digitize(args) -> int:
     except ShapeError as exc:
         raise InputError(str(exc)) from exc
     if args.dump_csv:
-        Path(args.dump_csv).write_text(mask_csv(report.model))
+        try:
+            Path(args.dump_csv).write_text(mask_csv(report.model))
+        except OSError as exc:
+            raise InputError(f"--dump-csv: {exc}") from exc
     _emit(report.to_obj(), args.pretty)
     return 0
 

@@ -29,7 +29,7 @@ class CoverError(ValueError):
 def _frac(x: Any) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     try:
         if isinstance(x, str):
@@ -137,10 +137,18 @@ class BoxCover:
         try:
             ambient = obj["ambient"]
             n = obj["n"]
-            periods = obj.get("domain", {}).get("periodic", [None] * ambient)
+            domain = obj.get("domain", {})
             cells = [BoxCell.make(c["lo"], c["hi"]) for c in obj["cells"]]
         except (KeyError, TypeError) as exc:
             raise CoverError(f"malformed cover object: {exc}") from exc
+        for key, value in (("ambient", ambient), ("n", n)):
+            if type(value) is not int:
+                raise CoverError(f"cover {key!r} must be an integer, got {value!r}")
+        if not isinstance(domain, dict):
+            raise CoverError(f"cover 'domain' must be an object, got {domain!r}")
+        periods = domain.get("periodic", [None] * ambient)
+        if not isinstance(periods, list):
+            raise CoverError(f"'periodic' must be an array, got {periods!r}")
         if len(periods) != ambient:
             raise CoverError("periodic list length differs from ambient")
         cover = BoxCover.make(cells, periods, n)

@@ -136,7 +136,9 @@ class ShapeSpec:
             return ShapeSpec(kind, expr=parse_expr(obj["expr"]))
         if kind == "curve":
             pts = obj.get("points")
-            if not pts or len(pts) < 2:
+            if not isinstance(pts, list) or not all(isinstance(p, list) for p in pts):
+                raise ShapeError("curve 'points' must be an array of coordinate arrays")
+            if len(pts) < 2:
                 raise ShapeError("curve shape needs at least two points")
             return ShapeSpec(
                 "curve", points=tuple(tuple(_frac(x) for x in p) for p in pts)
@@ -214,7 +216,9 @@ def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel
     a cube when a sample satisfies f <= 0; hypersurfaces need an exact
     zero or both a negative and a positive sample; curves include every
     cube entered by the polyline sampled at steps of at most a quarter
-    pitch. Sampling density is part of the contract: a shape
+    pitch; only the samples inside the window's cube range are visited, so
+    a segment's length outside the window costs nothing. Sampling density
+    is part of the contract: a shape
     feature smaller than the sample grid can be missed. A window of more
     than `MAX_CUBES` cubes raises ShapeError.
 
@@ -244,12 +248,14 @@ def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel
 
     cubes: set[tuple[int, ...]] = set()
     if shape.kind == "curve":
+        # a sample outside the cube range's closed box touches no cube of it
+        box = [(r.start * L, r.stop * L) for r in ranges]
         for a, b in zip(shape.points, shape.points[1:]):
             if len(a) != p or len(b) != p:
                 raise ShapeError("curve points do not match the window dimension")
             l1 = sum(abs(bb - aa) for aa, bb in zip(a, b))
             steps = max(1, int((4 * l1 / L).__ceil__()))
-            for s in range(steps + 1):
+            for s in _samples_in_box(a, b, steps, box):
                 t = Fraction(s, steps)
                 pt = tuple(aa + t * (bb - aa) for aa, bb in zip(a, b))
                 for cand in itertools.product(
@@ -363,6 +369,23 @@ def _rescaled(fn, factor: int):
     if factor == 1:
         return fn
     return lambda pt: fn(pt) * factor
+
+
+def _samples_in_box(a, b, steps: int, box) -> range:
+    """The indices s in 0..steps whose point a + (s/steps)(b - a) lies in
+    the closed box, one (lo, hi) pair per axis; exact."""
+    t0, t1 = Fraction(0), Fraction(1)
+    for aa, bb, (lo, hi) in zip(a, b, box):
+        d = bb - aa
+        if d == 0:
+            if not lo <= aa <= hi:
+                return range(0)
+            continue
+        u, v = sorted(((lo - aa) / d, (hi - aa) / d))
+        t0, t1 = max(t0, u), min(t1, v)
+    if t0 > t1:
+        return range(0)
+    return range(math.ceil(t0 * steps), math.floor(t1 * steps) + 1)
 
 
 def _cubes_touching(x: Fraction, L: Fraction) -> list[int]:

@@ -151,9 +151,9 @@ def is_contractible(g: Graph, return_trace: bool = False):
 
     The kernel decides in three exact tiers. A greedy pass deletes simple
     points in (degree, vertex order) order and answers True if it reaches
-    one vertex. Otherwise the stuck residue's Euler characteristic and GF(2)
-    homology are checked: deletions preserve homology, so anything but the
-    homology of a point answers False. Only what remains gets the full
+    one vertex. Otherwise the stuck residue's Euler characteristic and
+    integer homology are checked: deletions preserve homology, so anything
+    but the homology of a point answers False. Only what remains gets the full
     backtracking search. Verdicts are memoized on the exact adjacency rows,
     and nodes of the backtracking search on canonical forms. The empty graph
     is not contractible.
@@ -189,7 +189,7 @@ def apply_transformation(g: Graph, step: Step) -> Graph:
     if isinstance(step, AttachPoint):
         if g.has_vertex(step.v):
             raise TransformationError(f"attach-point {step.v!r}: label already present")
-        missing = [w for w in step.rim if not g.has_vertex(w)]
+        missing = sorted(w for w in step.rim if not g.has_vertex(w))
         if missing:
             raise TransformationError(f"attach-point {step.v!r}: unknown rim vertices {missing}")
         rim_mask = _mask_of(g, step.rim)

@@ -23,6 +23,8 @@ def graph_from_obj(obj: Any) -> Graph:
     edges_raw = obj.get("edges", [])
     if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
         raise GraphError("'vertices' must be an array of strings")
+    if not isinstance(edges_raw, list):
+        raise GraphError("'edges' must be an array of 2-element string arrays")
     if len(set(vertices)) != len(vertices):
         raise GraphError("duplicate vertex in graph object")
     seen = set()

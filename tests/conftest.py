@@ -71,7 +71,18 @@ def dunce_hat() -> Graph:
     vertices, Euler characteristic 1 and trivial homology, yet no vertex
     has a contractible rim.
     """
-    b = ["1", "2", "3", "1", "2", "3", "1", "3", "2"]
+    return _glued_nine_gon(["1", "2", "3", "1", "2", "3", "1", "3", "2"])
+
+
+def mod3_moore_space() -> Graph:
+    """The same 9-gon with its boundary read a a a: a disk glued to a circle
+    by a map of degree 3, so H_1 = Z/3 and GF(2) sees nothing."""
+    return _glued_nine_gon(["1", "2", "3"] * 3)
+
+
+def _glued_nine_gon(b: list[str]) -> Graph:
+    """Barycentric subdivision of a 9-gon with boundary vertices ``b`` around
+    an inner pentagon r0..r4."""
     arcs = [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 8), (8, 0)]
     triangles = [("r0", "r1", "r2"), ("r0", "r2", "r3"), ("r0", "r3", "r4")]
     for j, arc in enumerate(arcs):

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import contextlib
+import copy
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from digitopo.cli import main
 from digitopo.graph import canonical_key
@@ -134,6 +139,16 @@ class TestReduceInvariantsReplay:
         code, out, _ = run(capsys, "replay", str(files / "tree.txt"), str(files / "trace.json"))
         obj = json.loads(out)
         assert code == 0 and obj["ok"] and len(obj["result"]["vertices"]) == 1
+
+    def test_replay_lists_unknown_rim_vertices_sorted(self, files, capsys):
+        # they were listed in set order, which changes with the hash seed
+        step = {"op": "attach-point", "v": "x", "rim": ["zz", "yy", "xx", "ww"]}
+        (files / "trace.json").write_text(json.dumps([step]))
+        code, out, _ = run(capsys, "replay", str(files / "c4.json"), str(files / "trace.json"))
+        assert code == 1
+        assert json.loads(out)["error"] == (
+            "step 0: attach-point 'x': unknown rim vertices ['ww', 'xx', 'yy', 'zz']"
+        )
 
     def test_replay_invalid_trace_exit_1(self, files, capsys):
         (files / "trace.json").write_text(json.dumps([{"op": "delete-point", "v": "a"}]))
@@ -298,3 +313,250 @@ class TestDeterminismAndDot:
     def test_seed_flag_accepted_and_ignored(self, files, capsys):
         code, out, _ = run(capsys, "--seed", "7", "invariants", str(files / "c4.json"))
         assert code == 0
+
+
+class TestMalformedFields:
+    """Each of these escaped as a traceback with exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (
+                ["invariants"],
+                {"vertices": ["a"], "edges": 5},
+                "'edges' must be an array of 2-element string arrays",
+            ),
+            (
+                ["cover", "validate"],
+                {"ambient": 1, "n": 1, "domain": 5, "cells": [{"lo": [0], "hi": [1]}]},
+                "cover 'domain' must be an object, got 5",
+            ),
+            (
+                ["cover", "validate"],
+                {"ambient": 1, "n": 1, "domain": {"periodic": 5}, "cells": [{"lo": [0], "hi": [1]}]},
+                "'periodic' must be an array, got 5",
+            ),
+            (
+                ["cover", "nerve"],
+                {"ambient": 1, "n": "1", "cells": [{"lo": [0], "hi": [1]}]},
+                "cover 'n' must be an integer, got '1'",
+            ),
+            (
+                ["digitize"],
+                {"kind": "curve", "points": 5, "window": {"lo": [0], "hi": [1]}, "pitch": 1},
+                "curve 'points' must be an array of coordinate arrays",
+            ),
+        ],
+        ids=["graph-edges", "cover-domain", "cover-periodic", "cover-n", "curve-points"],
+    )
+    def test_wrong_type_exit_2(self, files, capsys, argv, doc, message):
+        path = files / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and not out
+        assert err == f"input error: {path}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["invariants"], ["digitize"], ["cover", "validate"]], ids=["graph", "shape", "cover"]
+    )
+    def test_file_that_is_not_utf8_exit_2(self, files, capsys, argv):
+        path = files / "binary.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2 and not out
+        assert err == f"input error: {path}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+    def test_csv_dump_into_a_missing_directory_exit_2(self, files, capsys):
+        target = files / "missing" / "x.csv"
+        code, out, err = run(capsys, "digitize", str(files / "circle.json"), "--dump-csv", str(target))
+        assert code == 2 and not out
+        assert err.startswith("input error: --dump-csv: [Errno 2] No such file or directory")
+
+    def test_curve_far_outside_the_window_exit_0_quickly(self, files, capsys):
+        path = files / "long.json"
+        shape = {"kind": "curve", "points": [[0], [10**9]], "window": {"lo": [0], "hi": [1]}, "pitch": 1}
+        path.write_text(json.dumps(shape))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "digitize", str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 0 and json.loads(out)["cubes"] == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzing every subcommand in-process
+#
+# Each input file is either a well-formed document or one made malformed in
+# a way the readers must reject: a value of the wrong type at a known place,
+# a missing field, a truncated JSON text, or bytes that are not UTF-8.
+
+_C4 = {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"]]}
+_CIRCLE = {
+    "kind": "hypersurface",
+    "expr": ["-", ["+", ["square", "x"], ["square", "y"]], 1],
+    "window": {"lo": [-2, -2], "hi": [2, 2]},
+    "pitch": 1,
+}
+_CURVE = {"kind": "curve", "points": [[0, 0], ["3/2", 1]], "window": {"lo": [-1, -1], "hi": [2, 2]}, "pitch": "1/2"}
+_COVER = {
+    "ambient": 1,
+    "n": 1,
+    "domain": {"periodic": ["6"]},
+    "cells": [{"lo": [i], "hi": [i + 1]} for i in range(6)],
+}
+_TRACE = [{"op": "attach-point", "v": "e", "rim": ["a", "b"]}, {"op": "delete-point", "v": "e"}]
+
+_NOT_A_LABEL = [5, None, [], {}, True, 1.5]
+_NOT_A_NUMBER = [None, [], {}, True, "q", "1/0"]
+_NOT_A_LIST = [5, None, "q", {}, True]
+
+# (well-formed document, [(path, values that are malformed there), ...])
+_DOCS = {
+    "graph": (
+        _C4,
+        [
+            (["vertices"], _NOT_A_LIST + [[1], [["a"]]]),
+            (["vertices", 0], _NOT_A_LABEL),
+            (["edges"], _NOT_A_LIST),
+            (["edges", 0], _NOT_A_LIST + [["a"], ["a", "b", "c"], ["a", "a"]]),
+            (["edges", 0, 1], _NOT_A_LABEL + ["zz"]),
+        ],
+    ),
+    "shape": (
+        _CIRCLE,
+        [
+            ([], _NOT_A_LIST + [[]]),
+            (["kind"], ["sphere"] + _NOT_A_LABEL),
+            (["expr"], [None, {}, [], True, "w", [5], ["pow", "x"], ["+", "x"]]),
+            (["expr", 1, 1], [None, {}, [], True, "w", "1/0", ["abs"]]),
+            (["window"], _NOT_A_LIST + [[], {"lo": [0, 0]}]),
+            (["window", "lo"], _NOT_A_LIST + [[0], [None, 0]]),
+            (["window", "hi", 0], _NOT_A_NUMBER + [-5]),
+            (["pitch"], _NOT_A_NUMBER),
+        ],
+    ),
+    "curve": (
+        _CURVE,
+        [
+            (["points"], _NOT_A_LIST + [[[0, 0]], [[0, 0], 5]]),
+            (["points", 1], _NOT_A_LIST + [[0], [0, 0, 0]]),
+            (["points", 0, 1], _NOT_A_NUMBER),
+        ],
+    ),
+    "cover": (
+        _COVER,
+        [
+            ([], _NOT_A_LIST + [[]]),
+            (["ambient"], ["1", None, 1.5, True, [], 2]),
+            (["n"], ["1", None, 1.5, True, [], 0, 2]),
+            (["domain"], [5, None, "q", True, []]),
+            (["domain", "periodic"], _NOT_A_LIST + [[None, None]]),
+            (["domain", "periodic", 0], [[], {}, True, "q", "1/0", 0, -1]),
+            (["cells"], _NOT_A_LIST + [[]]),
+            (["cells", 2], _NOT_A_LIST + [[], {"lo": [0]}]),
+            (["cells", 2, "lo"], _NOT_A_LIST + [[], [0, 0]]),
+            (["cells", 2, "hi", 0], _NOT_A_NUMBER + [-1]),
+        ],
+    ),
+    "trace": (
+        _TRACE,
+        [
+            ([], _NOT_A_LIST),
+            ([0], _NOT_A_LIST + [[], {}]),
+            ([0, "op"], ["zap"] + _NOT_A_LABEL),
+            ([0, "v"], _NOT_A_LABEL),
+            ([0, "rim"], _NOT_A_LIST + [["a", 5]]),
+            ([1, "v"], _NOT_A_LABEL),
+        ],
+    ),
+}
+
+# subcommand -> (argv before the file, document kind, valid extra options)
+_COMMANDS = [
+    (["classify"], "graph", [[], ["--dim", "1"], ["--dim", "2", "--kind", "sphere"]]),
+    (["reduce"], "graph", [[]]),
+    (["invariants"], "graph", [[]]),
+    (["export-dot"], "graph", [[]]),
+    (["digitize"], "shape", [[], ["--pitch", "1/2"]]),
+    (["digitize"], "curve", [[]]),
+    (["cover", "validate"], "cover", [[]]),
+    (["cover", "nerve"], "cover", [[]]),
+    (["cover", "trace"], "cover", [["--cell", "0"]]),
+    (["replay", "GRAPH"], "trace", [[]]),
+]
+
+
+def _set(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@st.composite
+def _cli_cases(draw):
+    """(argv with a FILE placeholder, file bytes, well-formed?)."""
+    argv, kind, options = draw(st.sampled_from(_COMMANDS))
+    argv = argv + ["FILE"] + draw(st.sampled_from(options))
+    doc, places = _DOCS[kind]
+    text = json.dumps(doc)
+    how = draw(st.sampled_from(["none", "none", "retype", "retype", "drop", "truncate", "bytes"]))
+    if how == "none":
+        if kind == "graph" and draw(st.booleans()):
+            text = "a b\nb c\nc d\nd a\n"
+        return argv, text.encode(), True
+    if how == "retype":
+        path, values = draw(st.sampled_from(places))
+        text = json.dumps(_set(doc, path, draw(st.sampled_from(values))))
+    elif how == "drop":
+        path = draw(st.sampled_from([p for p, _ in places if p and isinstance(p[-1], str)]))
+        doc = copy.deepcopy(doc)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        if path in (["edges"], ["domain"], ["domain", "periodic"]) or "--pitch" in argv and path == ["pitch"]:
+            # optional fields: dropping one leaves a well-formed document
+            return argv, json.dumps(doc).encode(), True
+        text = json.dumps(doc)
+    elif how == "truncate":
+        # any proper prefix of an object or array text is malformed JSON,
+        # and a graph file that starts with "{" is read as JSON
+        text = text[: draw(st.integers(1, len(text) - 1))]
+    else:
+        return argv, b"\xff\xfe" + text.encode(), False
+    if kind == "graph" and how != "truncate" and draw(st.booleans()):
+        # an edge list with a line of three names
+        text = "a b\nb c d\n"
+    return argv, text.encode(), False
+
+
+class TestFuzz:
+    @settings(max_examples=250, deadline=None)
+    @given(_cli_cases())
+    def test_every_subcommand_rejects_malformed_input(self, tmp_path_factory, case):
+        argv, data, well_formed = case
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "input").write_bytes(data)
+        (tmp / "graph.json").write_text(json.dumps(_C4))
+        argv = [str(tmp / "input") if a == "FILE" else str(tmp / "graph.json") if a == "GRAPH" else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if well_formed:
+            assert code in (0, 1), (argv, data, err.getvalue())
+        else:
+            assert code == 2, (argv, data, out.getvalue())
+            assert not out.getvalue() and err.getvalue().startswith("input error: ")
+            assert err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["rp11", "klein16", "moebius12", "sphere_min_2", "zzz"])
+    def test_catalog_show(self, capsys, name):
+        code, out, err = run(capsys, "catalog", "show", name)
+        if name == "zzz":
+            assert code == 2 and not out and err.startswith("input error: ")
+        else:
+            assert code == 0 and json.loads(out)["validation"]["ok"]

@@ -57,6 +57,39 @@ def reference_cubical_model(shape, window, pitch):
     return CubicalModel(L, window.ambient, frozenset(cubes))
 
 
+def reference_curve_model(shape, window, pitch):
+    """Curves sampled along every segment's whole length, inside the window
+    or not, with the cubes outside the window's cube range dropped after.
+
+    This is the sampler that clipping each segment to the window replaced.
+    """
+    L = Fraction(pitch)
+    ranges = [range(math.floor(lo / L), math.ceil(hi / L)) for lo, hi in zip(window.lo, window.hi)]
+    cubes = set()
+    for a, b in zip(shape.points, shape.points[1:]):
+        steps = max(1, math.ceil(4 * sum(abs(bb - aa) for aa, bb in zip(a, b)) / L))
+        for s in range(steps + 1):
+            pt = [aa + Fraction(s, steps) * (bb - aa) for aa, bb in zip(a, b)]
+            touching = [[k - 1, k] if (x / L).denominator == 1 else [k] for x in pt for k in [math.floor(x / L)]]
+            cubes.update(itertools.product(*touching))
+    cubes = {c for c in cubes if all(x in r for x, r in zip(c, ranges))}
+    return CubicalModel(L, window.ambient, frozenset(cubes))
+
+
+@st.composite
+def _curve_cases(draw):
+    ambient = draw(st.integers(1, 3))
+    pitch = Fraction(draw(st.sampled_from(["1", "1/2", "2/5", "1/3"])))
+    coords = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4]))
+    points = draw(st.lists(st.tuples(*[coords] * ambient), min_size=2, max_size=4))
+    lo, hi = [], []
+    for _ in range(ambient):
+        a, b = sorted(draw(coords) / 2 for _ in range(2))
+        lo.append(a)
+        hi.append(b)
+    return ShapeSpec("curve", points=tuple(points)), BoxCell.make(lo, hi), pitch
+
+
 _CONSTS = st.one_of(
     st.integers(-3, 3),
     st.sampled_from(["1/2", "-2/3", "3/7", "5/4", "-1/5", "7/3"]),
@@ -185,6 +218,18 @@ class TestCubicalModel:
     def test_lattice_evaluator_matches_per_cube_sampling(self, case):
         shape, window, pitch = case
         assert cubical_model(shape, window, pitch) == reference_cubical_model(shape, window, pitch)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_curve_cases())
+    def test_clipped_curve_sampling_matches_the_whole_polyline(self, case):
+        shape, window, pitch = case
+        assert cubical_model(shape, window, pitch) == reference_curve_model(shape, window, pitch)
+
+    def test_curve_far_outside_the_window_is_cheap(self):
+        # 4 * 10^9 quarter-pitch samples, of which five lie in the window
+        long = ShapeSpec("curve", points=((Fraction(0),), (Fraction(10**9),)))
+        model = cubical_model(long, BoxCell.make([0], [1]), 1)
+        assert model.cubes == {(0,)}
 
     def test_bundled_shapes_match_per_cube_sampling(self):
         cases = [

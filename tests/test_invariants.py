@@ -4,26 +4,39 @@ The oracle pipeline shares nothing with the production one: simplices come
 from itertools subsets checked pairwise, ranks from dense Fraction
 elimination (no collapses, no Smith form, no bitmasks), and elementary
 divisors of small integer matrices from the gcd-of-minors formula.
+
+A second oracle is the homology pipeline the package used before its
+coreduction engine: elementary collapses, then Smith diagonalization over
+the integers and a separate bitmask elimination over GF(2). It is exact and
+fast enough for catalog surfaces, joins and grown manifolds.
 """
 
 import itertools
 import random
+from collections import deque
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
     cycle_graph,
+    dunce_hat,
+    mod3_moore_space,
     octahedron,
+    point_pair,
     random_contractible_graph,
     random_graph,
 )
-from digitopo._smith import gf2_rank, smith_diagonal
-from digitopo.graph import build_graph, join
+from digitopo._kernels._pure import cliques
+from digitopo._smith import smith_diagonal
+from digitopo.graph import GraphError, build_graph, join
 from digitopo.invariants import (
     CLIQUE_CAP,
+    HomologyProfile,
     clique_vector,
     euler_characteristic,
     homology,
@@ -161,6 +174,145 @@ def minors_gcd_divisors(matrix):
 
 
 # ---------------------------------------------------------------------------
+# the collapse pipeline: cliques in label order, elementary collapses, then
+# one Smith diagonalization and one GF(2) elimination per dimension
+
+
+def gf2_rank(cols):
+    """Rank over GF(2) of a matrix whose columns are bitmasks over rows."""
+    pivots = {}
+    rank = 0
+    for col in cols:
+        c = col
+        while c:
+            h = c.bit_length() - 1
+            p = pivots.get(h)
+            if p is None:
+                pivots[h] = c
+                rank += 1
+                break
+            c ^= p
+    return rank
+
+
+def collapse(by_size):
+    """Remove a simplex with exactly one coface together with that coface,
+    until none is left."""
+    alive = [set(group) for group in by_size]
+    cofaces = {}
+    for k in range(1, len(alive)):
+        for s in alive[k]:
+            for i in range(len(s)):
+                cofaces.setdefault(s[:i] + s[i + 1 :], set()).add(s)
+    queue = deque(s for group in alive for s in sorted(group) if len(cofaces.get(s, ())) == 1)
+    while queue:
+        sigma = queue.popleft()
+        k = len(sigma) - 1
+        if k >= len(alive) or sigma not in alive[k]:
+            continue
+        cf = cofaces.get(sigma)
+        if not cf or len(cf) != 1:
+            continue
+        (tau,) = cf
+        alive[k].discard(sigma)
+        alive[k + 1].discard(tau)
+        for s in (sigma, tau):
+            for i in range(len(s)):
+                face = s[:i] + s[i + 1 :]
+                owners = cofaces.get(face) if face else None
+                if owners is not None:
+                    owners.discard(s)
+                    if len(owners) == 1 and face in alive[len(face) - 1]:
+                        queue.append(face)
+        cofaces.pop(sigma, None)
+    while alive and not alive[-1]:
+        alive.pop()
+    return alive
+
+
+def collapse_homology(g):
+    order = sorted(range(g.order), key=g._labels.__getitem__)
+    rank = {v: k for k, v in enumerate(order)}
+    rows = [0] * g.order
+    for i, r in enumerate(g._rows):
+        for j in range(g.order):
+            if r >> j & 1:
+                rows[rank[i]] |= 1 << rank[j]
+    by_size = [[] for _ in range(CLIQUE_CAP)]
+    try:
+        for c in cliques(g.order, rows, CLIQUE_CAP):
+            by_size[len(c) - 1].append(c)
+    except ValueError as exc:
+        raise GraphError(str(exc)) from exc
+    while by_size and not by_size[-1]:
+        by_size.pop()
+    top = len(by_size)
+    if top == 0:
+        return HomologyProfile((), (), ())
+    simplices = [sorted(group) for group in collapse(by_size)]
+    index = [{s: i for i, s in enumerate(group)} for group in simplices]
+    ranks_q = [0] * (len(simplices) + 1)
+    ranks_2 = [0] * (len(simplices) + 1)
+    torsion = {}
+    for k in range(1, len(simplices)):
+        cols, bits = [], []
+        for s in simplices[k]:
+            col, mask = {}, 0
+            for i in range(len(s)):
+                r = index[k - 1][s[:i] + s[i + 1 :]]
+                col[r] = -1 if i % 2 else 1
+                mask |= 1 << r
+            cols.append(col)
+            bits.append(mask)
+        diag = smith_diagonal(cols)
+        ranks_q[k] = len(diag)
+        if any(d > 1 for d in diag):
+            torsion[k - 1] = tuple(d for d in diag if d > 1)
+        ranks_2[k] = gf2_rank(bits)
+    betti_q, betti_2 = [], []
+    for k in range(top):
+        nk = len(simplices[k]) if k < len(simplices) else 0
+        betti_q.append(nk - ranks_q[k] - ranks_q[k + 1] if k < len(simplices) else 0)
+        betti_2.append(nk - ranks_2[k] - ranks_2[k + 1] if k < len(simplices) else 0)
+    return HomologyProfile(
+        tuple(betti_q), tuple(betti_2), tuple(torsion.get(k, ()) for k in range(top))
+    )
+
+
+def _graph_from_draw(draw, lo, hi, prefix="v"):
+    n = draw(st.integers(lo, hi))
+    density = draw(st.integers(1, 9))
+    vs = [f"{prefix}{i}" for i in range(n)]
+    edges = [(a, b) for a, b in itertools.combinations(vs, 2) if draw(st.integers(0, 9)) < density]
+    return build_graph(vs, edges)
+
+
+@st.composite
+def complexes(draw):
+    """Random clique complexes, suspensions, joins, catalog surfaces and
+    manifolds grown from them."""
+    from digitopo.catalog import get
+    from digitopo.transform import fresh_label, r_transform
+
+    kind = draw(st.sampled_from(["random", "suspension", "join", "surface", "grown"]))
+    if kind == "random":
+        return _graph_from_draw(draw, 7, 12)
+    if kind == "suspension":
+        return join(_graph_from_draw(draw, 3, 9), point_pair())
+    surface = get(draw(st.sampled_from(["torus16", "klein16", "rp11", "moebius12", "icosahedron"]))).graph
+    if kind == "join":
+        return join(surface, _graph_from_draw(draw, 1, 4, prefix="j"))
+    if kind == "surface":
+        return surface
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    g = surface
+    for _ in range(draw(st.integers(1, 12))):
+        u, v = rng.choice(g.edges())
+        g, _ = r_transform(g, u, v, fresh_label(g))
+    return g
+
+
+# ---------------------------------------------------------------------------
 # tests
 
 
@@ -272,6 +424,24 @@ class TestHomology:
             assert 1 - euler_characteristic(j) == (1 - euler_characteristic(a)) * (
                 1 - euler_characteristic(b)
             )
+
+    @settings(max_examples=120, deadline=None)
+    @given(complexes())
+    def test_matches_the_collapse_pipeline(self, g):
+        try:
+            want = collapse_homology(g)
+        except GraphError:
+            with pytest.raises(GraphError, match="cap"):
+                homology(g)
+            return
+        assert homology(g) == want, g.edges()
+
+    def test_dunce_hat_and_odd_torsion(self):
+        assert homology(dunce_hat()) == collapse_homology(dunce_hat())
+        assert homology(dunce_hat()).betti_q == (1, 0, 0)
+        moore = mod3_moore_space()
+        assert homology(moore) == collapse_homology(moore)
+        assert homology(moore) == HomologyProfile((1, 0, 0), (1, 0, 0), ((), (3,), ()))
 
     def test_report_shape(self):
         rep = invariant_report(cycle_graph(4))

@@ -21,6 +21,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     dunce_hat,
+    mod3_moore_space,
     octahedron,
     path_graph,
     random_graph,
@@ -31,6 +32,7 @@ from digitopo._kernels import _pure
 from digitopo.graph import build_graph, canonical_key, induced_subgraph, relabeled, rim
 from digitopo.homotopy import reduce
 from digitopo.invariants import euler_characteristic, homology
+from test_invariants import collapse_homology
 
 
 def masks(g):
@@ -243,6 +245,35 @@ class TestTiers:
 
     def test_disconnected_is_refuted_by_homology(self):
         assert _pure.decide(*masks(build_graph(["a", "b"]))) == (False, 2)
+
+    def test_integer_homology_refutes_odd_torsion(self):
+        # H_1 = Z/3 is invisible over GF(2), so GF(2) ranks sent this to tier 3
+        g = mod3_moore_space()
+        assert euler_characteristic(g) == 1 and homology(g).betti_z2 == (1, 0, 0)
+        assert _pure.decide(*masks(g)) == (False, 2)
+
+    def test_tier_2_is_exact(self):
+        """Tier 2 accepts exactly the graphs whose integer homology is a
+        point's, on every graph up to 6 vertices (one per isomorphism class)
+        and the graphs above. Up to 6 vertices there is no torsion, so GF(2)
+        ranks, which decided tier 2 before, give the same answers."""
+        classes = {canonical_key(g): g for n in range(1, 7) for g in all_labeled_graphs(n)}
+        cases = list(classes.values()) + [
+            wheel(6),
+            path_graph(6),
+            chebyshev_block(4, dim=2),
+            octahedron(),
+            rim(chebyshev_block(3), "q1_1_1"),
+            build_graph(["a", "b"]),
+            dunce_hat(),
+            mod3_moore_space(),
+        ]
+        for g in cases:
+            prof = collapse_homology(g)
+            point = prof.betti_q[0] == 1 and not any(prof.betti_q[1:]) and not any(prof.torsion)
+            assert _pure._acyclic(*masks(g)) == point, g.edges()
+            if g.order <= 6:
+                assert point == (prof.betti_z2[0] == 1 and not any(prof.betti_z2[1:]))
 
     def test_exact_search_decides_the_dunce_hat(self):
         g = dunce_hat()
