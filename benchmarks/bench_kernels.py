@@ -3,7 +3,8 @@
 
 Micro rows call the kernel functions directly on graphs shaped like the
 package's real call sites; layer rows time `cubical_model`, cold-cache
-`classify`, `homology` of reduced 3-D sphere shells and tier 2 of
+`classify` (grown spheres, and a grown torus as a negative for the sphere
+clause), `homology` of reduced 3-D sphere shells and tier 2 of
 contractibility on the dunce hat; the macro row runs sphere recognition and
 a digitization once, after clearing every memo table.
 
@@ -107,16 +108,15 @@ def micro():
     _table(spec)
 
 
-def _grown_sphere(dim: int, order: int, seed: int):
-    """A ``dim``-sphere grown from the minimal one by seeded edge-to-point
-    replacements, as in the `recognize` workload of perfbench."""
+def _grown(g, order: int, seed: int):
+    """``g`` grown to ``order`` vertices by seeded edge-to-point
+    replacements, as in the `recognize` workload of perfbench; they keep
+    the homotopy and manifold type."""
     import random
 
-    from digitopo.classify import minimal_sphere
     from digitopo.transform import fresh_label, r_transform
 
     rng = random.Random(seed)
-    g = minimal_sphere(dim)
     while g.order < order:
         u, v = rng.choice(g.edges())
         g, _ = r_transform(g, u, v, fresh_label(g))
@@ -127,7 +127,8 @@ def layers():
     import digitopo
     from conftest import dunce_hat
     from digitopo._kernels import _pure
-    from digitopo.classify import classify
+    from digitopo.catalog import get
+    from digitopo.classify import classify, minimal_sphere
     from digitopo.covers import BoxCell
     from digitopo.digitizer import cubical_model, model_graph, shape_sphere
     from digitopo.homotopy import reduce
@@ -137,16 +138,22 @@ def layers():
     print(f"\n{'layer':50s}{'time':>12s}")
     t = _time(lambda: cubical_model(shape_sphere(), window, "1/3"))
     print(f"{'cubical_model 3-D sphere, pitch 1/3, [-2,2]^3':50s}{t * 1e3:>10.2f}ms")
-    for dim, order in ((2, 120), (3, 40)):
-        g = _grown_sphere(dim, order, 12)
+    # the torus is a negative for the sphere clause: every G - v fails
+    for label, start, order, kind in (
+        ("2-sphere", minimal_sphere(2), 120, "Sphere"),
+        ("3-sphere", minimal_sphere(3), 40, "Sphere"),
+        ("3-sphere", minimal_sphere(3), 60, "Sphere"),
+        ("torus16", get("torus16").graph, 100, "Manifold"),
+    ):
+        g = _grown(start, order, 12)
 
         def cold_classify():
             kernels.clear_caches()
             digitopo.classify.clear_caches()
-            assert classify(g).kind == "Sphere"
+            assert classify(g).kind == kind
 
         t = _time(cold_classify)
-        print(f"{f'classify {dim}-sphere grown to {order} vertices':50s}{t * 1e3:>10.2f}ms")
+        print(f"{f'classify {label} grown to {order} vertices':50s}{t * 1e3:>10.2f}ms")
     for r, w in (("3/2", "2"), ("2", "5/2")):
         shell = model_graph(cubical_model(shape_sphere(r), BoxCell.make([f"-{w}"] * 3, [w] * 3), "1/4"))
         residue, _ = reduce(shell)

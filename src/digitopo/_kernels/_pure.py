@@ -251,7 +251,12 @@ def canon_bytes(n: int, rows) -> bytes:
 # rows. Its rim verdicts, nested rims included, go into a table the caller
 # owns, keyed on the rim mask: exact while the rows stay fixed, and shared by
 # every call on the same rows (the n deletion clauses of a sphere test).
-# Dense rows are built only for a stalled pass, for tiers 2 and 3. The
+# Dense rows are built only for a stalled pass, for tiers 2 and 3, by
+# `settle_within`, which the sphere clause also calls after running its own
+# greedy pass (it keeps the deletion order). A caller may seed the table
+# with verdicts it already knows: the sphere clause enters every rim of its
+# candidate as not contractible and every rim minus one vertex as
+# contractible, both exact once every rim is a sphere (see `classify`). The
 # rows-keyed memo stays the key for `reduce` and `decide`: there, translated
 # copies of a rim recur under equal rows but under different masks.
 
@@ -301,6 +306,14 @@ def contractible_within(rows, alive: int, rims: dict[int, bool]) -> bool:
     if _cone(rows, alive):
         return True
     rest, _ = _greedy(len(rows), rows, start=alive, rims=rims)
+    return settle_within(rows, alive, rest)
+
+
+def settle_within(rows, alive: int, rest: int) -> bool:
+    """The verdict for the subgraph induced on ``alive`` once its greedy
+    pass (see `contractible_within`) has left the vertices of ``rest``: the
+    pass's own answer when at most one is left, else tiers 2 and 3 on dense
+    rows."""
     if not rest & (rest - 1):
         return rest != 0
     # simple-point deletions keep the components, so the residue is

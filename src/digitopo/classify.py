@@ -9,12 +9,37 @@ The same rims recur, so surface dimensions and sphere verdicts of connected
 graphs are memoized in one table keyed on their exact rows, under the
 kernel's cap (`_pure._MEMO_CAP`, one million entries; cleared when full).
 
-The deletion clause is not reindexed: each ``G - v`` is decided on the
-sphere candidate's own rows with ``alive = full ^ (1 << v)``, by
-`_pure.contractible_within`. All n clauses of one sphere test share one
-rim table, local to that test and keyed on rim masks, which are exact keys
-while the rows stay fixed; nested rims go into the same table. Dense rows
-are built only when a greedy pass stalls.
+A cone (a vertex adjacent to all others) is no surface, sphere or
+manifold: some rim of a cone is a cone again, down to one vertex, whose rim
+is empty. Both recursions answer a cone at once, so a complete graph costs
+no rim recursion as deep as the graph is large.
+
+The deletion clause runs only after the rim clause has held, and is not
+reindexed: each ``G - v`` is decided on the sphere candidate's own rows
+with ``alive = full ^ (1 << v)``, by a greedy pass of `_pure` and, when the
+pass stalls, `_pure.settle_within` on dense rows. All n clauses of one
+sphere test share one rim table, local to that test and keyed on rim masks,
+which are exact keys while the rows stay fixed; nested rims go into the
+same table. Three facts, each exact once every rim is a (d-1)-sphere, cut
+the passes (Ivashchenko, Discrete Math. 126, 1994: simple-point deletions
+preserve homology):
+
+- Seeded rims (`_seeded_rims`). A whole rim is a sphere, which is not
+  contractible: its reduced homology is nonzero. A rim minus one vertex is
+  contractible: the rim's own deletion clause said so, and a 0-sphere
+  minus a point is one vertex. The table starts with both verdicts for
+  every rim, so the first rim tests of every pass are lookups.
+- Dimension 1. A connected graph whose rims are 0-spheres is a cycle of at
+  least four vertices, and each ``C - v`` is a path, which is contractible:
+  no pass runs.
+- Rotation (`_rotated`). When greedy deletion reduces ``G - v`` to a point
+  by the order ``s1..sk``, then ``v, s1..sk without sj`` reduces
+  ``G - sj`` to the same point whenever ``v`` is simple in ``G - sj``
+  (by the seeded table, exactly when ``v ~ sj``) and every earlier ``st``
+  adjacent to ``sj`` stays simple without ``sj``; the other steps see the
+  rims they saw before. Every vertex proved this way needs no pass, and
+  since each is proved exactly, the first failing vertex (the witness)
+  stays the same.
 """
 
 from __future__ import annotations
@@ -22,7 +47,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ._kernels._pure import _memo_put, connected, contractible_within, subgraph_rows
+from ._kernels._pure import (
+    _bits,
+    _cone,
+    _greedy,
+    _memo_put,
+    _simple,
+    connected,
+    settle_within,
+    subgraph_rows,
+)
 from .graph import Graph, GraphError, _mask_of, build_graph
 
 KIND_SPHERE = "Sphere"
@@ -74,7 +108,14 @@ def _dimension(n: int, rows: tuple[int, ...]) -> Optional[int]:
         return None
     key = ("dim", rows)
     if key not in _memo:
-        dims = {_dimension(*subgraph_rows(rows, r)) for r in rows}
+        # a cone is no surface: some rim of it is a cone again, down to a
+        # single vertex, whose rim is empty
+        dims: set[Optional[int]] = set()
+        if not _cone(rows, (1 << n) - 1):
+            for r in rows:
+                dims.add(_dimension(*subgraph_rows(rows, r)))
+                if None in dims or len(dims) > 1:
+                    break
         _memo_put(_memo, key, dims.pop() + 1 if len(dims) == 1 and None not in dims else None)
     return _memo[key]
 
@@ -92,16 +133,77 @@ def surface_dimension(g: Graph) -> Optional[int]:
 # spheres
 
 
-def _failing_deletion(rows: tuple[int, ...], order) -> Optional[int]:
+def _seeded_rims(rows: tuple[int, ...]) -> dict[int, bool]:
+    """Rim verdicts that hold when every rim of ``rows`` is a sphere: a whole
+    rim is not contractible (its reduced homology is nonzero), and a rim
+    minus one vertex is (the rim's own deletion clause; a 0-sphere minus a
+    point is one vertex)."""
+    rims: dict[int, bool] = {}
+    for r in rows:
+        rims[r] = False
+        for b in _bits(r):
+            rims[r ^ (1 << b)] = True
+    return rims
+
+
+def _rotated(
+    rows: tuple[int, ...], v: int, alive: int, seq: list[int], pending: int, rims: dict[int, bool]
+) -> int:
+    """The vertices ``s`` of ``pending`` whose ``G - s`` a greedy reduction
+    of ``G - v`` (the vertices of ``alive``) to a point by the order ``seq``
+    also reduces to a point.
+
+    In ``G - s`` the order ``v, seq without s`` ends at the same point when
+    ``v`` is simple there and every earlier ``seq`` vertex adjacent to ``s``
+    stays simple without ``s``; later vertices and non-adjacent ones see
+    the same rims as in ``seq``. Every rim is looked up in ``rims``, so with
+    a table from `_seeded_rims` the test on ``v`` reads ``v ~ s``.
+    """
+    before, index = [], {}
+    left = alive
+    for t, u in enumerate(seq):
+        before.append(left)
+        index[u] = t
+        left ^= 1 << u
+    full = alive | 1 << v
+    out = 0
+    for s in _bits(pending & (alive ^ left)):
+        gone = alive ^ before[index[s]]
+        if _simple(rows, v, full ^ (1 << s), rims) and all(
+            _simple(rows, u, before[index[u]] ^ (1 << s), rims) for u in _bits(rows[s] & gone)
+        ):
+            out |= 1 << s
+    return out
+
+
+def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
     """First vertex in ``order`` whose deletion leaves a non-contractible
-    graph, or None.
+    graph, or None. Every rim of ``rows`` must be a (d-1)-sphere.
 
     Every deletion is decided on the parent rows, and all of them share one
-    rim table: a rim's mask keys its verdict exactly while the rows are fixed.
+    rim table, seeded by `_seeded_rims`; the module docstring gives the
+    three facts used here. The cycle shortcut for d = 1 tests connectivity
+    because `_sphere_witness` comes here without testing it.
     """
-    full = (1 << len(rows)) - 1
-    rims: dict[int, bool] = {}
-    return next((i for i in order if not contractible_within(rows, full ^ (1 << i), rims)), None)
+    n = len(rows)
+    if d == 1 and connected(n, rows):
+        return None
+    full = (1 << n) - 1
+    rims = _seeded_rims(rows)
+    pending = full
+    for v in order:
+        if not pending >> v & 1:
+            continue
+        pending ^= 1 << v
+        alive = full ^ (1 << v)
+        if _cone(rows, alive):
+            continue
+        rest, seq = _greedy(n, rows, start=alive, rims=rims)
+        if not settle_within(rows, alive, rest):
+            return v
+        if not rest & (rest - 1):
+            pending ^= _rotated(rows, v, alive, seq, pending, rims)
+    return None
 
 
 def _is_sphere(n: int, rows: tuple[int, ...], d: int) -> bool:
@@ -111,8 +213,11 @@ def _is_sphere(n: int, rows: tuple[int, ...], d: int) -> bool:
         return False
     key = ("sphere", d, rows)
     if key not in _memo:
-        verdict = all(_is_sphere(*subgraph_rows(rows, r), d - 1) for r in rows) and (
-            _failing_deletion(rows, range(n)) is None
+        # a cone is no sphere, as it is no surface (see `_dimension`)
+        verdict = (
+            not _cone(rows, (1 << n) - 1)
+            and all(_is_sphere(*subgraph_rows(rows, r), d - 1) for r in rows)
+            and _failing_deletion(rows, range(n), d) is None
         )
         _memo_put(_memo, key, verdict)
     return _memo[key]
@@ -126,7 +231,7 @@ def _sphere_witness(g: Graph, n: int) -> Optional[str]:
     for i in order:
         if not _is_sphere(*subgraph_rows(rows, rows[i]), n - 1):
             return g._labels[i]
-    i = _failing_deletion(rows, order)
+    i = _failing_deletion(rows, order, n)
     return None if i is None else g._labels[i]
 
 

@@ -44,6 +44,13 @@ _VAR_NAMES = {"x": 0, "y": 1, "z": 2, "x0": 0, "x1": 1, "x2": 2}
 # evaluator from `_compile` all recurse far below the interpreter's limit.
 MAX_EXPR_DEPTH = 100
 
+# `_compile` evaluates an expression at this integer degree at most. A
+# variable or a constant has degree 1, a `*` the sum of its operands'
+# degrees and `square` twice its operand's, so each nested `square` doubles
+# it and lattice values grow to about that many times a coordinate's bits.
+# The bundled shapes have degree 2.
+MAX_DEGREE = 64
+
 # A window may hold at most this many cubes at the requested pitch; larger
 # ones are refused before any lattice point is evaluated. The bundled inputs
 # stay below 10,000.
@@ -321,7 +328,8 @@ def _compile(expr, scale: int, ambient: int):
     Returns ``(fn, degree)``. Given a point whose coordinates are integers
     ``x_i * scale``, ``fn`` returns ``f(x) * scale**degree`` as an int, so
     its sign is the sign of f. ``scale`` must be a multiple of every
-    constant's denominator.
+    constant's denominator. A degree above `MAX_DEGREE` raises ShapeError
+    before any operand is rescaled.
     """
     op = expr[0]
     if op == "const":
@@ -340,10 +348,10 @@ def _compile(expr, scale: int, ambient: int):
     parts = [_compile(a, scale, ambient) for a in expr[1:]]
     if op == "*":
         fns = [fn for fn, _ in parts]
-        return (lambda pt: math.prod([fn(pt) for fn in fns])), sum(d for _, d in parts)
+        return (lambda pt: math.prod([fn(pt) for fn in fns])), _capped(sum(d for _, d in parts))
     if op == "square":
         (a, d), = parts
-        return (lambda pt: a(pt) ** 2), 2 * d
+        return (lambda pt: a(pt) ** 2), _capped(2 * d)
     if op == "abs":
         (a, d), = parts
         return (lambda pt: abs(a(pt))), d
@@ -363,6 +371,12 @@ def _compile(expr, scale: int, ambient: int):
     if op == "max":
         return (lambda pt: max([fn(pt) for fn in fns])), degree
     raise ShapeError(f"unknown operation {op!r}")
+
+
+def _capped(degree: int) -> int:
+    if degree > MAX_DEGREE:
+        raise ShapeError(f"expression has degree {degree}, above the cap of {MAX_DEGREE}")
+    return degree
 
 
 def _rescaled(fn, factor: int):

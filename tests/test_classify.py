@@ -310,8 +310,9 @@ def grown(g, order, seed):
     return g
 
 
-def dense_failing_deletion(rows, order):
-    """The deletion clause on dense rows for every G - v, as a reference."""
+def dense_failing_deletion(rows, order, d):
+    """The deletion clause on dense rows for every G - v, as a reference;
+    it uses no fact about the rims, so it ignores the dimension ``d``."""
     full = (1 << len(rows)) - 1
     for i in order:
         if not kernels.is_contractible(*subgraph_rows(rows, full ^ (1 << i))):
@@ -363,6 +364,123 @@ class TestDeletionClause:
             assert kinds is None or classify(g).kind in kinds, g.edges()
 
 
+# ---------------------------------------------------------------------------
+# the deletion clause starts from facts the rim clause proved; each must
+# agree with a decision that does not use them
+
+
+def spheres_for_clause_facts():
+    rng = random.Random(5)
+    for dim, sizes in ((1, (4, 7, 12)), (2, (6, 15, 30)), (3, (8, 14, 24))):
+        for order in sizes:
+            yield grown(minimal_sphere(dim), order, rng.getrandbits(32))
+
+
+def all_rows(n):
+    """Adjacency rows of every labeled graph on ``n`` vertices."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for edges in range(1 << len(pairs)):
+        rows = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if edges >> k & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        yield tuple(rows)
+
+
+def replay_rotations(rows, rims):
+    """Rebuild every order that `_rotated` certifies from a greedy pass
+    reducing some ``G - v`` to a point, and replay it on dense rows: each
+    deleted vertex has a contractible rim, and one vertex is left. Returns
+    the number of orders replayed."""
+    from digitopo._kernels._pure import _bits, _greedy
+
+    n, full = len(rows), (1 << len(rows)) - 1
+    replayed = 0
+    for v in range(n):
+        alive = full ^ (1 << v)
+        rest, seq = _greedy(n, rows, start=alive, rims=rims)
+        if not rest or rest & (rest - 1):
+            continue
+        for s in _bits(recognizers._rotated(rows, v, alive, seq, alive, rims)):
+            replayed += 1
+            left = full ^ (1 << s)
+            for u in [v] + [u for u in seq if u != s]:
+                assert kernels.is_contractible(*subgraph_rows(rows, rows[u] & left)), (rows, v, s)
+                left ^= 1 << u
+            assert left == rest, (rows, v, s)
+    return replayed
+
+
+def dense_sphere_1(n, rows):
+    """The 1-sphere clauses on dense rows: connected, every rim two
+    non-adjacent vertices, every G - v contractible."""
+    full = (1 << n) - 1
+    return (
+        kernels.connected(n, rows)
+        and all(r.bit_count() == 2 and not rows[(r & -r).bit_length() - 1] & r for r in rows)
+        and all(kernels.is_contractible(*subgraph_rows(rows, full ^ (1 << v))) for v in range(n))
+    )
+
+
+class TestSphereClauseFacts:
+    def test_seeded_rims_match_contractible_within(self):
+        from digitopo._kernels._pure import contractible_within
+
+        for g in spheres_for_clause_facts():
+            seeded = recognizers._seeded_rims(g._rows)
+            assert len(seeded) > g.order
+            for mask, verdict in seeded.items():
+                assert contractible_within(g._rows, mask, {}) is verdict, (g.edges(), mask)
+
+    def test_rotated_orders_replay_on_dense_rows(self):
+        rng = random.Random(8)
+        bigger = [grown(minimal_sphere(d), o, rng.getrandbits(32)) for d, o in ((2, 120), (3, 60))]
+        rotated = 0
+        for g in list(spheres_for_clause_facts()) + bigger:
+            rotated += replay_rotations(g._rows, recognizers._seeded_rims(g._rows))
+        assert rotated > 1000
+
+    def test_rotation_holds_on_every_small_graph(self):
+        """Without the sphere facts, with rim verdicts decided as they come."""
+        rotated = 0
+        for n in range(3, 7):
+            for rows in all_rows(n):
+                if kernels.connected(n, rows):
+                    rotated += replay_rotations(rows, {})
+        assert rotated > 10000
+
+    def test_one_sphere_clause_matches_dense_rows(self):
+        recognizers.clear_caches()
+        for n in range(7):
+            for rows in all_rows(n):
+                assert recognizers._is_sphere(n, rows, 1) == dense_sphere_1(n, rows), rows
+        for k in range(4, 41):
+            c = cycle_graph(k)
+            assert recognizers._is_sphere(k, c._rows, 1) and dense_sphere_1(k, c._rows)
+
+    def test_cones_and_small_graphs_keep_their_verdicts(self):
+        """Every graph on at most five vertices: manifold verdicts, and the
+        witness of a graph that is no surface, agree with the literal rim
+        recursion, which has no cone shortcut (`TestRowKeyedMemo` compares
+        surface dimensions and sphere verdicts on the same graphs)."""
+        for g in small_graphs_out_of_label_order(5):
+            dim = rim_dimension(g)
+            if kernels.connected(g.order, g._rows) and any(
+                g.degree(v) == g.order - 1 for v in g.vertices
+            ):
+                assert dim is None and classify(g).kind == "None", g.edges()
+            if dim is None:
+                first = next((v for v in sorted(g.vertices) if rim_dimension(rim(g, v)) is None), None)
+                assert classify(g).failing_witness == first, g.edges()
+            for n in range(1, 5):
+                assert is_n_manifold(g, n).ok == (
+                    g.order > 0
+                    and is_connected(g)
+                    and all(rim_sphere(rim(g, v), n - 1) for v in g.vertices)
+                ), (n, g.edges())
+
+
 class TestLargeInputs:
     """Wall-clock guards, with wide margins, on inputs whose deletion clause
     used to build dense rows for every G - v and every rim inside it."""
@@ -372,6 +490,12 @@ class TestLargeInputs:
         start = time.perf_counter()
         assert classify(g) == ClassificationVerdict("Sphere", 2)
         assert time.perf_counter() - start < 8
+
+    def test_grown_3_sphere_of_60_vertices(self):
+        g = grown(minimal_sphere(3), 60, 12)
+        start = time.perf_counter()
+        assert classify(g) == ClassificationVerdict("Sphere", 3)
+        assert time.perf_counter() - start < 5
 
     @pytest.mark.parametrize("name", ["torus16", "klein16", "rp11"])
     def test_grown_catalog_surfaces_of_60_vertices(self, name):

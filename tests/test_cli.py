@@ -267,6 +267,54 @@ class TestOversizedWindow:
         )
 
 
+class TestDegreeCap:
+    @pytest.mark.parametrize("op", ["square", "*"])
+    def test_degree_doubling_chain_exit_2(self, files, capsys, op):
+        # each level doubles the integer degree; 29 nested squares took 10 s
+        # on a one-cube window before the cap
+        expr, levels = "x", 29 if op == "square" else 12
+        for _ in range(levels):
+            expr = ["square", expr] if op == "square" else ["*", expr, expr]
+        path = files / "high_degree.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "kind": "region",
+                    "expr": ["-", expr, 3],
+                    "window": {"lo": [0], "hi": [1]},
+                    "pitch": 1,
+                }
+            )
+        )
+        start = time.perf_counter()
+        code, out, err = run(capsys, "digitize", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err == "input error: expression has degree 128, above the cap of 64\n"
+
+
+class TestCompleteGraphs:
+    """A complete graph is a cone: no surface, sphere or manifold, decided
+    without a rim recursion as deep as the graph is large."""
+
+    @pytest.mark.parametrize("k", [300, 500])
+    @pytest.mark.parametrize("mode", [[], ["--kind", "sphere"], ["--kind", "manifold"]])
+    def test_complete_graph_exit_1_with_first_witness(self, files, capsys, k, mode):
+        vs = [f"v{i}" for i in range(k)]
+        path = files / f"k{k}.json"
+        path.write_text(
+            json.dumps(
+                {"vertices": vs, "edges": [[a, b] for i, a in enumerate(vs) for b in vs[i + 1 :]]}
+            )
+        )
+        argv = ["classify", str(path)] + (mode + ["--dim", str(k)] if mode else [])
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 1 and not err
+        assert out == '{"dimension":null,"kind":"None","witness":"v0"}\n'
+
+
 class TestDeepNesting:
     def test_deep_expression_exit_2(self, files, capsys):
         expr = '["-", ' * 600 + '"x"' + "]" * 600

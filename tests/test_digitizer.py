@@ -10,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from digitopo.covers import BoxCell
 from digitopo.digitizer import (
     MAX_CUBES,
+    MAX_DEGREE,
     MAX_EXPR_DEPTH,
     CubicalModel,
     ShapeError,
     ShapeSpec,
+    _compile,
     cubical_model,
     digitize_reduce,
     eval_expr,
@@ -172,6 +174,25 @@ class TestExpressions:
             parse_expr(nested(MAX_EXPR_DEPTH + 1))
         with pytest.raises(ShapeError, match="nested deeper than"):
             parse_expr(nested(3000))
+
+
+    def test_degree_cap(self):
+        # x - 1/3 squared six times has degree 64, the cap; a constant
+        # counts degree 1, as the scaled evaluator sees it
+        expr = ["-", "x", "1/3"]
+        while _compile(parse_expr(expr), 3, 1)[1] < MAX_DEGREE:
+            expr = ["square", expr]
+        at_cap = parse_expr(["-", expr, "1/2"])
+        f, degree = _compile(at_cap, 6, 1)
+        assert degree == MAX_DEGREE
+        for k in range(-12, 13):
+            x = Fraction(k, 6)
+            assert f((k,)) == eval_expr(at_cap, (x,)) * 6**degree
+        shape, window = ShapeSpec("region", expr=at_cap), BoxCell.make([-2], [2])
+        assert cubical_model(shape, window, "1/3") == reference_cubical_model(shape, window, "1/3")
+        for above in (["square", expr], ["*", expr, "x"]):
+            with pytest.raises(ShapeError, match="^expression has degree .*above the cap of 64$"):
+                cubical_model(ShapeSpec("region", expr=parse_expr(above)), window, 1)
 
 
 class TestCubicalModel:
