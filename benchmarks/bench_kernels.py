@@ -4,9 +4,10 @@
 Micro rows call the kernel functions directly on graphs shaped like the
 package's real call sites; layer rows time `cubical_model`, cold-cache
 `classify` (grown spheres, and a grown torus as a negative for the sphere
-clause), `homology` of reduced 3-D sphere shells and tier 2 of
-contractibility on the dunce hat; the macro row runs sphere recognition and
-a digitization once, after clearing every memo table.
+clause), `homology` of reduced 3-D sphere shells, tier 2 of
+contractibility on the dunce hat, and the cover operations on the
+brick-wall torus; the macro row runs sphere recognition, a 3-D
+digitization and a cover validation once, after clearing every memo table.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -125,11 +126,11 @@ def _grown(g, order: int, seed: int):
 
 def layers():
     import digitopo
-    from conftest import dunce_hat
+    from conftest import brick_wall_torus_cover, dunce_hat
     from digitopo._kernels import _pure
     from digitopo.catalog import get
     from digitopo.classify import classify, minimal_sphere
-    from digitopo.covers import BoxCell
+    from digitopo.covers import BoxCell, boundary_trace_cover, nerve, validate_lcl
     from digitopo.digitizer import cubical_model, model_graph, shape_sphere
     from digitopo.homotopy import reduce
     from digitopo.invariants import homology
@@ -163,23 +164,36 @@ def layers():
     hat = dunce_hat()
     t = _time(lambda: _pure._acyclic(hat.order, hat._rows))
     print(f"{'tier 2 (_acyclic) on the 49-vertex dunce hat':50s}{t * 1e3:>10.2f}ms")
+    cover = brick_wall_torus_cover()
+    for name, call in (
+        ("validate_lcl", validate_lcl),
+        ("nerve", nerve),
+        ("boundary_trace_cover", lambda c: boundary_trace_cover(c, 0)),
+    ):
+        t = _time(lambda: call(cover))
+        print(f"{f'{name} brick-wall torus (16 cells)':50s}{t * 1e3:>10.2f}ms")
 
 
 def macro():
     import digitopo
-    from digitopo.classify import is_n_sphere, minimal_sphere
-    from digitopo.covers import BoxCell
-    from digitopo.digitizer import digitize_reduce, shape_circle
+    from conftest import brick_wall_torus_cover
+    from digitopo.classify import classify, minimal_sphere
+    from digitopo.covers import BoxCell, validate_lcl
+    from digitopo.digitizer import digitize_reduce, shape_sphere
 
+    g = _grown(minimal_sphere(2), 44, 12)
+    cover = brick_wall_torus_cover()
     kernels.clear_caches()
     digitopo.classify.clear_caches()
     t = time.perf_counter()
-    assert is_n_sphere(minimal_sphere(3), 3).ok
-    rep = digitize_reduce(shape_circle(), BoxCell.make([-2, -2], [2, 2]), "1/4")
-    assert rep.euler == 0
+    assert classify(g).kind == "Sphere"
+    rep = digitize_reduce(shape_sphere(), BoxCell.make([-2] * 3, [2] * 3), "1/3")
+    assert rep.euler == 2
+    assert validate_lcl(cover).verdict
     print(
-        f"\nmacro workload, cold caches: {time.perf_counter() - t:.3f}s "
-        f"(3-sphere recognition + circle digitization at pitch 1/4)"
+        f"\nmacro workload, cold caches: {(time.perf_counter() - t) * 1e3:.2f}ms "
+        f"(classify of a 2-sphere grown to 44 vertices, 3-D sphere digitization "
+        f"at pitch 1/3, brick-wall cover validation)"
     )
 
 

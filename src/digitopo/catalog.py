@@ -14,8 +14,8 @@ from typing import Any, Optional
 
 from . import _kernels as kernels
 from .classify import is_n_manifold, is_n_sphere, is_n_disk, minimal_sphere
-from .graph import Graph, GraphError, build_graph, induced_subgraph, rim
-from .invariants import HomologyProfile, euler_characteristic, homology
+from .graph import Graph, GraphError, build_graph, components, induced_subgraph, is_connected, rim
+from .invariants import HomologyProfile, euler_characteristic, homology, same_profile
 
 
 @dataclass
@@ -331,8 +331,6 @@ def _rim_shape(g: Graph, v: str) -> str:
     if k == 0:
         return "other"
     degs = sorted(r.degree(w) for w in r.vertices)
-    from .graph import is_connected
-
     if not is_connected(r):
         return "other"
     if k >= 3 and degs == [2] * k and r.size == k:
@@ -347,8 +345,6 @@ def _boundary_cycle_count(g: Graph, boundary: tuple[str, ...]) -> int:
     sub = induced_subgraph(g, boundary)
     if any(sub.degree(v) != 2 for v in sub.vertices):
         return -1
-    from .graph import components
-
     return len(components(sub))
 
 
@@ -376,8 +372,6 @@ def validate(entry: CatalogEntry) -> dict[str, Any]:
             tuple(exp["betti_z2"]),
             tuple(tuple(t) for t in exp.get("torsion", ())) or ((),) * len(exp["betti_q"]),
         )
-        from .invariants import same_profile
-
         check("homology profile", same_profile(prof, want))
 
     kind = exp["kind"]

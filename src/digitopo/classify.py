@@ -224,9 +224,10 @@ def _is_sphere(n: int, rows: tuple[int, ...], d: int) -> bool:
 
 
 def _sphere_witness(g: Graph, n: int) -> Optional[str]:
-    """First vertex (label order) failing the sphere recursion, if any."""
+    """First vertex (label order) failing the sphere recursion, if any. A
+    graph that is no 0-sphere names its first vertex."""
     if n == 0 or g.order == 0:
-        return None
+        return min(g._labels, default=None)
     rows, order = g._rows, _label_order(g)
     for i in order:
         if not _is_sphere(*subgraph_rows(rows, rows[i]), n - 1):
@@ -310,11 +311,9 @@ def classify(g: Graph, dimension: Optional[int] = None) -> ClassificationVerdict
                 witness = g._labels[i]
                 break
         return ClassificationVerdict(KIND_NONE, None, witness)
-    if d == 0:
-        if g.order == 2 and g.size == 0:
-            return ClassificationVerdict(KIND_SPHERE, 0)
-        return ClassificationVerdict(KIND_NONE, None, min(g.vertices, default=None))
     sphere = is_n_sphere(g, d)
+    if d == 0:
+        return sphere
     if sphere.ok:
         return sphere
     manifold = is_n_manifold(g, d)

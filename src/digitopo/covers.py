@@ -4,11 +4,16 @@ Cells are boxes with rational corners on a Euclidean or periodic (flat
 torus) lattice, which keeps every intersection exactly computable. All
 arithmetic uses Fractions; there are no epsilons anywhere.
 
-The locally-centered check uses the Helly reading: every pairwise
-intersecting subfamily must share a common point, which reduces to checking
-the maximal cliques of the intersection graph. The locally-lump check
-requires every nonempty k-wise intersection to be a single box of dimension
-n+1-k lying in the relative boundary of each participating cell.
+The nerve (intersection graph) is kept as bitmask rows, ``rows[i]`` having
+bit ``j`` set when cells i and j meet, from one pairwise pass. Validation
+walks the cliques of the nerve once with the package's clique walk
+(`_kernels._pure.cliques`): a clique whose cells share a point gets the
+locally-lump check, which requires every nonempty k-wise intersection to
+be a single box of dimension n+1-k lying in the relative boundary of each
+participating cell; a clique whose cells share no point and that no other
+cell meets entirely is a maximal clique breaking the locally-centered
+check, read the Helly way (every pairwise intersecting subfamily must
+share a common point).
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
-from .graph import Graph, build_graph, canonical_key, induced_subgraph
+from ._kernels._pure import canon_bytes, cliques
+from .graph import Graph
+from .invariants import CLIQUE_CAP
 
 
 class CoverError(ValueError):
@@ -298,127 +305,72 @@ class LclReport:
         return {"verdict": self.verdict, "violations": [v.to_obj() for v in self.violations]}
 
 
-def _pairwise_matrix(cover: BoxCover) -> list[list[bool]]:
-    m = len(cover.cells)
-    adj = [[False] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            nonempty = (
-                _intersection_pieces([cover.cells[i], cover.cells[j]], cover.periods)
-                is not None
-            )
-            adj[i][j] = adj[j][i] = nonempty
-    return adj
+def _nerve_rows(cells: Sequence[BoxCell], periods: Sequence[Optional[Fraction]]) -> list[int]:
+    """Bitmask rows of the intersection graph of ``cells``, pair by pair."""
+    rows = [0] * len(cells)
+    for i, j in itertools.combinations(range(len(cells)), 2):
+        if _intersection_pieces([cells[i], cells[j]], periods) is not None:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return rows
 
 
-def _maximal_cliques(adj: list[list[bool]]) -> list[tuple[int, ...]]:
-    """Bron-Kerbosch with pivoting, deterministic output order."""
-    m = len(adj)
-    masks = [sum(1 << j for j in range(m) if adj[i][j]) for i in range(m)]
+def _ll_violations(
+    cover: BoxCover, indices: tuple[int, ...], pieces: list[list[tuple[Fraction, Fraction]]]
+) -> list[LclViolation]:
+    """The locally-lump clauses for cells ``indices`` whose common
+    intersection has the per-axis ``pieces``."""
+    if any(len(ax) != 1 for ax in pieces):
+        return [LclViolation(indices, "LL-dimension", "intersection is not a single box")]
     out = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p and not x:
-            out.append(tuple(i for i in range(m) if (r >> i) & 1))
-            return
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best = -1
-        cand_pool = pivot_pool
-        while cand_pool:
-            b = cand_pool & -cand_pool
-            cand_pool ^= b
-            u = b.bit_length() - 1
-            k = (p & masks[u]).bit_count()
-            if k > best:
-                best, pivot = k, u
-        cand = p & ~masks[pivot]
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            expand(r | b, p & masks[v], x & masks[v])
-            p &= ~b
-            x |= b
-    expand(0, (1 << m) - 1, 0)
-    return sorted(out)
+    e_lo = [ax[0][0] for ax in pieces]
+    e_hi = [ax[0][1] for ax in pieces]
+    dim = sum(1 for a, b in zip(e_lo, e_hi) if b > a)
+    k = len(indices)
+    want = cover.n + 1 - k
+    if want < 0:
+        detail = f"{k} cells meet but only {cover.n + 1} may share a point"
+        out.append(LclViolation(indices, "LL-dimension", detail))
+    elif dim != want:
+        detail = f"intersection has dimension {dim}, expected {want}"
+        out.append(LclViolation(indices, "LL-dimension", detail))
+    for i in indices:
+        if not _box_in_relative_boundary(e_lo, e_hi, cover.cells[i], cover.periods):
+            detail = f"intersection not inside the boundary of cell {i}"
+            out.append(LclViolation(indices, "LL-boundary", detail))
+    return out
 
 
 def validate_lcl(cover: BoxCover) -> LclReport:
     """Check the locally-centered and locally-lump clauses.
 
-    LC: every maximal clique of the intersection graph has a common point
-    (subfamilies inherit it). LL: every nonempty k-wise intersection with
-    k >= 2 is a single box of dimension n+1-k inside the relative boundary
-    of each member. Violations are data, not errors.
+    One walk over the cliques of two or more cells of the nerve decides
+    both. LL: every clique whose cells share a point has a single box of
+    dimension n+1-k as intersection, inside the relative boundary of each
+    member. LC: every maximal clique has a common point (subfamilies
+    inherit it); a clique without one is reported when no cell outside it
+    meets all its members. Violations are data, not errors; a nerve clique
+    above `invariants.CLIQUE_CAP` cells raises CoverError (at most n+1 cells
+    of a valid cover meet).
     """
-    adj = _pairwise_matrix(cover)
-    m = len(cover.cells)
+    rows = _nerve_rows(cover.cells, cover.periods)
     violations: list[LclViolation] = []
-
-    # LL over all nonempty-intersection subfamilies, grown incrementally
-    def extend(indices: tuple[int, ...]) -> None:
-        cells = [cover.cells[i] for i in indices]
-        pieces = _intersection_pieces(cells, cover.periods)
-        if pieces is None:
-            return
-        k = len(indices)
-        if any(len(ax) != 1 for ax in pieces):
-            violations.append(
-                LclViolation(indices, "LL-dimension", "intersection is not a single box")
-            )
-        else:
-            e_lo = [ax[0][0] for ax in pieces]
-            e_hi = [ax[0][1] for ax in pieces]
-            dim = sum(1 for a, b in zip(e_lo, e_hi) if b > a)
-            want = cover.n + 1 - k
-            if want < 0:
-                violations.append(
-                    LclViolation(
-                        indices,
-                        "LL-dimension",
-                        f"{k} cells meet but only {cover.n + 1} may share a point",
-                    )
-                )
-            elif dim != want:
-                violations.append(
-                    LclViolation(
-                        indices,
-                        "LL-dimension",
-                        f"intersection has dimension {dim}, expected {want}",
-                    )
-                )
-            for pos, i in enumerate(indices):
-                if not _box_in_relative_boundary(e_lo, e_hi, cover.cells[i], cover.periods):
-                    violations.append(
-                        LclViolation(
-                            indices,
-                            "LL-boundary",
-                            f"intersection not inside the boundary of cell {i}",
-                        )
-                    )
-        last = indices[-1]
-        for j in range(last + 1, m):
-            if all(adj[i][j] for i in indices):
-                extend(indices + (j,))
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if adj[i][j]:
-                extend((i, j))
-
-    # LC over maximal cliques
-    for clique in _maximal_cliques(adj):
-        if len(clique) < 2:
-            continue
-        cells = [cover.cells[i] for i in clique]
-        if _intersection_pieces(cells, cover.periods) is None:
-            violations.append(
-                LclViolation(
-                    clique, "LC", "pairwise intersecting subfamily has no common point"
-                )
-            )
-
+    try:
+        for clique in cliques(len(rows), rows, CLIQUE_CAP):
+            if len(clique) < 2:
+                continue
+            pieces = _intersection_pieces([cover.cells[i] for i in clique], cover.periods)
+            if pieces is not None:
+                violations += _ll_violations(cover, clique, pieces)
+                continue
+            common = -1
+            for i in clique:
+                common &= rows[i]
+            if not common:
+                detail = "pairwise intersecting subfamily has no common point"
+                violations.append(LclViolation(clique, "LC", detail))
+    except ValueError as exc:
+        raise CoverError(f"cover nerve has a {exc}") from exc
     violations.sort(key=lambda v: (v.indices, v.clause, v.detail))
     return LclReport(not violations, tuple(violations))
 
@@ -429,15 +381,8 @@ def validate_lcl(cover: BoxCover) -> LclReport:
 
 def nerve(cover: BoxCover) -> Graph:
     """Intersection graph: one vertex per cell, edges between meeting cells."""
-    labels = [f"c{i}" for i in range(len(cover.cells))]
-    adj = _pairwise_matrix(cover)
-    edges = [
-        (labels[i], labels[j])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if adj[i][j]
-    ]
-    return build_graph(labels, edges)
+    labels = tuple(f"c{i}" for i in range(len(cover.cells)))
+    return Graph(labels, tuple(_nerve_rows(cover.cells, cover.periods)))
 
 
 def boundary_trace_cover(cover: BoxCover, i: int) -> tuple[BoxCover, bool]:
@@ -446,7 +391,8 @@ def boundary_trace_cover(cover: BoxCover, i: int) -> tuple[BoxCover, bool]:
     Returns the collection of pairwise intersections with cell i as an
     (n-1)-dimensional cover, plus the verdict that its nerve is isomorphic
     to the nerve induced on the neighbors of cell i (which holds on valid
-    LCL input).
+    LCL input). The induced nerve comes from the neighbor cells alone; no
+    other pair of cells is intersected.
     """
     if not 0 <= i < len(cover.cells):
         raise CoverError(f"no cell {i}")
@@ -457,14 +403,15 @@ def boundary_trace_cover(cover: BoxCover, i: int) -> tuple[BoxCover, bool]:
             continue
         box = intersect_cells([cover.cells[i], cell], cover.periods)
         if box is not None:
-            neighbors.append(j)
+            neighbors.append(cell)
             traces.append(box)
     if not neighbors:
         raise CoverError(f"cell {i} has no neighbors")
     traced = BoxCover.make(traces, cover.periods, cover.n - 1)
-    big = nerve(cover)
-    induced = induced_subgraph(big, [f"c{j}" for j in neighbors])
-    verdict = canonical_key(induced) == canonical_key(nerve(traced))
+    induced = _nerve_rows(neighbors, cover.periods)
+    verdict = canon_bytes(len(traces), induced) == canon_bytes(
+        len(traces), _nerve_rows(traced.cells, traced.periods)
+    )
     return traced, verdict
 
 

@@ -186,6 +186,161 @@ def shuffled_copy(rng: random.Random, g: Graph) -> Graph:
     return build_graph(vs, [(m[a], m[b]) for a, b in g.edges()])
 
 
+def _half_step(cover):
+    """Half the finest lattice step of a cover's corners and periods: every
+    intersection component has its ends on the lattice, so samples at the
+    half step see each component and each gap between two of them."""
+    from fractions import Fraction
+    from math import lcm
+
+    coords = [x for c in cover.cells for x in c.lo + c.hi]
+    coords += [per for per in cover.periods if per is not None]
+    return Fraction(1, 2 * lcm(*(Fraction(x).denominator for x in coords)))
+
+
+def _sampled_pieces(cells, period, ax: int, h) -> list[tuple]:
+    """Components of the common intersection of the cells on axis ``ax``,
+    as sorted (lo, hi) pairs with lo in [0, period) on a periodic axis,
+    found by testing every sample point at step ``h``."""
+    if period is None:
+        start = min(c.lo[ax] for c in cells)
+        count = int((max(c.hi[ax] for c in cells) - start) / h) + 1
+
+        def inside(x) -> bool:
+            return all(c.lo[ax] <= x <= c.hi[ax] for c in cells)
+
+    else:
+        start, count = 0, int(period / h)
+
+        def inside(x) -> bool:
+            return all((x - c.lo[ax]) % period <= c.hi[ax] - c.lo[ax] for c in cells)
+
+    hits = [inside(start + k * h) for k in range(count)]
+    runs: list[list[int]] = []
+    for k, hit in enumerate(hits):
+        if hit and k and hits[k - 1]:
+            runs[-1][1] = k
+        elif hit:
+            runs.append([k, k])
+    if period is not None and len(runs) > 1 and hits[0] and hits[-1]:
+        last = runs.pop()
+        runs[0] = [last[0], runs[0][1] + count]
+    return sorted((start + a * h, start + b * h) for a, b in runs)
+
+
+def _sampled_intersection(cover, indices, h):
+    """Per-axis components of the cells' common intersection, or None."""
+    cells = [cover.cells[i] for i in indices]
+    axes = [_sampled_pieces(cells, per, ax, h) for ax, per in enumerate(cover.periods)]
+    return None if any(not pieces for pieces in axes) else axes
+
+
+def brute_lcl(cover) -> dict:
+    """LCL report of a cover, as `LclReport.to_obj` gives it, by trying
+    every pairwise-meeting subfamily of two or more cells: LL on each one
+    that shares a point, LC on each maximal one that shares none."""
+    h = _half_step(cover)
+    m = len(cover.cells)
+    meets = {
+        (i, j): _sampled_intersection(cover, (i, j), h) is not None
+        for i, j in itertools.combinations(range(m), 2)
+    }
+    found = []
+    for k in range(2, m + 1):
+        # a subfamily sharing a point meets pairwise; none of k means none above
+        cliques = [
+            sub
+            for sub in itertools.combinations(range(m), k)
+            if all(meets[pair] for pair in itertools.combinations(sub, 2))
+        ]
+        if not cliques:
+            break
+        for sub in cliques:
+            axes = _sampled_intersection(cover, sub, h)
+            if axes is None:
+                if not any(
+                    all(meets[tuple(sorted((i, j)))] for i in sub) for j in range(m) if j not in sub
+                ):
+                    found.append((sub, "LC", "pairwise intersecting subfamily has no common point"))
+                continue
+            if any(len(pieces) != 1 for pieces in axes):
+                found.append((sub, "LL-dimension", "intersection is not a single box"))
+                continue
+            box = [pieces[0] for pieces in axes]
+            dim = sum(1 for lo, hi in box if hi > lo)
+            if k > cover.n + 1:
+                detail = f"{k} cells meet but only {cover.n + 1} may share a point"
+                found.append((sub, "LL-dimension", detail))
+            elif dim != cover.n + 1 - k:
+                detail = f"intersection has dimension {dim}, expected {cover.n + 1 - k}"
+                found.append((sub, "LL-dimension", detail))
+            for i in sub:
+                cell = cover.cells[i]
+                pinned = any(
+                    cell.lo[ax] < cell.hi[ax]
+                    and lo == hi
+                    and any(
+                        lo == facet or (per is not None and (lo - facet) % per == 0)
+                        for facet in (cell.lo[ax], cell.hi[ax])
+                    )
+                    for ax, ((lo, hi), per) in enumerate(zip(box, cover.periods))
+                )
+                if not pinned:
+                    detail = f"intersection not inside the boundary of cell {i}"
+                    found.append((sub, "LL-boundary", detail))
+    found.sort()
+    return {
+        "verdict": not found,
+        "violations": [{"indices": list(s), "clause": c, "detail": d} for s, c, d in found],
+    }
+
+
+def brute_nerve(cover) -> Graph:
+    """Intersection graph from one sampled intersection per pair of cells."""
+    h = _half_step(cover)
+    labels = [f"c{i}" for i in range(len(cover.cells))]
+    edges = [
+        (labels[i], labels[j])
+        for i, j in itertools.combinations(range(len(labels)), 2)
+        if _sampled_intersection(cover, (i, j), h) is not None
+    ]
+    return build_graph(labels, edges)
+
+
+def brute_trace(cover, i: int):
+    """Boundary trace of cell i as ``(cells, isomorphic)``, or None where
+    `boundary_trace_cover` must refuse: no neighbours, a trace that is not
+    one box, or a trace of the wrong dimension. Cells are (lo, hi) tuples."""
+    from digitopo.covers import BoxCell, BoxCover, CoverError
+
+    h = _half_step(cover)
+    neighbors, boxes = [], []
+    for j in range(len(cover.cells)):
+        axes = None if j == i else _sampled_intersection(cover, (i, j), h)
+        if axes is None:
+            continue
+        if any(len(pieces) != 1 for pieces in axes):
+            return None
+        neighbors.append(j)
+        boxes.append(BoxCell(*zip(*[pieces[0] for pieces in axes])))
+    if not boxes:
+        return None
+    try:
+        traced = BoxCover.make(boxes, cover.periods, cover.n - 1)
+    except CoverError:
+        return None
+    induced = build_graph(
+        [f"c{j}" for j in neighbors],
+        [
+            (f"c{a}", f"c{b}")
+            for a, b in itertools.combinations(neighbors, 2)
+            if _sampled_intersection(cover, (a, b), h) is not None
+        ],
+    )
+    cells = [(c.lo, c.hi) for c in traced.cells]
+    return cells, brute_isomorphic(induced, brute_nerve(traced))
+
+
 def brick_wall_torus_cover():
     """Sixteen unit bricks tiling the flat 4-torus, rows offset by 1/2."""
     from fractions import Fraction
@@ -259,6 +414,33 @@ def generated_box_covers(count: int, seed: int = 2024):
                 for a, b in zip(points, points[1:]):
                     cells.append(BoxCell.make([a, r], [b, r + 1]))
             out.append(BoxCover.make(cells, [None, None], 2))
+    return out
+
+
+def random_box_covers(count: int, seed: int = 7):
+    """Seeded random covers, most of them not LCL: 1-3 ambient axes, each
+    Euclidean or periodic (period 2, 3 or 4), two to seven cells of one
+    dimension with corners on the half-integer lattice."""
+    from fractions import Fraction
+
+    from digitopo.covers import BoxCell, BoxCover
+
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        p = rng.randint(1, 3)
+        n = rng.randint(0, p)
+        periods = [rng.choice([None, None, 2, 3, 4]) for _ in range(p)]
+        cells = []
+        for _ in range(rng.randint(2, 7)):
+            fat = rng.sample(range(p), n)
+            lo = [Fraction(rng.randint(0, 7), 2) for _ in range(p)]
+            hi = list(lo)
+            for ax in fat:
+                longest = 4 if periods[ax] is None else 2 * periods[ax] - 1
+                hi[ax] += Fraction(rng.randint(1, min(4, longest)), 2)
+            cells.append(BoxCell.make(lo, hi))
+        out.append(BoxCover.make(cells, periods, n))
     return out
 
 

@@ -87,6 +87,15 @@ class TestSpheres:
         with pytest.raises(GraphError):
             is_n_sphere(cycle_graph(4), -1)
 
+    def test_zero_sphere_witness_is_the_first_label(self):
+        g = build_graph(["c", "b", "a"], [("a", "b")])
+        assert is_n_sphere(g, 0).to_obj() == {"kind": "None", "dimension": None, "witness": "a"}
+        assert classify(g, 0) == is_n_sphere(g, 0)
+        empty = build_graph([])
+        assert is_n_sphere(empty, 0).failing_witness is None
+        assert classify(empty, 0) == is_n_sphere(empty, 0)
+        assert is_n_sphere(build_graph(["b", "a"]), 0).ok
+
 
 class TestManifolds:
     def test_octahedron(self):

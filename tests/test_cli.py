@@ -174,6 +174,18 @@ class TestCover:
         obj = json.loads(out)
         assert code == 0 and obj["isomorphic"]
 
+    def test_validate_clique_above_cap_exit_2(self, files, capsys):
+        # 30 pairwise-meeting cells have 2^30 subfamilies; the walk stops at
+        # the first clique of ten
+        path = files / "same30.json"
+        cells = [{"lo": [0, 0], "hi": [1, 1]}] * 30
+        path.write_text(json.dumps({"ambient": 2, "n": 2, "cells": cells}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cover", "validate", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and not out
+        assert err == "input error: cover nerve has a clique larger than cap 9\n"
+
 
 class TestCatalogCli:
     def test_list(self, capsys):

@@ -8,9 +8,13 @@ import pytest
 from conftest import (
     aligned_grid_torus_cover,
     brick_wall_torus_cover,
+    brute_lcl,
+    brute_nerve,
+    brute_trace,
     cube_faces_cover,
     cycle_graph,
     generated_box_covers,
+    random_box_covers,
 )
 from digitopo.catalog import get
 from digitopo.classify import is_n_sphere
@@ -25,6 +29,7 @@ from digitopo.covers import (
     validate_lcl,
 )
 from digitopo.graph import canonical_key
+from digitopo.io import graph_to_obj
 from digitopo.homotopy import is_contractible
 
 
@@ -137,6 +142,47 @@ class TestValidateLcl:
     def test_generated_covers_all_valid(self):
         for cover in generated_box_covers(20, seed=5):
             assert validate_lcl(cover).verdict
+
+
+    def test_clique_above_the_cap_is_an_error(self):
+        cover = BoxCover.make([BoxCell.make([0, 0], [1, 1])] * 10, [None, None], 2)
+        with pytest.raises(CoverError, match="clique larger than cap 9"):
+            validate_lcl(cover)
+
+
+def _oracle_corpus():
+    """Seeded random covers (1-3 axes, Euclidean and periodic), generated
+    valid covers of a box, and the named covers."""
+    named = [brick_wall_torus_cover(), aligned_grid_torus_cover(), cube_faces_cover()]
+    return random_box_covers(150, seed=7) + generated_box_covers(10, seed=3) + named
+
+
+class TestAgainstBruteForce:
+    """Validation, nerves and traces against the subfamily-by-subfamily
+    oracles of conftest, which sample every intersection on a lattice."""
+
+    def test_validate_lcl(self):
+        clauses = set()
+        for cover in _oracle_corpus():
+            want = brute_lcl(cover)
+            assert validate_lcl(cover).to_obj() == want, cover.to_obj()
+            clauses |= {v["clause"] for v in want["violations"]}
+        assert clauses == {"LC", "LL-dimension", "LL-boundary"}
+
+    def test_nerve(self):
+        for cover in _oracle_corpus():
+            assert graph_to_obj(nerve(cover)) == graph_to_obj(brute_nerve(cover)), cover.to_obj()
+
+    def test_boundary_trace_cover(self):
+        for cover in _oracle_corpus():
+            for i in range(len(cover.cells)):
+                want = brute_trace(cover, i)
+                if want is None:
+                    with pytest.raises(CoverError):
+                        boundary_trace_cover(cover, i)
+                    continue
+                traced, verdict = boundary_trace_cover(cover, i)
+                assert ([(c.lo, c.hi) for c in traced.cells], verdict) == want, (cover.to_obj(), i)
 
 
 class TestNerve:
