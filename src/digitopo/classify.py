@@ -3,16 +3,17 @@
 The recursion follows the rims: a 0-sphere is two non-adjacent points; an
 n-sphere is a connected graph where every rim is an (n-1)-sphere and every
 one-point deletion leaves a contractible graph; an n-manifold only needs the
-rim condition. The recursion runs on adjacency rows (see `_kernels`), each
-rim reindexed densely by `subgraph_rows`, and labels only name witnesses.
-The same rims recur, so surface dimensions and sphere verdicts of connected
-graphs are memoized in one table keyed on their exact rows, under the
-kernel's cap (`_pure._MEMO_CAP`, one million entries; cleared when full).
-
-A cone (a vertex adjacent to all others) is no surface, sphere or
-manifold: some rim of a cone is a cone again, down to one vertex, whose rim
-is empty. Both recursions answer a cone at once, so a complete graph costs
-no rim recursion as deep as the graph is large.
+rim condition. It is one memoized walk, `_dimension`, on adjacency rows (see
+`_kernels`), each rim reindexed densely by `subgraph_rows`. For each
+connected graph, keyed on its exact rows under the kernel's cap
+(`_pure._MEMO_CAP`, one million entries; cleared when full), the memo keeps
+its surface dimension, its rims as far as the walk built them, and its
+sphere verdict at that dimension once asked. The walk stops at once at a
+cone (a vertex adjacent to all others), which is no surface: some rim of a
+cone is a cone again, down to one vertex, whose rim is empty. A d-sphere is
+a d-surface, so a sphere query asks the dimension first. Labels only name
+witnesses: the first vertex in label order whose rim (or, in a sphere test,
+whose deletion) fails, with the rims read off the same walk.
 
 The deletion clause runs only after the rim clause has held, and is not
 reindexed: each ``G - v`` is decided on the sphere candidate's own rows
@@ -65,8 +66,8 @@ KIND_SURFACE = "Surface"
 KIND_DISK = "Disk"
 KIND_NONE = "None"
 
-# ("dim", rows) -> surface dimension or None; ("sphere", d, rows) -> bool
-_memo: dict[tuple, Optional[int] | bool] = {}
+# rows -> [surface dimension or None, rims read as (n, rows), sphere verdict or None]
+_memo: dict[tuple[int, ...], list] = {}
 
 
 def clear_caches() -> None:
@@ -102,22 +103,33 @@ def _label_order(g: Graph) -> list[int]:
 
 
 def _dimension(n: int, rows: tuple[int, ...]) -> Optional[int]:
-    if n == 2 and not rows[0]:
-        return 0
-    if not connected(n, rows):
-        return None
-    key = ("dim", rows)
-    if key not in _memo:
-        # a cone is no surface: some rim of it is a cone again, down to a
-        # single vertex, whose rim is empty
+    if rows not in _memo:
+        if n == 2 and not rows[0]:
+            return 0
+        if not connected(n, rows):
+            return None
+        rims: list[tuple[int, tuple[int, ...]]] = []
         dims: set[Optional[int]] = set()
         if not _cone(rows, (1 << n) - 1):
             for r in rows:
-                dims.add(_dimension(*subgraph_rows(rows, r)))
+                rims.append(subgraph_rows(rows, r))
+                dims.add(_dimension(*rims[-1]))
                 if None in dims or len(dims) > 1:
                     break
-        _memo_put(_memo, key, dims.pop() + 1 if len(dims) == 1 and None not in dims else None)
-    return _memo[key]
+        dim = dims.pop() + 1 if len(dims) == 1 and None not in dims else None
+        _memo_put(_memo, rows, [dim, rims, None])
+    return _memo[rows][0]
+
+
+def _failing_rim(g: Graph, holds) -> Optional[int]:
+    """First vertex in label order whose rim fails ``holds(n, rows)``, or None;
+    a rim the walk of ``g`` did not build is built alone, when reached."""
+    rows = g._rows
+    rims = _memo[rows][1] if rows in _memo else []
+    for i in _label_order(g):
+        if not holds(*(rims[i] if i < len(rims) else subgraph_rows(rows, rows[i]))):
+            return i
+    return None
 
 
 def surface_dimension(g: Graph) -> Optional[int]:
@@ -183,7 +195,7 @@ def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
     Every deletion is decided on the parent rows, and all of them share one
     rim table, seeded by `_seeded_rims`; the module docstring gives the
     three facts used here. The cycle shortcut for d = 1 tests connectivity
-    because `_sphere_witness` comes here without testing it.
+    because `is_n_sphere` comes here without testing it.
     """
     n = len(rows)
     if d == 1 and connected(n, rows):
@@ -207,45 +219,40 @@ def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
 
 
 def _is_sphere(n: int, rows: tuple[int, ...], d: int) -> bool:
+    """Is ``rows`` a d-sphere? Its dimension comes first (see the module)."""
     if d <= 0:
         return d == 0 and n == 2 and not rows[0]
-    if not connected(n, rows):
+    if _dimension(n, rows) != d:
         return False
-    key = ("sphere", d, rows)
-    if key not in _memo:
-        # a cone is no sphere, as it is no surface (see `_dimension`)
-        verdict = (
-            not _cone(rows, (1 << n) - 1)
-            and all(_is_sphere(*subgraph_rows(rows, r), d - 1) for r in rows)
+    entry = _memo[rows]
+    if entry[2] is None:
+        entry[2] = (
+            all(_is_sphere(*rim, d - 1) for rim in entry[1])
             and _failing_deletion(rows, range(n), d) is None
         )
-        _memo_put(_memo, key, verdict)
-    return _memo[key]
-
-
-def _sphere_witness(g: Graph, n: int) -> Optional[str]:
-    """First vertex (label order) failing the sphere recursion, if any. A
-    graph that is no 0-sphere names its first vertex."""
-    if n == 0 or g.order == 0:
-        return min(g._labels, default=None)
-    rows, order = g._rows, _label_order(g)
-    for i in order:
-        if not _is_sphere(*subgraph_rows(rows, rows[i]), n - 1):
-            return g._labels[i]
-    i = _failing_deletion(rows, order, n)
-    return None if i is None else g._labels[i]
+    return entry[2]
 
 
 def is_n_sphere(g: Graph, n: int) -> ClassificationVerdict:
-    """Recognize a digital n-sphere.
-
-    The contractibility-after-deletion clause is checked for every vertex.
-    """
+    """Recognize a digital n-sphere: one pass in label order checks the rim
+    clause, then the deletion clause for every vertex, and names the witness."""
     if n < 0:
         raise GraphError("sphere dimension must be >= 0")
-    if _is_sphere(g.order, g._rows, n):
-        return ClassificationVerdict(KIND_SPHERE, n)
-    return ClassificationVerdict(KIND_NONE, None, _sphere_witness(g, n))
+    if n == 0 or g.order == 0:
+        if _is_sphere(g.order, g._rows, n):
+            return ClassificationVerdict(KIND_SPHERE, n)
+        return ClassificationVerdict(KIND_NONE, None, min(g._labels, default=None))
+    rows = g._rows
+    # a verdict is kept only at the graph's own dimension
+    entry = _memo[rows] if _dimension(g.order, rows) == n else [None, [], False]
+    if not entry[2]:
+        i = _failing_rim(g, lambda m, r: _is_sphere(m, r, n - 1))
+        if i is None:
+            i = _failing_deletion(rows, _label_order(g), n)
+        entry[2] = i is None
+        if i is not None:
+            return ClassificationVerdict(KIND_NONE, None, g._labels[i])
+    return ClassificationVerdict(KIND_SPHERE, n)
 
 
 def is_n_manifold(g: Graph, n: int) -> ClassificationVerdict:
@@ -254,9 +261,9 @@ def is_n_manifold(g: Graph, n: int) -> ClassificationVerdict:
         raise GraphError("manifold dimension must be >= 1")
     if not connected(g.order, g._rows):
         return ClassificationVerdict(KIND_NONE, None, min(g.vertices, default=None))
-    for i in _label_order(g):
-        if not _is_sphere(*subgraph_rows(g._rows, g._rows[i]), n - 1):
-            return ClassificationVerdict(KIND_NONE, None, g._labels[i])
+    i = _failing_rim(g, lambda m, r: _is_sphere(m, r, n - 1))
+    if i is not None:
+        return ClassificationVerdict(KIND_NONE, None, g._labels[i])
     return ClassificationVerdict(KIND_MANIFOLD, n)
 
 
@@ -305,22 +312,14 @@ def classify(g: Graph, dimension: Optional[int] = None) -> ClassificationVerdict
     """
     d = surface_dimension(g) if dimension is None else dimension
     if d is None:
-        rows, witness = g._rows, None
-        for i in _label_order(g):
-            if _dimension(*subgraph_rows(rows, rows[i])) is None:
-                witness = g._labels[i]
-                break
-        return ClassificationVerdict(KIND_NONE, None, witness)
+        i = _failing_rim(g, lambda m, r: _dimension(m, r) is not None)
+        return ClassificationVerdict(KIND_NONE, None, None if i is None else g._labels[i])
     sphere = is_n_sphere(g, d)
-    if d == 0:
-        return sphere
-    if sphere.ok:
+    if d == 0 or sphere.ok:
         return sphere
     manifold = is_n_manifold(g, d)
     if manifold.ok:
         return manifold
-    if surface_dimension(g) == d:
+    if dimension is None or surface_dimension(g) == d:
         return ClassificationVerdict(KIND_SURFACE, d)
-    return ClassificationVerdict(
-        KIND_NONE, None, sphere.failing_witness or manifold.failing_witness
-    )
+    return sphere

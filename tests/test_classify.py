@@ -1,15 +1,20 @@
 """Sphere, manifold, surface and disk recognizers."""
 
 import random
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
     cycle_graph,
     octahedron,
     path_graph,
+    random_graph,
+    shuffled_copy,
     small_graphs_out_of_label_order,
     wheel,
 )
@@ -290,6 +295,21 @@ class TestRowKeyedMemo:
             for n in range(5):
                 assert is_n_sphere(g, n).ok == rim_sphere(g, n), (n, g.edges())
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(6, 9), st.floats(0.2, 0.9), st.randoms(use_true_random=False))
+    def test_random_graphs_agree_with_unmemoized_rim_recursion(self, n, p, rnd):
+        g = shuffled_copy(rnd, random_graph(rnd, n, p))
+        assert surface_dimension(g) == rim_dimension(g), g.edges()
+        for d in (1, 2, 3):
+            assert is_n_sphere(g, d).ok == rim_sphere(g, d), (d, g.edges())
+            failing = [v for v in sorted(g.vertices) if not rim_sphere(rim(g, v), d - 1)]
+            manifold = is_n_manifold(g, d)
+            assert manifold.ok == (is_connected(g) and not failing), (d, g.edges())
+            if not is_connected(g):
+                assert manifold.failing_witness == min(g.vertices), (d, g.edges())
+            elif failing:
+                assert manifold.failing_witness == failing[0], (d, g.edges())
+
     def test_memo_is_capped_like_the_kernel_memo(self, monkeypatch):
         from digitopo import classify as recognizers
         from digitopo._kernels import _pure
@@ -514,3 +534,90 @@ class TestLargeInputs:
         start = time.perf_counter()
         assert classify(g) == ClassificationVerdict("Manifold", 2)
         assert time.perf_counter() - start < 5
+
+
+# ---------------------------------------------------------------------------
+# one memoized rim walk: each rim's rows are built once, and the top-level
+# deletion clause runs once per recognizer call
+
+
+def cold():
+    recognizers.clear_caches()
+    kernels.clear_caches()
+
+
+def recursion_depth():
+    """The interpreter's recursion depth at the caller: one below the lowest
+    limit `sys.setrecursionlimit` accepts there."""
+    old = sys.getrecursionlimit()
+    lo, hi = 1, old
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            sys.setrecursionlimit(mid)
+            hi = mid
+        except RecursionError:
+            lo = mid + 1
+    sys.setrecursionlimit(old)
+    return lo - 1
+
+
+class TestOneRimWalk:
+    def test_classify_builds_no_rim_twice(self, monkeypatch):
+        calls = []
+
+        def counted(rows, mask):
+            calls.append(mask)
+            return subgraph_rows(rows, mask)
+
+        monkeypatch.setattr(recognizers, "subgraph_rows", counted)
+        for g in spheres_for_clause_facts():
+            built = []
+            for recognize in (surface_dimension, classify):
+                cold()
+                calls.clear()
+                recognize(g)
+                built.append(len(calls))
+            assert built[1] <= built[0], (g.order, built)
+
+    @pytest.mark.parametrize("name", ["torus16", "klein16", "rp11"])
+    def test_top_level_deletion_clause_runs_once(self, monkeypatch, name):
+        from digitopo.catalog import get
+
+        g = shuffled_copy(random.Random(name), get(name).graph)
+        full_rows = []
+        failing_deletion = recognizers._failing_deletion
+
+        def counted(rows, order, d):
+            full_rows.append(rows == g._rows)
+            return failing_deletion(rows, order, d)
+
+        monkeypatch.setattr(recognizers, "_failing_deletion", counted)
+        # every G - v of a closed surface other than the sphere fails, so the
+        # sphere witness is the first label, whatever the vertex order
+        for recognize, verdict in (
+            (classify, ClassificationVerdict("Manifold", 2)),
+            (lambda g: is_n_sphere(g, 2), ClassificationVerdict("None", None, min(g.vertices))),
+        ):
+            cold()
+            full_rows.clear()
+            assert recognize(g) == verdict
+            assert full_rows.count(True) == 1, verdict
+
+    def test_recursion_gets_no_deeper(self):
+        """On the minimal 20-sphere, with cold caches, each call needed these
+        many frames over the depth at the call before the recognizers shared
+        one walk (measured on CPython 3.11); two more are allowed."""
+        g = minimal_sphere(20)
+        old = sys.getrecursionlimit()
+        for call, need in (
+            (classify, 63),
+            (lambda g: is_n_sphere(g, 20), 63),
+            (surface_dimension, 23),
+        ):
+            cold()
+            sys.setrecursionlimit(recursion_depth() + need + 2)
+            try:
+                call(g)
+            finally:
+                sys.setrecursionlimit(old)
