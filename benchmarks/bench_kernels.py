@@ -6,7 +6,9 @@ package's real call sites; layer rows time `cubical_model`, cold-cache
 `classify` (grown spheres, a grown torus as a negative for the sphere
 clause, and the minimal 20-sphere, whose time is all rim walk), `homology`
 of reduced 3-D sphere shells, tier 2 of contractibility on the dunce hat,
-and the cover operations on the brick-wall torus; the macro row runs sphere
+and the cover operations on the brick-wall torus, each on a fresh cover
+(a cover computes its nerve once and keeps it), alone and together as one
+`certify`-shaped cover task; the macro row runs sphere
 recognition, a 3-D digitization and a cover validation once, after clearing
 every memo table.
 
@@ -23,6 +25,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from digitopo import _kernels as kernels  # noqa: E402
+from digitopo.invariants import CLIQUE_CAP  # noqa: E402
 
 
 def _inputs():
@@ -106,7 +109,9 @@ def micro():
         )
     for gname, g in canon_graphs.items():
         if g.order <= 20:
-            spec.append((f"clique_counts {gname}", g, lambda n, r: kernels.clique_counts(n, r, 9)))
+            spec.append(
+                (f"clique_counts {gname}", g, lambda n, r: kernels.clique_counts(n, r, CLIQUE_CAP))
+            )
     _table(spec)
 
 
@@ -167,13 +172,13 @@ def layers():
     hat = dunce_hat()
     t = _time(lambda: _pure._acyclic(hat.order, hat._rows))
     print(f"{'tier 2 (_acyclic) on the 49-vertex dunce hat':50s}{t * 1e3:>10.2f}ms")
-    cover = brick_wall_torus_cover()
     for name, call in (
         ("validate_lcl", validate_lcl),
         ("nerve", nerve),
         ("boundary_trace_cover", lambda c: boundary_trace_cover(c, 0)),
+        ("cover task", lambda c: (validate_lcl(c), nerve(c), boundary_trace_cover(c, 0))),
     ):
-        t = _time(lambda: call(cover))
+        t = _time(lambda: call(brick_wall_torus_cover()))
         print(f"{f'{name} brick-wall torus (16 cells)':50s}{t * 1e3:>10.2f}ms")
 
 

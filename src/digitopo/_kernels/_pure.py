@@ -477,7 +477,7 @@ def _witness(n: int, rows) -> list[int]:
 # clique counting
 
 
-def cliques(n: int, rows, cap: int = 9):
+def cliques(n: int, rows, cap: int):
     """Every clique once, as an increasing tuple of vertex indices.
 
     Raises ValueError if a clique larger than ``cap`` exists; callers treat
@@ -514,7 +514,7 @@ def cliques_by_size(n: int, rows, cap: int) -> list[list[tuple[int, ...]]]:
     return by_size
 
 
-def clique_counts(n: int, rows, cap: int = 9) -> list[int]:
+def clique_counts(n: int, rows, cap: int) -> list[int]:
     """Number of k-vertex cliques for k = 1..cap (index k-1); see cliques."""
     counts = [0] * cap
     for c in cliques(n, rows, cap):

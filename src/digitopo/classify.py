@@ -312,8 +312,11 @@ def classify(g: Graph, dimension: Optional[int] = None) -> ClassificationVerdict
     """
     d = surface_dimension(g) if dimension is None else dimension
     if d is None:
+        # every rim a surface: the graph is disconnected (adjacent vertices
+        # then have rims of one dimension), named by its smallest label
         i = _failing_rim(g, lambda m, r: _dimension(m, r) is not None)
-        return ClassificationVerdict(KIND_NONE, None, None if i is None else g._labels[i])
+        witness = min(g._labels, default=None) if i is None else g._labels[i]
+        return ClassificationVerdict(KIND_NONE, None, witness)
     sphere = is_n_sphere(g, d)
     if d == 0 or sphere.ok:
         return sphere

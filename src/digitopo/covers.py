@@ -5,7 +5,9 @@ torus) lattice, which keeps every intersection exactly computable. All
 arithmetic uses Fractions; there are no epsilons anywhere.
 
 The nerve (intersection graph) is kept as bitmask rows, ``rows[i]`` having
-bit ``j`` set when cells i and j meet, from one pairwise pass. Validation
+bit ``j`` set when cells i and j meet, from one pairwise pass per cover:
+`BoxCover._nerve_rows` computes it on first use and keeps it, and
+validation, `nerve` and `boundary_trace_cover` all read it. Validation
 walks the cliques of the nerve once with the package's clique walk
 (`_kernels._pure.cliques`): a clique whose cells share a point gets the
 locally-lump check, which requires every nonempty k-wise intersection to
@@ -18,13 +20,14 @@ share a common point).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
-from ._kernels._pure import canon_bytes, cliques
+from ._kernels._pure import _bits, canon_bytes, cliques, subgraph_rows
 from .graph import Graph
 from .invariants import CLIQUE_CAP
 
@@ -131,6 +134,17 @@ class BoxCover:
     def ambient(self) -> int:
         return self.cells[0].ambient
 
+    @functools.cached_property
+    def _nerve_rows(self) -> tuple[int, ...]:
+        """Bitmask rows of the intersection graph, pair by pair; computed on
+        first use and kept (not a field, so equality and output ignore it)."""
+        rows = [0] * len(self.cells)
+        for i, j in itertools.combinations(range(len(self.cells)), 2):
+            if _intersection_pieces([self.cells[i], self.cells[j]], self.periods) is not None:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        return tuple(rows)
+
     def to_obj(self) -> dict[str, Any]:
         return {
             "ambient": self.ambient,
@@ -232,6 +246,13 @@ def _intersection_pieces(
     return out
 
 
+def _single_box(pieces: list[list[tuple[Fraction, Fraction]]]) -> Optional[BoxCell]:
+    """The box of per-axis ``pieces`` when every axis has one piece, else None."""
+    if any(len(ax) != 1 for ax in pieces):
+        return None
+    return BoxCell(tuple(ax[0][0] for ax in pieces), tuple(ax[0][1] for ax in pieces))
+
+
 def intersect_cells(
     cells: Sequence[BoxCell], periods: Sequence[Optional[Fraction]]
 ) -> Optional[BoxCell]:
@@ -250,30 +271,26 @@ def intersect_cells(
     pieces = _intersection_pieces(cells, periods)
     if pieces is None:
         return None
-    if any(len(ax_pieces) != 1 for ax_pieces in pieces):
+    box = _single_box(pieces)
+    if box is None:
         raise CoverError("intersection is not a single box")
-    lo = tuple(ax_pieces[0][0] for ax_pieces in pieces)
-    hi = tuple(ax_pieces[0][1] for ax_pieces in pieces)
-    return BoxCell(lo, hi)
+    return box
 
 
 def _box_in_relative_boundary(
-    e_lo: Sequence[Fraction],
-    e_hi: Sequence[Fraction],
-    cell: BoxCell,
-    periods: Sequence[Optional[Fraction]],
+    box: BoxCell, cell: BoxCell, periods: Sequence[Optional[Fraction]]
 ) -> bool:
-    """Is the box E inside the relative boundary of ``cell``?
+    """Is ``box`` inside the relative boundary of ``cell``?
 
-    True when some fat axis of the cell sees E pinned to one of its two
-    facet coordinates. Degenerate axes of the cell carry no facets.
+    True when some fat axis of the cell sees the box pinned to one of its
+    two facet coordinates. Degenerate axes of the cell carry no facets.
     """
     for ax, period in enumerate(periods):
         if cell.hi[ax] == cell.lo[ax]:
             continue
-        if e_lo[ax] != e_hi[ax]:
+        if box.lo[ax] != box.hi[ax]:
             continue
-        x = e_lo[ax]
+        x = box.lo[ax]
         for facet in (cell.lo[ax], cell.hi[ax]):
             if x == facet:
                 return True
@@ -305,27 +322,16 @@ class LclReport:
         return {"verdict": self.verdict, "violations": [v.to_obj() for v in self.violations]}
 
 
-def _nerve_rows(cells: Sequence[BoxCell], periods: Sequence[Optional[Fraction]]) -> list[int]:
-    """Bitmask rows of the intersection graph of ``cells``, pair by pair."""
-    rows = [0] * len(cells)
-    for i, j in itertools.combinations(range(len(cells)), 2):
-        if _intersection_pieces([cells[i], cells[j]], periods) is not None:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return rows
-
-
 def _ll_violations(
     cover: BoxCover, indices: tuple[int, ...], pieces: list[list[tuple[Fraction, Fraction]]]
 ) -> list[LclViolation]:
     """The locally-lump clauses for cells ``indices`` whose common
     intersection has the per-axis ``pieces``."""
-    if any(len(ax) != 1 for ax in pieces):
+    box = _single_box(pieces)
+    if box is None:
         return [LclViolation(indices, "LL-dimension", "intersection is not a single box")]
     out = []
-    e_lo = [ax[0][0] for ax in pieces]
-    e_hi = [ax[0][1] for ax in pieces]
-    dim = sum(1 for a, b in zip(e_lo, e_hi) if b > a)
+    dim = box.dimension
     k = len(indices)
     want = cover.n + 1 - k
     if want < 0:
@@ -335,7 +341,7 @@ def _ll_violations(
         detail = f"intersection has dimension {dim}, expected {want}"
         out.append(LclViolation(indices, "LL-dimension", detail))
     for i in indices:
-        if not _box_in_relative_boundary(e_lo, e_hi, cover.cells[i], cover.periods):
+        if not _box_in_relative_boundary(box, cover.cells[i], cover.periods):
             detail = f"intersection not inside the boundary of cell {i}"
             out.append(LclViolation(indices, "LL-boundary", detail))
     return out
@@ -353,7 +359,7 @@ def validate_lcl(cover: BoxCover) -> LclReport:
     above `invariants.CLIQUE_CAP` cells raises CoverError (at most n+1 cells
     of a valid cover meet).
     """
-    rows = _nerve_rows(cover.cells, cover.periods)
+    rows = cover._nerve_rows
     violations: list[LclViolation] = []
     try:
         for clique in cliques(len(rows), rows, CLIQUE_CAP):
@@ -382,7 +388,7 @@ def validate_lcl(cover: BoxCover) -> LclReport:
 def nerve(cover: BoxCover) -> Graph:
     """Intersection graph: one vertex per cell, edges between meeting cells."""
     labels = tuple(f"c{i}" for i in range(len(cover.cells)))
-    return Graph(labels, tuple(_nerve_rows(cover.cells, cover.periods)))
+    return Graph(labels, cover._nerve_rows)
 
 
 def boundary_trace_cover(cover: BoxCover, i: int) -> tuple[BoxCover, bool]:
@@ -391,28 +397,19 @@ def boundary_trace_cover(cover: BoxCover, i: int) -> tuple[BoxCover, bool]:
     Returns the collection of pairwise intersections with cell i as an
     (n-1)-dimensional cover, plus the verdict that its nerve is isomorphic
     to the nerve induced on the neighbors of cell i (which holds on valid
-    LCL input). The induced nerve comes from the neighbor cells alone; no
-    other pair of cells is intersected.
+    LCL input). Both nerves are read from the covers' own rows; only cell i
+    and its neighbors are intersected again, to get the traces as boxes.
     """
     if not 0 <= i < len(cover.cells):
         raise CoverError(f"no cell {i}")
-    neighbors = []
-    traces = []
-    for j, cell in enumerate(cover.cells):
-        if j == i:
-            continue
-        box = intersect_cells([cover.cells[i], cell], cover.periods)
-        if box is not None:
-            neighbors.append(cell)
-            traces.append(box)
-    if not neighbors:
+    rows = cover._nerve_rows
+    cell = cover.cells[i]
+    traces = [intersect_cells([cell, cover.cells[j]], cover.periods) for j in _bits(rows[i])]
+    if not traces:
         raise CoverError(f"cell {i} has no neighbors")
     traced = BoxCover.make(traces, cover.periods, cover.n - 1)
-    induced = _nerve_rows(neighbors, cover.periods)
-    verdict = canon_bytes(len(traces), induced) == canon_bytes(
-        len(traces), _nerve_rows(traced.cells, traced.periods)
-    )
-    return traced, verdict
+    induced = canon_bytes(*subgraph_rows(rows, rows[i]))
+    return traced, induced == canon_bytes(len(traces), traced._nerve_rows)
 
 
 # ---------------------------------------------------------------------------

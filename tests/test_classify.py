@@ -239,6 +239,17 @@ class TestClassify:
         v = classify(get("torus16").graph)
         assert v.kind == "Manifold" and v.dimension == 2
 
+    @pytest.mark.parametrize("other", [cycle_graph(4, "d"), octahedron()])
+    def test_disconnected_surfaces_name_the_smallest_label(self, other):
+        """Every rim a surface but the graph disconnected: no dimension, and
+        the witness is the smallest label, as for `is_n_manifold`."""
+        c4 = cycle_graph(4)
+        g = build_graph(c4.vertices + other.vertices, c4.edges() + other.edges())
+        assert surface_dimension(g) is None
+        v = classify(g)
+        assert v.to_obj() == {"kind": "None", "dimension": None, "witness": min(g.vertices)}
+        assert v.failing_witness == is_n_manifold(g, 1).failing_witness
+
     def test_verdict_serialization(self):
         v = ClassificationVerdict("Sphere", 2, None)
         assert v.to_obj() == {"kind": "Sphere", "dimension": 2, "witness": None}

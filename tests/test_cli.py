@@ -68,6 +68,13 @@ class TestClassify:
         assert code == 0
         assert json.loads(out) == {"dimension": 2, "kind": "Sphere", "witness": None}
 
+    def test_disconnected_surface_names_the_smallest_label(self, files, capsys):
+        path = files / "two_c4.txt"
+        path.write_text("a b\nb c\nc d\nd a\nw x\nx y\ny z\nz w\n")
+        code, out, _ = run(capsys, "classify", str(path))
+        assert code == 1
+        assert out == '{"dimension":null,"kind":"None","witness":"a"}\n'
+
     def test_failed_property_exit_1(self, files, capsys):
         code, out, _ = run(capsys, "classify", str(files / "c4.json"), "--dim", "2", "--kind", "sphere")
         assert code == 1
@@ -173,6 +180,14 @@ class TestCover:
         code, out, _ = run(capsys, "cover", "trace", str(files / "circle_cover.json"), "--cell", "0")
         obj = json.loads(out)
         assert code == 0 and obj["isomorphic"]
+
+    def test_trace_of_a_cell_meeting_a_neighbor_twice_exit_2(self, files, capsys):
+        path = files / "two_arcs.json"
+        cells = [{"lo": [0], "hi": [2]}, {"lo": ["3/2"], "hi": ["7/2"]}]
+        path.write_text(json.dumps({"ambient": 1, "n": 1, "domain": {"periodic": [3]}, "cells": cells}))
+        code, out, err = run(capsys, "cover", "trace", str(path), "--cell", "0")
+        assert code == 2 and not out
+        assert err == "input error: intersection is not a single box\n"
 
     def test_validate_clique_above_cap_exit_2(self, files, capsys):
         # 30 pairwise-meeting cells have 2^30 subfamilies; the walk stops at

@@ -16,6 +16,7 @@ from conftest import (
     generated_box_covers,
     random_box_covers,
 )
+from digitopo import covers
 from digitopo.catalog import get
 from digitopo.classify import is_n_sphere
 from digitopo.covers import (
@@ -245,6 +246,16 @@ class TestBoundaryTrace:
         with pytest.raises(CoverError, match="no neighbors"):
             boundary_trace_cover(cover, 0)
 
+    def test_neighbor_meeting_in_two_arcs_is_not_a_single_box(self):
+        # on a period-3 circle, [0,2] and [3/2,7/2] meet in [0,1/2] and [3/2,2]
+        cover = BoxCover.make(
+            [BoxCell.make([0], [2]), BoxCell.make(["3/2"], ["7/2"])], [3], 1
+        )
+        with pytest.raises(CoverError, match="intersection is not a single box"):
+            boundary_trace_cover(cover, 0)
+        with pytest.raises(CoverError, match="no cell 2"):
+            boundary_trace_cover(cover, 2)
+
     def test_holds_across_generated_suite(self):
         for cover in generated_box_covers(12, seed=31):
             for i in range(len(cover.cells)):
@@ -253,6 +264,38 @@ class TestBoundaryTrace:
                 except CoverError:
                     continue  # isolated cells only
                 assert verdict, (cover.to_obj(), i)
+
+
+class TestOneNervePerCover:
+    def test_pairwise_pass_runs_once(self, monkeypatch):
+        """Validation, nerve and trace of cell 0 on the brick wall intersect
+        C(16,2) pairs for the cover's nerve, its 48 edges again as 2-cliques
+        of the LCL walk, cell 0 with its 6 neighbors, and C(6,2) pairs for
+        the traced cover's nerve; a second nerve intersects nothing."""
+        pairs = []
+        pieces = covers._intersection_pieces
+
+        def counting(cells, periods):
+            pairs.append(len(cells) == 2)
+            return pieces(cells, periods)
+
+        monkeypatch.setattr(covers, "_intersection_pieces", counting)
+        cover = brick_wall_torus_cover()
+        validate_lcl(cover)
+        nerve(cover)
+        boundary_trace_cover(cover, 0)
+        assert sum(pairs) == 120 + 48 + 6 + 15
+        before = len(pairs)
+        nerve(cover)
+        assert len(pairs) == before
+
+    def test_cached_nerve_leaves_equality_and_output_alone(self):
+        cover, fresh = brick_wall_torus_cover(), brick_wall_torus_cover()
+        nerve(cover)
+        assert "_nerve_rows" in vars(cover) and "_nerve_rows" not in vars(fresh)
+        assert cover == fresh and hash(cover) == hash(fresh)
+        assert repr(cover) == repr(fresh) and cover.to_obj() == fresh.to_obj()
+        assert BoxCover.from_obj(cover.to_obj()) == fresh
 
 
 class TestMergeCells:
