@@ -4,13 +4,15 @@
 Micro rows call the kernel functions directly on graphs shaped like the
 package's real call sites; layer rows time `cubical_model`, cold-cache
 `classify` (grown spheres, a grown torus as a negative for the sphere
-clause, and the minimal 20-sphere, whose time is all rim walk), `homology`
-of reduced 3-D sphere shells, tier 2 of contractibility on the dunce hat,
+clause, and the minimal 20-sphere, whose time is all rim walk), cold-cache
+`reduce` of 3-D sphere shells (the `digitize` hot path) and `homology` of
+their residues, tier 2 of contractibility on the dunce hat,
 and the cover operations on the brick-wall torus, each on a fresh cover
 (a cover computes its nerve once and keeps it), alone and together as one
 `certify`-shaped cover task; the macro row runs sphere
 recognition, a 3-D digitization and a cover validation once, after clearing
-every memo table.
+every memo table. Each `classify` and `reduce` row also prints the number
+of rim tests (calls of `_pure._simple`, the one rim test) in one cold run.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -130,6 +132,26 @@ def _grown(g, order: int, seed: int):
     return g
 
 
+def _rim_tests(fn) -> int:
+    """Calls of `_pure._simple` in one run of ``fn``: the wrapper replaces it
+    in `_pure` and under the name `classify` imported, then is removed."""
+    import digitopo.classify
+    from digitopo._kernels import _pure
+
+    real, count = _pure._simple, [0]
+
+    def counting(*args):
+        count[0] += 1
+        return real(*args)
+
+    _pure._simple = digitopo.classify._simple = counting
+    try:
+        fn()
+    finally:
+        _pure._simple = digitopo.classify._simple = real
+    return count[0]
+
+
 def layers():
     import digitopo
     from conftest import brick_wall_torus_cover, dunce_hat
@@ -161,10 +183,18 @@ def layers():
             digitopo.classify.clear_caches()
             assert classify(g).kind == kind
 
-        t = _time(cold_classify)
-        print(f"{f'classify {label}':50s}{t * 1e3:>10.2f}ms")
+        t, tests = _time(cold_classify), _rim_tests(cold_classify)
+        print(f"{f'classify {label}':50s}{t * 1e3:>10.2f}ms{tests:>10d} rim tests")
     for r, w in (("3/2", "2"), ("2", "5/2")):
         shell = model_graph(cubical_model(shape_sphere(r), BoxCell.make([f"-{w}"] * 3, [w] * 3), "1/4"))
+
+        def cold_reduce():
+            kernels.clear_caches()
+            return reduce(shell)
+
+        t, tests = _time(cold_reduce), _rim_tests(cold_reduce)
+        label = f"reduce r={r} shell ({shell.order} vertices)"
+        print(f"{label:50s}{t * 1e3:>10.2f}ms{tests:>10d} rim tests")
         residue, _ = reduce(shell)
         t = _time(lambda: homology(residue))
         label = f"homology r={r} shell residue ({residue.order} vertices)"

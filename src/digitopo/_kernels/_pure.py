@@ -8,9 +8,9 @@ Everything is deterministic and every verdict is exact. Contractibility is
 decided in three tiers (greedy deletion, homology of the stuck residue,
 exact search; see `is_contractible`) and memoized in one table under two
 kinds of exact keys: the input rows, and the canonical forms of the exact
-search's nodes. A cached verdict is always safe to reuse.
-`contractible_within` runs the same tiers on a vertex mask of fixed rows,
-with rim verdicts in a table the caller owns.
+search's nodes. A cached verdict is always safe to reuse. Rim tests go
+through one function, `_simple`, which reads a table of rim verdicts keyed
+on the rim mask, one table per pass, in front of that memo.
 """
 
 from __future__ import annotations
@@ -229,10 +229,10 @@ def canon_bytes(n: int, rows) -> bytes:
 # simple point) can be deleted leaving a contractible graph. Three tiers
 # decide it, and each tier's answer is exact:
 #
-# 1. Greedy: delete simple points in (degree, index) order, re-testing only
-#    the neighbors of each deleted vertex. Reaching one vertex proves
-#    contractibility, and the deletion order is the first branch of the
-#    exact search. A cone needs no pass (see `decide`).
+# 1. Greedy: delete simple points in (degree, index) order, testing a
+#    vertex's rim only when its heap entry comes first. Reaching one vertex
+#    proves contractibility, and the deletion order is the first branch of
+#    the exact search. A cone needs no pass (see `decide`).
 # 2. Invariants: simple-point deletions preserve homology (Ivashchenko,
 #    Discrete Math. 126, 1994) and a contractible graph has the homology of
 #    a point, so a stuck residue whose Euler characteristic is not 1, or
@@ -242,23 +242,16 @@ def canon_bytes(n: int, rows) -> bytes:
 #    (Benedetti & Lutz, Exp. Math. 23, 2014), so what survives tier 2 gets
 #    the backtracking search over every simple point.
 #
-# Rim tests at every tier call back into is_contractible, whose verdicts are
-# memoized on the exact rows. Rims arrive densely reindexed, so a rim that
-# recurs after unrelated deletions recurs under the same key. Canonical
-# forms key only the nodes of the exact search.
-#
-# `contractible_within` runs the same tiers on a vertex mask of fixed parent
-# rows. Its rim verdicts, nested rims included, go into a table the caller
-# owns, keyed on the rim mask: exact while the rows stay fixed, and shared by
-# every call on the same rows (the n deletion clauses of a sphere test).
-# Dense rows are built only for a stalled pass, for tiers 2 and 3, by
-# `settle_within`, which the sphere clause also calls after running its own
-# greedy pass (it keeps the deletion order). A caller may seed the table
-# with verdicts it already knows: the sphere clause enters every rim of its
-# candidate as not contractible and every rim minus one vertex as
-# contractible, both exact once every rim is a sphere (see `classify`). The
-# rows-keyed memo stays the key for `reduce` and `decide`: there, translated
-# copies of a rim recur under equal rows but under different masks.
+# Every rim test is `_simple`. It looks the rim mask up in a table of rim
+# verdicts, exact while the rows stay fixed: one per greedy pass, one per
+# node of the exact search, or one the caller owns and shares between
+# passes on the same rows (the n deletion clauses of a sphere test, whose
+# table `classify` seeds with verdicts it already knows). A miss answers a
+# cone at once and otherwise calls is_contractible on the rim densely
+# reindexed, so the rows-keyed memo behind the table still hits when a rim
+# recurs under a different mask: translated copies of a rim in `reduce`,
+# equal rims of different search states in `homotopy_equivalent`.
+# Canonical forms key only the nodes of the exact search.
 
 
 def is_contractible(n: int, rows) -> bool:
@@ -295,25 +288,11 @@ def decide(n: int, rows) -> tuple[bool, int]:
     return _exact(n, rows), 3
 
 
-def contractible_within(rows, alive: int, rims: dict[int, bool]) -> bool:
-    """Exact decision for the subgraph induced on ``alive``, on the parent rows.
-
-    ``rims`` maps a vertex mask to the verdict for the subgraph it induces;
-    it is read and filled for every rim the greedy pass tests, so pass the
-    same table to every call on the same ``rows``. A stalled pass goes to
-    tiers 2 and 3 on dense rows.
-    """
-    if _cone(rows, alive):
-        return True
-    rest, _ = _greedy(len(rows), rows, start=alive, rims=rims)
-    return settle_within(rows, alive, rest)
-
-
 def settle_within(rows, alive: int, rest: int) -> bool:
-    """The verdict for the subgraph induced on ``alive`` once its greedy
-    pass (see `contractible_within`) has left the vertices of ``rest``: the
-    pass's own answer when at most one is left, else tiers 2 and 3 on dense
-    rows."""
+    """The verdict for the subgraph induced on ``alive`` of ``rows`` once
+    its greedy pass (``_greedy(len(rows), rows, start=alive)``) has left the
+    vertices of ``rest``: the pass's own answer when at most one is left,
+    else tiers 2 and 3 on dense rows."""
     if not rest & (rest - 1):
         return rest != 0
     # simple-point deletions keep the components, so the residue is
@@ -323,16 +302,13 @@ def settle_within(rows, alive: int, rest: int) -> bool:
     return _exact(*subgraph_rows(rows, alive))
 
 
-def _simple(rows, v: int, alive: int, rims: dict[int, bool] | None = None) -> bool:
-    """Is the rim of ``v`` among the ``alive`` vertices contractible? Without
-    a ``rims`` table, a rim that is a cone is answered without building its
-    rows; with one, see `contractible_within`."""
+def _simple(rows, v: int, alive: int, rims: dict[int, bool]) -> bool:
+    """Is the rim of ``v`` among the ``alive`` vertices contractible? The
+    verdict is read from, or stored into, ``rims`` under the rim mask."""
     rim = rows[v] & alive
-    if rims is None:
-        return _cone(rows, rim) or is_contractible(*subgraph_rows(rows, rim))
     hit = rims.get(rim)
     if hit is None:
-        hit = rims[rim] = contractible_within(rows, rim, rims)
+        hit = rims[rim] = _cone(rows, rim) or is_contractible(*subgraph_rows(rows, rim))
     return hit
 
 
@@ -346,31 +322,31 @@ def _greedy(
     Each deleted vertex is the simple one of minimum degree among the
     surviving vertices; equal degrees go to the smaller ``tie[i]`` (the
     index ``i`` itself when ``tie`` is None; `homotopy.reduce` passes the
-    vertex labels). Only the neighbors of a deleted vertex are tested again.
-    Rim tests use the ``rims`` table when one is given (see `_simple`).
+    vertex labels). That vertex is found lazily: each vertex has a heap
+    entry keyed ``(degree, tie, v)``, and its rim is tested (see `_simple`;
+    ``rims`` is a fresh table when None) only when the entry pops. A vertex
+    that is not simple gets a new entry only when a neighbor's deletion
+    changes its rim, so every smaller key was found not simple.
     """
     if tie is None:
         tie = range(n)
+    if rims is None:
+        rims = {}
     alive = (1 << n) - 1 if start is None else start
-    simple = {v for v in _bits(alive) if _simple(rows, v, alive, rims)}
-    # a vertex gets a heap entry each time it tests simple; degrees only drop,
-    # so its latest entry pops first and the older ones find it gone
-    heap = [((rows[v] & alive).bit_count(), tie[v], v) for v in simple]
+    heap = [((rows[v] & alive).bit_count(), tie[v], v) for v in _bits(alive)]
     heapify(heap)
     order: list[int] = []
     while heap:
-        v = heappop(heap)[2]
-        if v not in simple:
+        degree, _, v = heappop(heap)
+        # stale: v is gone, or a newer entry holds its lower degree
+        if not alive >> v & 1 or (rows[v] & alive).bit_count() != degree:
+            continue
+        if not _simple(rows, v, alive, rims):
             continue
         order.append(v)
         alive ^= 1 << v
-        simple.discard(v)
         for u in _bits(rows[v] & alive):
-            if _simple(rows, u, alive, rims):
-                simple.add(u)
-                heappush(heap, ((rows[u] & alive).bit_count(), tie[u], u))
-            else:
-                simple.discard(u)
+            heappush(heap, ((rows[u] & alive).bit_count(), tie[u], u))
     return alive, order
 
 
@@ -400,14 +376,14 @@ def _exact(n: int, rows) -> bool:
     found = _contractible.get(key)
     if found is not None:
         return found
-    stack = [(key, n, rows, iter(_greedy_order(n, rows)))]
+    stack = [(key, n, rows, iter(_greedy_order(n, rows)), {})]
     while stack:
-        key, n, rows, candidates = stack[-1]
+        key, n, rows, candidates, rims = stack[-1]
         full = (1 << n) - 1
         child = None
         if not found:
             for v in candidates:
-                if not _simple(rows, v, full):
+                if not _simple(rows, v, full, rims):
                     continue
                 cn, crows = subgraph_rows(rows, full ^ (1 << v))
                 alive, _ = _greedy(cn, crows)
@@ -417,7 +393,7 @@ def _exact(n: int, rows) -> bool:
                 ckey = canon_bytes(cn, crows)
                 found = _contractible.get(ckey)
                 if found is None:
-                    child = (ckey, cn, crows, iter(_greedy_order(cn, crows)))
+                    child = (ckey, cn, crows, iter(_greedy_order(cn, crows)), {})
                     break
                 if found:
                     break
@@ -460,9 +436,9 @@ def _witness(n: int, rows) -> list[int]:
     names = list(range(n))
     acc: list[int] = []
     while True:
-        full = (1 << n) - 1
+        full, rims = (1 << n) - 1, {}
         for v in _greedy_order(n, rows):
-            if _simple(rows, v, full):
+            if _simple(rows, v, full, rims):
                 dn, drows = subgraph_rows(rows, full ^ (1 << v))
                 if is_contractible(dn, drows):
                     break

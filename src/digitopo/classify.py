@@ -20,10 +20,12 @@ reindexed: each ``G - v`` is decided on the sphere candidate's own rows
 with ``alive = full ^ (1 << v)``, by a greedy pass of `_pure` and, when the
 pass stalls, `_pure.settle_within` on dense rows. All n clauses of one
 sphere test share one rim table, local to that test and keyed on rim masks,
-which are exact keys while the rows stay fixed; nested rims go into the
-same table. Three facts, each exact once every rim is a (d-1)-sphere, cut
-the passes (Ivashchenko, Discrete Math. 126, 1994: simple-point deletions
-preserve homology):
+which are exact keys while the rows stay fixed. A rim the table does not
+hold is decided on its own dense rows (`_pure._simple`), under the
+kernel's rows-keyed memo; its nested rims stay out of the table. Three
+facts, each exact once every rim is a (d-1)-sphere, cut the passes
+(Ivashchenko, Discrete Math. 126, 1994: simple-point deletions preserve
+homology):
 
 - Seeded rims (`_seeded_rims`). A whole rim is a sphere, which is not
   contractible: its reduced homology is nonzero. A rim minus one vertex is

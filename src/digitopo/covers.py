@@ -6,16 +6,17 @@ arithmetic uses Fractions; there are no epsilons anywhere.
 
 The nerve (intersection graph) is kept as bitmask rows, ``rows[i]`` having
 bit ``j`` set when cells i and j meet, from one pairwise pass per cover:
-`BoxCover._nerve_rows` computes it on first use and keeps it, and
-validation, `nerve` and `boundary_trace_cover` all read it. Validation
-walks the cliques of the nerve once with the package's clique walk
-(`_kernels._pure.cliques`): a clique whose cells share a point gets the
-locally-lump check, which requires every nonempty k-wise intersection to
-be a single box of dimension n+1-k lying in the relative boundary of each
-participating cell; a clique whose cells share no point and that no other
-cell meets entirely is a maximal clique breaking the locally-centered
-check, read the Helly way (every pairwise intersecting subfamily must
-share a common point).
+`BoxCover._pair_pieces` keeps the per-axis pieces of every meeting pair,
+`BoxCover._nerve_rows` reads the nerve off them, both on first use, and
+validation, `nerve` and `boundary_trace_cover` read them, so no pair is
+intersected twice. Validation walks the cliques of the nerve once with the
+package's clique walk (`_kernels._pure.cliques`): a clique whose cells
+share a point gets the locally-lump check, which requires every nonempty
+k-wise intersection to be a single box of dimension n+1-k lying in the
+relative boundary of each participating cell; a clique whose cells share
+no point and that no other cell meets entirely is a maximal clique
+breaking the locally-centered check, read the Helly way (every pairwise
+intersecting subfamily must share a common point).
 """
 
 from __future__ import annotations
@@ -135,14 +136,24 @@ class BoxCover:
         return self.cells[0].ambient
 
     @functools.cached_property
-    def _nerve_rows(self) -> tuple[int, ...]:
-        """Bitmask rows of the intersection graph, pair by pair; computed on
-        first use and kept (not a field, so equality and output ignore it)."""
-        rows = [0] * len(self.cells)
+    def _pair_pieces(self) -> dict[tuple[int, int], list]:
+        """Per-axis pieces of the intersection of cells ``i < j``, for every
+        pair that meets; computed on first use and kept (not a field, so
+        equality and output ignore it)."""
+        out = {}
         for i, j in itertools.combinations(range(len(self.cells)), 2):
-            if _intersection_pieces([self.cells[i], self.cells[j]], self.periods) is not None:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+            pieces = _intersection_pieces([self.cells[i], self.cells[j]], self.periods)
+            if pieces is not None:
+                out[i, j] = pieces
+        return out
+
+    @functools.cached_property
+    def _nerve_rows(self) -> tuple[int, ...]:
+        """Bitmask rows of the intersection graph, read off `_pair_pieces`."""
+        rows = [0] * len(self.cells)
+        for i, j in self._pair_pieces:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
         return tuple(rows)
 
     def to_obj(self) -> dict[str, Any]:
@@ -268,6 +279,8 @@ def intersect_cells(
     for c in cells:
         if c.ambient != p:
             raise CoverError("mixed ambient dimensions")
+    if len(periods) != p:
+        raise CoverError("period list length differs from ambient dimension")
     pieces = _intersection_pieces(cells, periods)
     if pieces is None:
         return None
@@ -365,7 +378,10 @@ def validate_lcl(cover: BoxCover) -> LclReport:
         for clique in cliques(len(rows), rows, CLIQUE_CAP):
             if len(clique) < 2:
                 continue
-            pieces = _intersection_pieces([cover.cells[i] for i in clique], cover.periods)
+            if len(clique) == 2:
+                pieces = cover._pair_pieces[clique]
+            else:
+                pieces = _intersection_pieces([cover.cells[i] for i in clique], cover.periods)
             if pieces is not None:
                 violations += _ll_violations(cover, clique, pieces)
                 continue
@@ -397,14 +413,15 @@ def boundary_trace_cover(cover: BoxCover, i: int) -> tuple[BoxCover, bool]:
     Returns the collection of pairwise intersections with cell i as an
     (n-1)-dimensional cover, plus the verdict that its nerve is isomorphic
     to the nerve induced on the neighbors of cell i (which holds on valid
-    LCL input). Both nerves are read from the covers' own rows; only cell i
-    and its neighbors are intersected again, to get the traces as boxes.
+    LCL input). Both nerves are read from the covers' own rows, and the
+    traces from the pieces of the cover's pairwise pass.
     """
     if not 0 <= i < len(cover.cells):
         raise CoverError(f"no cell {i}")
     rows = cover._nerve_rows
-    cell = cover.cells[i]
-    traces = [intersect_cells([cell, cover.cells[j]], cover.periods) for j in _bits(rows[i])]
+    traces = [_single_box(cover._pair_pieces[min(i, j), max(i, j)]) for j in _bits(rows[i])]
+    if None in traces:
+        raise CoverError("intersection is not a single box")
     if not traces:
         raise CoverError(f"cell {i} has no neighbors")
     traced = BoxCover.make(traces, cover.periods, cover.n - 1)

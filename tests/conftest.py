@@ -157,6 +157,44 @@ def brute_contractible(g: Graph) -> bool:
     return False
 
 
+def eager_greedy(n: int, rows, tie=None, start=None) -> tuple[int, list[int]]:
+    """The greedy pass as it was before it became lazy, kept as the
+    reference for `_pure._greedy`'s ``(alive, order)``: every vertex is
+    tested up front, every neighbor of a deleted vertex again, and the heap
+    holds only vertices that tested simple. Rims are decided on their own
+    dense rows by the kernel (whose verdicts the other oracles check), with
+    no table of rim verdicts."""
+    from heapq import heapify, heappop, heappush
+
+    from digitopo._kernels import _pure
+
+    def simple(v, alive):
+        rim = rows[v] & alive
+        return _pure._cone(rows, rim) or _pure.is_contractible(*_pure.subgraph_rows(rows, rim))
+
+    if tie is None:
+        tie = range(n)
+    alive = (1 << n) - 1 if start is None else start
+    simple_set = {v for v in _pure._bits(alive) if simple(v, alive)}
+    heap = [((rows[v] & alive).bit_count(), tie[v], v) for v in simple_set]
+    heapify(heap)
+    order: list[int] = []
+    while heap:
+        v = heappop(heap)[2]
+        if v not in simple_set:
+            continue
+        order.append(v)
+        alive ^= 1 << v
+        simple_set.discard(v)
+        for u in _pure._bits(rows[v] & alive):
+            if simple(u, alive):
+                simple_set.add(u)
+                heappush(heap, ((rows[u] & alive).bit_count(), tie[u], u))
+            else:
+                simple_set.discard(u)
+    return alive, order
+
+
 def all_labeled_graphs(n: int, prefix: str = "v"):
     """Yield every labeled graph on n vertices (2^(n choose 2) of them)."""
     vs = [f"{prefix}{i}" for i in range(n)]

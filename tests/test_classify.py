@@ -465,13 +465,13 @@ def dense_sphere_1(n, rows):
 
 class TestSphereClauseFacts:
     def test_seeded_rims_match_contractible_within(self):
-        from digitopo._kernels._pure import contractible_within
-
+        """Every seeded verdict is the dense decision of the rim it keys."""
         for g in spheres_for_clause_facts():
             seeded = recognizers._seeded_rims(g._rows)
             assert len(seeded) > g.order
             for mask, verdict in seeded.items():
-                assert contractible_within(g._rows, mask, {}) is verdict, (g.edges(), mask)
+                dense = kernels.is_contractible(*subgraph_rows(g._rows, mask))
+                assert dense is verdict, (g.edges(), mask)
 
     def test_rotated_orders_replay_on_dense_rows(self):
         rng = random.Random(8)

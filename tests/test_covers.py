@@ -86,6 +86,14 @@ class TestIntersectCells:
         with pytest.raises(CoverError, match="ambient"):
             intersect_cells([BoxCell.make([0], [1]), BoxCell.make([0, 0], [1, 1])], [None])
 
+    @pytest.mark.parametrize("periods", [[None], [None, None, None]])
+    def test_period_list_of_the_wrong_length_rejected(self, periods):
+        # too short, the second axis went unchecked and these disjoint
+        # squares "met"; too long, it raised IndexError
+        cells = [BoxCell.make([0, 0], [2, 2]), BoxCell.make([1, 5], [3, 6])]
+        with pytest.raises(CoverError, match="period list length differs from ambient"):
+            intersect_cells(cells, periods)
+
 
 class TestValidateLcl:
     def test_three_segments_valid(self):
@@ -269,9 +277,9 @@ class TestBoundaryTrace:
 class TestOneNervePerCover:
     def test_pairwise_pass_runs_once(self, monkeypatch):
         """Validation, nerve and trace of cell 0 on the brick wall intersect
-        C(16,2) pairs for the cover's nerve, its 48 edges again as 2-cliques
-        of the LCL walk, cell 0 with its 6 neighbors, and C(6,2) pairs for
-        the traced cover's nerve; a second nerve intersects nothing."""
+        C(16,2) pairs for the cover's nerve and C(6,2) pairs for the traced
+        cover's nerve: the LCL walk's 2-cliques and cell 0's traces read the
+        pieces of the first pass. A second nerve intersects nothing."""
         pairs = []
         pieces = covers._intersection_pieces
 
@@ -284,7 +292,7 @@ class TestOneNervePerCover:
         validate_lcl(cover)
         nerve(cover)
         boundary_trace_cover(cover, 0)
-        assert sum(pairs) == 120 + 48 + 6 + 15
+        assert sum(pairs) == 120 + 15
         before = len(pairs)
         nerve(cover)
         assert len(pairs) == before

@@ -6,6 +6,7 @@ before its greedy and homology tiers is kept below as a second oracle for
 graphs too large for brute force.
 """
 
+import itertools
 import random
 import sys
 import time
@@ -21,6 +22,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     dunce_hat,
+    eager_greedy,
     mod3_moore_space,
     octahedron,
     path_graph,
@@ -146,6 +148,16 @@ def dense_oracle(rows, alive):
     return _pure.is_contractible(*_pure.subgraph_rows(rows, alive))
 
 
+def within(rows, alive, rims):
+    """The sphere clause's decision of the subgraph on ``alive``: a cone,
+    or a greedy pass on the parent rows with the shared rim table, settled
+    on dense rows when it stalls."""
+    if _pure._cone(rows, alive):
+        return True
+    rest, _ = _pure._greedy(len(rows), rows, start=alive, rims=rims)
+    return _pure.settle_within(rows, alive, rest)
+
+
 @st.composite
 def graphs_7_to_12_with_masks(draw):
     n = draw(st.integers(7, 12))
@@ -163,16 +175,16 @@ def graphs_7_to_12_with_masks(draw):
 
 
 class TestContractibleWithin:
-    """`contractible_within` decides the subgraph on a mask of fixed rows,
-    sharing one rim table between calls; every verdict, and every verdict it
-    leaves in the table, must be the dense oracle's."""
+    """`within` decides the subgraph on a mask of fixed rows, sharing one
+    rim table between calls; every verdict, and every verdict it leaves in
+    the table, must be the dense oracle's."""
 
     def test_every_mask_of_every_graph_up_to_5(self):
         for n in range(6):
             for g in all_labeled_graphs(n):
                 rows, rims = g._rows, {}
                 for alive in range(1 << n):
-                    got = _pure.contractible_within(rows, alive, rims)
+                    got = within(rows, alive, rims)
                     assert got == dense_oracle(rows, alive), (g.edges(), alive)
                 for mask, verdict in rims.items():
                     assert verdict == dense_oracle(rows, mask), (g.edges(), mask)
@@ -183,7 +195,7 @@ class TestContractibleWithin:
         rows, alive_masks = case
         rims: dict[int, bool] = {}
         for alive in alive_masks:
-            assert _pure.contractible_within(rows, alive, rims) == dense_oracle(rows, alive)
+            assert within(rows, alive, rims) == dense_oracle(rows, alive)
         for mask, verdict in rims.items():
             assert verdict == dense_oracle(rows, mask)
 
@@ -193,23 +205,21 @@ class TestContractibleWithin:
         n, rows = masks(dunce_hat())
         full = (1 << n) - 1
         rims: dict[int, bool] = {}
-        assert _pure.contractible_within(rows, full, rims) is False
+        assert within(rows, full, rims) is False
         for v in range(0, n, 7):
-            assert _pure.contractible_within(rows, full ^ (1 << v), rims) == dense_oracle(
-                rows, full ^ (1 << v)
-            )
+            assert within(rows, full ^ (1 << v), rims) == dense_oracle(rows, full ^ (1 << v))
         c_rows = cycle_graph(6)._rows
-        assert _pure.contractible_within(c_rows, 0b111111, {}) is False
-        assert _pure.contractible_within(c_rows, 0b011111, {}) is True
-        assert _pure.contractible_within(c_rows, 0b001001, {}) is False
-        assert _pure.contractible_within(c_rows, 0, {}) is False
+        assert within(c_rows, 0b111111, {}) is False
+        assert within(c_rows, 0b011111, {}) is True
+        assert within(c_rows, 0b001001, {}) is False
+        assert within(c_rows, 0, {}) is False
 
     def test_disconnected_mask_is_refuted_before_the_exact_search(self, monkeypatch):
         # a point beside a 4-cycle: Euler characteristic 1, and the edge-rank
         # shortcut of tier 2 assumes a connected graph
         rows = build_graph(["p", "a", "b", "c", "d"], [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])._rows
         monkeypatch.setattr(_pure, "_exact", None)
-        assert _pure.contractible_within(rows, 0b11111, {}) is False
+        assert within(rows, 0b11111, {}) is False
 
     def test_subgraph_rows_reindexes_by_rank(self):
         rng = random.Random(8)
@@ -221,6 +231,71 @@ class TestContractibleWithin:
                 sum(1 << i for i, u in enumerate(verts) if g._rows[v] >> u & 1) for v in verts
             )
             assert _pure.subgraph_rows(g._rows, mask) == (len(verts), want)
+
+
+# ---------------------------------------------------------------------------
+# the lazy greedy pass against the eager one
+
+
+@st.composite
+def graphs_7_to_14_with_starts(draw):
+    n = draw(st.integers(7, 14))
+    density = draw(st.integers(1, 9))
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 9)) < density:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    # string ties as `homotopy.reduce` passes them: labels whose order is
+    # not the index order ("v10" < "v2")
+    labels = [f"v{i}" for i in draw(st.permutations(range(n)))]
+    full = (1 << n) - 1
+    starts = [None] + draw(st.lists(st.integers(0, full), max_size=4))
+    return n, rows, labels, starts
+
+
+class TestLazyGreedy:
+    """The lazy pass deletes the same vertices in the same order as the
+    eager pass it replaced (`conftest.eager_greedy`)."""
+
+    def test_every_graph_up_to_6(self):
+        for n in range(7):
+            for g in all_labeled_graphs(n):
+                assert _pure._greedy(n, g._rows) == eager_greedy(n, g._rows), g.edges()
+
+    def test_every_tie_order_up_to_4(self):
+        for n in range(5):
+            for g in all_labeled_graphs(n):
+                for tie in itertools.permutations(range(n)):
+                    want = eager_greedy(n, g._rows, tie)
+                    assert _pure._greedy(n, g._rows, tie) == want, (g.edges(), tie)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_7_to_14_with_starts())
+    def test_agrees_with_the_eager_pass(self, case):
+        n, rows, labels, starts = case
+        rims: dict[int, bool] = {}
+        for start in starts:
+            for tie in (None, labels):
+                want = eager_greedy(n, rows, tie, start)
+                assert _pure._greedy(n, rows, tie, start) == want
+                assert _pure._greedy(n, rows, tie, start, rims) == want
+        for mask, verdict in rims.items():
+            assert verdict == dense_oracle(rows, mask)
+
+    def test_reduce_keeps_the_eager_order_on_shells(self):
+        from digitopo.covers import BoxCell
+        from digitopo.digitizer import cubical_model, model_graph, shape_sphere
+
+        for r, w in (("3/2", "2"), ("2", "5/2")):
+            window = BoxCell.make([f"-{w}"] * 3, [w] * 3)
+            g = model_graph(cubical_model(shape_sphere(r), window, "1/4"))
+            assert g.order > 500
+            alive, order = eager_greedy(g.order, g._rows, g._labels)
+            residue, trace = reduce(g)
+            assert [s.v for s in trace.steps] == [g._labels[v] for v in order]
+            assert residue.order == alive.bit_count()
 
 
 class TestTiers:
