@@ -27,6 +27,7 @@ ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from digitopo import _kernels as kernels  # noqa: E402
+from digitopo._kernels import _pure  # noqa: E402
 from digitopo.invariants import CLIQUE_CAP  # noqa: E402
 
 
@@ -112,7 +113,7 @@ def micro():
     for gname, g in canon_graphs.items():
         if g.order <= 20:
             spec.append(
-                (f"clique_counts {gname}", g, lambda n, r: kernels.clique_counts(n, r, CLIQUE_CAP))
+                (f"cliques_by_size {gname}", g, lambda n, r: _pure.cliques_by_size(n, r, CLIQUE_CAP))
             )
     _table(spec)
 
@@ -136,7 +137,6 @@ def _rim_tests(fn) -> int:
     """Calls of `_pure._simple` in one run of ``fn``: the wrapper replaces it
     in `_pure` and under the name `classify` imported, then is removed."""
     import digitopo.classify
-    from digitopo._kernels import _pure
 
     real, count = _pure._simple, [0]
 
@@ -155,7 +155,6 @@ def _rim_tests(fn) -> int:
 def layers():
     import digitopo
     from conftest import brick_wall_torus_cover, dunce_hat
-    from digitopo._kernels import _pure
     from digitopo.catalog import get
     from digitopo.classify import classify, minimal_sphere
     from digitopo.covers import BoxCell, boundary_trace_cover, nerve, validate_lcl

@@ -7,18 +7,19 @@ adjacent:
     canon_bytes(n, rows)        exact canonical form of an adjacency-mask graph
     is_contractible(n, rows)    exact reducibility-to-a-point decision
     contraction_order(n, rows)  witnessing deletion order, or None
-    clique_counts(n, rows, cap) counts of k-vertex cliques
     connected(n, rows)          non-empty and connected
     clear_caches()              empty the contractibility memo
 
 The one implementation is `_pure`, whose `BACKEND` is always ``"pure"``.
+Its clique walk, `_pure.cliques` and the grouped `_pure.cliques_by_size`,
+is the one clique enumeration in the package: `invariants` reads the Euler
+characteristic and the homology off it, `covers` validates nerves with it.
 """
 
 from ._pure import (  # noqa: F401
     BACKEND,
     canon_bytes,
     clear_caches,
-    clique_counts,
     connected,
     contraction_order,
     is_contractible,

@@ -450,7 +450,7 @@ def _witness(n: int, rows) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# clique counting
+# clique enumeration
 
 
 def cliques(n: int, rows, cap: int):
@@ -489,10 +489,3 @@ def cliques_by_size(n: int, rows, cap: int) -> list[list[tuple[int, ...]]]:
         by_size[len(c) - 1].append(c)
     return by_size
 
-
-def clique_counts(n: int, rows, cap: int) -> list[int]:
-    """Number of k-vertex cliques for k = 1..cap (index k-1); see cliques."""
-    counts = [0] * cap
-    for c in cliques(n, rows, cap):
-        counts[len(c) - 1] += 1
-    return counts

@@ -60,7 +60,7 @@ from ._kernels._pure import (
     settle_within,
     subgraph_rows,
 )
-from .graph import Graph, GraphError, _mask_of, build_graph
+from .graph import Graph, GraphError, _mask_of
 
 KIND_SPHERE = "Sphere"
 KIND_MANIFOLD = "Manifold"
@@ -294,16 +294,10 @@ def minimal_sphere(n: int) -> Graph:
     """
     if n < 0:
         raise GraphError("sphere dimension must be >= 0")
-    labels = []
-    for i in range(n + 1):
-        labels += [f"s{i}a", f"s{i}b"]
-    edges = []
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            for a in (f"s{i}a", f"s{i}b"):
-                for b in (f"s{j}a", f"s{j}b"):
-                    edges.append((a, b))
-    return build_graph(labels, edges)
+    labels = tuple(f"s{i}{side}" for i in range(n + 1) for side in "ab")
+    # each vertex meets every other but itself and its partner
+    full = (1 << len(labels)) - 1
+    return Graph(labels, tuple(full ^ 3 << (k & ~1) for k in range(len(labels))))
 
 
 def classify(g: Graph, dimension: Optional[int] = None) -> ClassificationVerdict:

@@ -66,6 +66,8 @@ class BoxCell:
 
     @staticmethod
     def make(lo: Sequence[Any], hi: Sequence[Any]) -> "BoxCell":
+        if not isinstance(lo, (list, tuple)) or not isinstance(hi, (list, tuple)):
+            raise CoverError(f"lo and hi must be coordinate lists, got {lo!r} and {hi!r}")
         lof = tuple(_frac(x) for x in lo)
         hif = tuple(_frac(x) for x in hi)
         if len(lof) != len(hif):

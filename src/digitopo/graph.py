@@ -153,11 +153,16 @@ def ball(g: Graph, v: str) -> Graph:
 
 def edge_rim(g: Graph, u: str, v: str) -> Graph:
     """Induced subgraph on the common neighbors of the edge (u, v)."""
+    return _induced_mask(g, _edge_rim_mask(g, u, v))
+
+
+def _edge_rim_mask(g: Graph, u: str, v: str) -> int:
+    """The common neighbors of the edge (u, v), as a mask."""
     iu = g._require(u)
     iv = g._require(v)
     if not (g._rows[iu] >> iv) & 1:
         raise GraphError(f"({u!r}, {v!r}) is not an edge")
-    return _induced_mask(g, g._rows[iu] & g._rows[iv])
+    return g._rows[iu] & g._rows[iv]
 
 
 def induced_subgraph(g: Graph, keep: Iterable[str]) -> Graph:

@@ -8,6 +8,7 @@ the Euler characteristic and homology of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Any, Iterator, Optional, Union
 
 from . import _kernels as kernels
@@ -15,14 +16,13 @@ from ._kernels._pure import _greedy, subgraph_rows
 from .graph import (
     Graph,
     _check_label,
+    _edge_rim_mask,
     _flip_edge,
     _induced_mask,
     _mask_of,
     _with_vertex,
     _without_vertex,
     canonical_key,
-    edge_rim,
-    rim,
 )
 
 
@@ -127,10 +127,6 @@ def _label(lab: Any) -> str:
 # simplicity tests
 
 
-def _contractible_masks(g: Graph) -> bool:
-    return kernels.is_contractible(g.order, g._rows)
-
-
 def _contractible_on(rows, mask: int) -> bool:
     """Is the subgraph induced on the vertices of ``mask`` contractible?"""
     return kernels.is_contractible(*subgraph_rows(rows, mask))
@@ -138,12 +134,12 @@ def _contractible_on(rows, mask: int) -> bool:
 
 def is_simple_point(g: Graph, v: str) -> bool:
     """True when the rim of ``v`` is contractible."""
-    return _contractible_masks(rim(g, v))
+    return _contractible_on(g._rows, g._rows[g._require(v)])
 
 
 def is_simple_edge(g: Graph, u: str, v: str) -> bool:
     """True when the common-neighbor rim of the edge is contractible."""
-    return _contractible_masks(edge_rim(g, u, v))
+    return _contractible_on(g._rows, _edge_rim_mask(g, u, v))
 
 
 def is_contractible(g: Graph, return_trace: bool = False):
@@ -162,7 +158,7 @@ def is_contractible(g: Graph, return_trace: bool = False):
     the trace replays the witnessing deletions: the greedy order when the
     greedy pass succeeds, else the first successful branch of the search.
     """
-    verdict = _contractible_masks(g)
+    verdict = kernels.is_contractible(g.order, g._rows)
     if not return_trace:
         return verdict
     if not verdict:
@@ -377,7 +373,7 @@ def homotopy_equivalent(g: Graph, h: Graph, budget: int = 4000) -> EquivalenceVe
     characteristic or a Betti number differs; Unknown otherwise. An
     Equivalent verdict always carries replayable witness traces.
     """
-    from .invariants import euler_characteristic, homology, same_profile
+    from .invariants import _euler_and_homology, same_profile
 
     red_g, trace_g = reduce(g)
     red_h, trace_h = reduce(h)
@@ -385,14 +381,11 @@ def homotopy_equivalent(g: Graph, h: Graph, budget: int = 4000) -> EquivalenceVe
         return EquivalenceVerdict("Equivalent", traces=(trace_g, trace_h))
 
     # residues carry the same invariants as the inputs
-    eg, eh = euler_characteristic(red_g), euler_characteristic(red_h)
+    (eg, pg), (eh, ph) = _euler_and_homology(red_g), _euler_and_homology(red_h)
     if eg != eh:
         return EquivalenceVerdict("Distinguished", invariant="euler", values=(eg, eh))
-    pg, ph = homology(red_g), homology(red_h)
     if not same_profile(pg, ph):
-        for k in range(max(len(pg.betti_q), len(ph.betti_q))):
-            bg = pg.betti_q[k] if k < len(pg.betti_q) else 0
-            bh = ph.betti_q[k] if k < len(ph.betti_q) else 0
+        for k, (bg, bh) in enumerate(zip_longest(pg.betti_q, ph.betti_q, fillvalue=0)):
             if bg != bh:
                 return EquivalenceVerdict(
                     "Distinguished", invariant=f"betti_q[{k}]", values=(bg, bh)

@@ -4,7 +4,8 @@ These are the quantities contractible transformations preserve. All
 computations are exact: the clique complex is shrunk by coreduction and
 diagonalized over the integers (`_smith.homology_of`), which gives the
 rational Betti numbers and the torsion; the GF(2) Betti numbers follow from
-them. The simplices of a graph are its cliques, oriented by vertex order.
+them. The simplices of a graph are its cliques, oriented by vertex order,
+and every invariant reads them from one walk, `_pure.cliques_by_size`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from . import _kernels as kernels
 from ._kernels._pure import cliques_by_size
 from ._smith import homology_of
 from .graph import Graph, GraphError
@@ -20,19 +20,6 @@ from .graph import Graph, GraphError
 # Cliques above this size are treated as pathological input; the corpus
 # stays well below (Chebyshev-adjacent cube blocks peak at 8 in 3 dimensions).
 CLIQUE_CAP = 9
-
-
-@dataclass(frozen=True)
-class CliqueVector:
-    """counts[k-1] is the number of k-vertex cliques."""
-
-    counts: tuple[int, ...]
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
 
 @dataclass(frozen=True)
@@ -56,34 +43,36 @@ class HomologyProfile:
         }
 
 
-def _pad(seq: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return seq + (0,) * (n - len(seq))
+def _padded(p: HomologyProfile, n: int) -> tuple:
+    return (
+        p.betti_q + (0,) * (n - len(p.betti_q)),
+        p.betti_z2 + (0,) * (n - len(p.betti_z2)),
+        p.torsion + ((),) * (n - len(p.torsion)),
+    )
 
 
 def same_profile(a: HomologyProfile, b: HomologyProfile) -> bool:
+    """Equal profiles once both are padded with zeros to one dimension."""
     n = max(len(a.betti_q), len(b.betti_q))
-    if _pad(a.betti_q, n) != _pad(b.betti_q, n):
-        return False
-    if _pad(a.betti_z2, n) != _pad(b.betti_z2, n):
-        return False
-    ta = a.torsion + ((),) * (n - len(a.torsion))
-    tb = b.torsion + ((),) * (n - len(b.torsion))
-    return ta == tb
+    return _padded(a, n) == _padded(b, n)
 
 
 # ---------------------------------------------------------------------------
 # clique enumeration
 
 
-def clique_vector(g: Graph) -> CliqueVector:
-    """Exact clique counts, trimmed at the clique number."""
+def _cliques_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
+    """All cliques as increasing tuples of vertex indices, grouped by size."""
     try:
-        counts = kernels.clique_counts(g.order, g._rows, CLIQUE_CAP)
+        return cliques_by_size(g.order, g._rows, CLIQUE_CAP)
     except ValueError as exc:
         raise GraphError(str(exc)) from exc
-    while counts and counts[-1] == 0:
-        counts.pop()
-    return CliqueVector(tuple(counts))
+
+
+def clique_vector(g: Graph) -> tuple[int, ...]:
+    """Exact clique counts: index k-1 holds the number of k-vertex cliques,
+    up to the clique number."""
+    return tuple(map(len, _cliques_by_size(g)))
 
 
 def _alternating_sum(counts) -> int:
@@ -93,14 +82,6 @@ def _alternating_sum(counts) -> int:
 def euler_characteristic(g: Graph) -> int:
     """Alternating sum over the clique vector."""
     return _alternating_sum(clique_vector(g))
-
-
-def _cliques_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
-    """All cliques as increasing tuples of vertex indices, grouped by size."""
-    try:
-        return cliques_by_size(g.order, g._rows, CLIQUE_CAP)
-    except ValueError as exc:
-        raise GraphError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +97,13 @@ def homology(g: Graph) -> HomologyProfile:
     return HomologyProfile(*homology_of(_cliques_by_size(g)))
 
 
+def _euler_and_homology(g: Graph) -> tuple[int, HomologyProfile]:
+    """The Euler characteristic and the homology, from one clique walk."""
+    by_size = _cliques_by_size(g)
+    return _alternating_sum(map(len, by_size)), HomologyProfile(*homology_of(by_size))
+
+
 def invariant_report(g: Graph) -> dict[str, Any]:
     """JSON-ready bundle of every preserved quantity."""
-    by_size = _cliques_by_size(g)
-    profile = HomologyProfile(*homology_of(by_size))
-    return {"euler": _alternating_sum(len(group) for group in by_size), **profile.describe()}
+    euler, profile = _euler_and_homology(g)
+    return {"euler": euler, **profile.describe()}

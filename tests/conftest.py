@@ -195,6 +195,22 @@ def eager_greedy(n: int, rows, tie=None, start=None) -> tuple[int, list[int]]:
     return alive, order
 
 
+def labelled_model_graph(model) -> Graph:
+    """The digitizer's model graph as it was built from label pairs, kept as
+    the reference for `model_graph`'s rows: cubes within Chebyshev distance
+    one are joined by their labels, and `build_graph` indexes the sorted
+    labels."""
+    labels = {c: ",".join(str(x) for x in c) for c in model.cubes}
+    offsets = [o for o in itertools.product((-1, 0, 1), repeat=model.ambient) if any(o)]
+    edges = set()
+    for c in model.cubes:
+        for o in offsets:
+            d = tuple(a + b for a, b in zip(c, o))
+            if d in model.cubes:
+                edges.add(tuple(sorted((labels[c], labels[d]))))
+    return build_graph(sorted(labels.values()), sorted(edges))
+
+
 def all_labeled_graphs(n: int, prefix: str = "v"):
     """Yield every labeled graph on n vertices (2^(n choose 2) of them)."""
     vs = [f"{prefix}{i}" for i in range(n)]

@@ -421,8 +421,38 @@ class TestMalformedFields:
                 {"kind": "curve", "points": 5, "window": {"lo": [0], "hi": [1]}, "pitch": 1},
                 "curve 'points' must be an array of coordinate arrays",
             ),
+            (
+                ["cover", "validate"],
+                {"ambient": 2, "n": 2, "cells": [{"lo": "00", "hi": "11"}]},
+                "lo and hi must be coordinate lists, got '00' and '11'",
+            ),
+            (
+                ["cover", "validate"],
+                {"ambient": 2, "n": 2, "cells": [{"lo": {"a": 0, "b": 0}, "hi": [1, 1]}]},
+                "lo and hi must be coordinate lists, got {'a': 0, 'b': 0} and [1, 1]",
+            ),
+            (
+                ["digitize"],
+                {"kind": "region", "expr": "x", "window": {"lo": "00", "hi": "11"}, "pitch": 1},
+                "lo and hi must be coordinate lists, got '00' and '11'",
+            ),
+            (
+                ["digitize"],
+                {"kind": "region", "expr": "x", "window": {"lo": [0, 0], "hi": {"a": 1, "b": 2}}, "pitch": 1},
+                "lo and hi must be coordinate lists, got [0, 0] and {'a': 1, 'b': 2}",
+            ),
         ],
-        ids=["graph-edges", "cover-domain", "cover-periodic", "cover-n", "curve-points"],
+        ids=[
+            "graph-edges",
+            "cover-domain",
+            "cover-periodic",
+            "cover-n",
+            "curve-points",
+            "cover-cell-string",
+            "cover-cell-object",
+            "window-string",
+            "window-object",
+        ],
     )
     def test_wrong_type_exit_2(self, files, capsys, argv, doc, message):
         path = files / "doc.json"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import labelled_model_graph
 from digitopo.covers import BoxCell
 from digitopo.digitizer import (
     MAX_CUBES,
@@ -31,11 +32,39 @@ from digitopo.digitizer import (
     shape_sphere,
 )
 from digitopo.homotopy import homotopy_equivalent
-from digitopo.invariants import same_profile
+from digitopo.invariants import euler_characteristic, same_profile
 
 
 WINDOW2 = BoxCell.make([-2, -2], [2, 2])
 WINDOW3 = BoxCell.make([-2, -2, -2], [2, 2, 2])
+ELLIPSE = ShapeSpec(
+    "region",
+    expr=parse_expr(["-", ["+", ["*", "x", "x", "1/4"], ["square", "y"]], 1]),
+)
+
+# the shapes, windows and pitches that the pipeline tests digitize
+CORPUS = [
+    (shape_segment(), BoxCell.make([-1], [2]), "1/2"),
+    (shape_disk(), WINDOW2, "1/2"),
+    (shape_disk(), WINDOW2, "1/4"),
+    (shape_disk("3/4"), BoxCell.make(["-5/3", "-1"], [1, "7/5"]), "2/5"),
+    (ELLIPSE, BoxCell.make([-3, -2], [3, 2]), "1/2"),
+    (shape_circle(), WINDOW2, "1/2"),
+    (shape_circle(), WINDOW2, "1/4"),
+    (shape_annulus("3/4", "3/2"), WINDOW2, "1/2"),
+    (shape_annulus("3/4", "3/2"), WINDOW2, "1/3"),
+    (shape_annulus("3/4", "3/2"), WINDOW2, "1/4"),
+    (shape_annulus("3/4", "5/4"), WINDOW2, "1/4"),
+    (shape_sphere(), WINDOW3, "1/2"),
+    (shape_sphere(), BoxCell.make(["-3/2"] * 3, ["3/2"] * 3), "1/4"),
+    (shape_sphere("4/5"), BoxCell.make(["-1/3"] * 3, [1, 1, "6/5"]), "3/7"),
+]
+
+# 3-D sphere shells of 704 and 1,184 cubes
+SHELLS = [
+    (shape_sphere("3/2"), BoxCell.make(["-2"] * 3, ["2"] * 3), "1/4"),
+    (shape_sphere("2"), BoxCell.make(["-5/2"] * 3, ["5/2"] * 3), "1/4"),
+]
 
 
 def reference_cubical_model(shape, window, pitch):
@@ -291,6 +320,13 @@ class TestModelGraph:
         g = model_graph(m)
         assert g.order == 4 and g.size == 6
 
+    def test_rows_match_the_labelled_graph(self):
+        for shape, window, pitch in CORPUS + SHELLS:
+            model = cubical_model(shape, window, pitch)
+            g, want = model_graph(model), labelled_model_graph(model)
+            assert g.vertices == want.vertices
+            assert g._rows == want._rows
+
     def test_degree_bound(self):
         model = cubical_model(shape_disk(), WINDOW2, "1/2")
         g = model_graph(model)
@@ -335,15 +371,16 @@ class TestPipeline:
         assert rep.euler == 0
         assert rep.profile.betti_q == (1, 1)
 
+    def test_euler_of_the_residue_is_the_models(self):
+        for shape, window, pitch in CORPUS + SHELLS:
+            rep = digitize_reduce(shape, window, pitch)
+            assert rep.euler == euler_characteristic(rep.graph)
+
     def test_convex_regions_reduce_to_a_point(self):
-        ellipse = ShapeSpec(
-            "region",
-            expr=parse_expr(["-", ["+", ["*", "x", "x", "1/4"], ["square", "y"]], 1]),
-        )
         for shape, window, pitch in [
             (shape_disk(), WINDOW2, "1/2"),
             (shape_disk(), WINDOW2, "1/4"),
-            (ellipse, BoxCell.make([-3, -2], [3, 2]), "1/2"),
+            (ELLIPSE, BoxCell.make([-3, -2], [3, 2]), "1/2"),
         ]:
             rep = digitize_reduce(shape, window, pitch)
             assert rep.residue.order == 1

@@ -16,7 +16,7 @@ from conftest import (
     small_graphs_out_of_label_order,
     wheel,
 )
-from digitopo.graph import build_graph, canonical_key, induced_subgraph
+from digitopo.graph import GraphError, build_graph, canonical_key, edge_rim, induced_subgraph, rim
 from digitopo.homotopy import (
     AttachEdge,
     AttachPoint,
@@ -24,7 +24,6 @@ from digitopo.homotopy import (
     DeletePoint,
     HomotopyTrace,
     TransformationError,
-    _contractible_masks,
     apply_trace,
     apply_transformation,
     homotopy_equivalent,
@@ -62,6 +61,22 @@ class TestSimplePoints:
         g = octahedron()
         for u, v in g.edges():
             assert not is_simple_edge(g, u, v)
+
+    def test_rim_tests_match_the_rim_graphs(self):
+        for g in small_graphs_out_of_label_order(5):
+            for v in g.vertices:
+                assert is_simple_point(g, v) == is_contractible(rim(g, v))
+            for u, v in g.edges():
+                assert is_simple_edge(g, u, v) == is_contractible(edge_rim(g, u, v))
+
+    def test_missing_vertex_and_non_edge_raise(self):
+        g = path_graph(3)
+        with pytest.raises(GraphError, match="vertex 'x' not in graph"):
+            is_simple_point(g, "x")
+        with pytest.raises(GraphError, match="vertex 'x' not in graph"):
+            is_simple_edge(g, "p0", "x")
+        with pytest.raises(GraphError, match=r"\('p0', 'p2'\) is not an edge"):
+            is_simple_edge(g, "p0", "p2")
 
 
 class TestContractible:
@@ -170,7 +185,7 @@ class TestStepResultsExhaustive:
             for size in range(1, len(vs) + 1):
                 for rim_set in itertools.combinations(vs, size):
                     step = AttachPoint("x", frozenset(rim_set))
-                    if not _contractible_masks(induced_subgraph(g, rim_set)):
+                    if not is_contractible(induced_subgraph(g, rim_set)):
                         with pytest.raises(TransformationError):
                             apply_transformation(g, step)
                         continue
@@ -187,7 +202,7 @@ class TestStepResultsExhaustive:
                 else:
                     common = set(g.neighbors(u)) & set(g.neighbors(v))
                     step = AttachEdge(u, v)
-                    ok = _contractible_masks(induced_subgraph(g, common))
+                    ok = is_contractible(induced_subgraph(g, common))
                     expected = es + [(u, v)]
                 if not ok:
                     with pytest.raises(TransformationError):
@@ -216,7 +231,7 @@ class TestTraces:
             g = random_contractible_graph(rng, rng.randint(2, 8))
             size = rng.randint(1, min(3, g.order))
             s = frozenset(rng.sample(list(g.vertices), size))
-            if not _contractible_masks(induced_subgraph(g, s)):
+            if not is_contractible(induced_subgraph(g, s)):
                 continue
             trace = HomotopyTrace((AttachPoint("zz", s), DeletePoint("zz")))
             assert canonical_key(apply_trace(g, trace)) == canonical_key(g)
