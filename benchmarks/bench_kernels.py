@@ -11,7 +11,8 @@ and the cover operations on the brick-wall torus, each on a fresh cover
 (a cover computes its nerve once and keeps it), alone and together as one
 `certify`-shaped cover task; the macro row runs sphere
 recognition, a 3-D digitization and a cover validation once, after clearing
-every memo table. Each `classify` and `reduce` row also prints the number
+every memo table. Each `is_contractible` row also prints the tier that
+decides it (`_pure.decide`), and each `classify` and `reduce` row the number
 of rim tests (calls of `_pure._simple`, the one rim test) in one cold run.
 
 Usage: python benchmarks/bench_kernels.py
@@ -92,9 +93,9 @@ def _time(fn, repeat=3):
 
 def _table(rows_spec):
     print(f"{'workload':50s}{'time':>12s}")
-    for label, g, call in rows_spec:
+    for label, g, call, *note in rows_spec:
         t = _time(lambda: call(g.order, g._rows))
-        print(f"{label:50s}{t * 1e3:>10.2f}ms")
+        print(f"{label:50s}{t * 1e3:>10.2f}ms" + "".join(note))
 
 
 def micro():
@@ -108,6 +109,7 @@ def micro():
                 f"is_contractible {gname}",
                 g,
                 lambda n, r: (kernels.clear_caches(), kernels.is_contractible(n, r)),
+                f"{'tier':>10s} {kernels.decide(g._rows, (1 << g.order) - 1)[1]}",
             )
         )
     for gname, g in canon_graphs.items():

@@ -1,11 +1,17 @@
 """Bitmask graph kernels.
 
-A graph enters every kernel as ``(n, rows)``, where ``rows[i]`` is an
-integer whose bit ``j`` is set exactly when vertices ``i`` and ``j`` are
-adjacent:
+A graph enters a kernel as ``(n, rows)``, where ``rows[i]`` is an integer
+whose bit ``j`` is set exactly when vertices ``i`` and ``j`` are adjacent;
+a kernel on an induced subgraph takes the rows and a mask of its vertices:
 
     canon_bytes(n, rows)        exact canonical form of an adjacency-mask graph
-    is_contractible(n, rows)    exact reducibility-to-a-point decision
+    decide(rows, alive)         the one contractibility decision, on the
+                                subgraph induced on a vertex mask:
+                                (verdict, tier 1-3, greedy deletion order)
+    is_contractible(n, rows)    `decide` on the whole graph, memoized on rows
+    contractible_on(rows, mask) is the induced subgraph on ``mask``
+                                contractible? (a cone at once, else
+                                `is_contractible` on its dense rows)
     contraction_order(n, rows)  witnessing deletion order, or None
     connected(n, rows)          non-empty and connected
     clear_caches()              empty the contractibility memo
@@ -21,6 +27,8 @@ from ._pure import (  # noqa: F401
     canon_bytes,
     clear_caches,
     connected,
+    contractible_on,
     contraction_order,
+    decide,
     is_contractible,
 )

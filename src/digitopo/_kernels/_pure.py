@@ -5,12 +5,13 @@ integer whose bit ``j`` is set exactly when vertices ``i`` and ``j`` are
 adjacent. Python integers make this work for any vertex count.
 
 Everything is deterministic and every verdict is exact. Contractibility is
-decided in three tiers (greedy deletion, homology of the stuck residue,
-exact search; see `is_contractible`) and memoized in one table under two
-kinds of exact keys: the input rows, and the canonical forms of the exact
-search's nodes. A cached verdict is always safe to reuse. Rim tests go
-through one function, `_simple`, which reads a table of rim verdicts keyed
-on the rim mask, one table per pass, in front of that memo.
+decided by one function on a vertex mask, `decide`, in three tiers (greedy
+deletion, homology of the stuck residue, exact search) and memoized in one
+table under two kinds of exact keys: the input rows, and the canonical
+forms of the exact search's nodes. A cached verdict is always safe to
+reuse. Rim tests go through one function, `_simple`, which reads a table
+of rim verdicts keyed on the rim mask, one table per pass, in front of that
+memo.
 """
 
 from __future__ import annotations
@@ -242,15 +243,20 @@ def canon_bytes(n: int, rows) -> bytes:
 #    (Benedetti & Lutz, Exp. Math. 23, 2014), so what survives tier 2 gets
 #    the backtracking search over every simple point.
 #
+# `decide` runs the tiers on the subgraph induced on a vertex mask of fixed
+# rows, and is the one decision: `is_contractible` memoizes it on a whole
+# graph's rows, and `contractible_on` asks it, through that memo, about any
+# induced subgraph.
+#
 # Every rim test is `_simple`. It looks the rim mask up in a table of rim
 # verdicts, exact while the rows stay fixed: one per greedy pass, one per
 # node of the exact search, or one the caller owns and shares between
 # passes on the same rows (the n deletion clauses of a sphere test, whose
-# table `classify` seeds with verdicts it already knows). A miss answers a
-# cone at once and otherwise calls is_contractible on the rim densely
-# reindexed, so the rows-keyed memo behind the table still hits when a rim
-# recurs under a different mask: translated copies of a rim in `reduce`,
-# equal rims of different search states in `homotopy_equivalent`.
+# table `classify` seeds with verdicts it already knows). A miss goes to
+# `contractible_on`, which answers a cone at once and otherwise decides the
+# rim densely reindexed, so the rows-keyed memo behind the table still hits
+# when a rim recurs under a different mask: translated copies of a rim in
+# `reduce`, equal rims of different search states in `homotopy_equivalent`.
 # Canonical forms key only the nodes of the exact search.
 
 
@@ -261,45 +267,41 @@ def is_contractible(n: int, rows) -> bool:
     key = (n, tuple(rows))
     hit = _contractible.get(key)
     if hit is None:
-        hit = decide(n, rows)[0]
+        hit = decide(rows, (1 << n) - 1)[0]
         _memo_put(_contractible, key, hit)
     return hit
 
 
-def decide(n: int, rows) -> tuple[bool, int]:
-    """The verdict, unmemoized at the top, and the tier (1-3) that reached it.
+def contractible_on(rows, mask: int) -> bool:
+    """Is the subgraph induced on the vertices of ``mask`` contractible? A
+    cone is answered at once, anything else on its dense rows through the
+    rows-keyed memo."""
+    return _cone(rows, mask) or is_contractible(*subgraph_rows(rows, mask))
+
+
+def decide(rows, alive: int, rims: dict[int, bool] | None = None) -> tuple[bool, int, list[int]]:
+    """The verdict for the subgraph induced on ``alive`` of ``rows``,
+    unmemoized at the top, the tier (1-3) that reached it, and the greedy
+    pass's deletion order (empty when no pass ran).
 
     A cone (some vertex adjacent to all others) is decided by tier 1 without
     a pass: every other vertex's rim is a cone too, so greedy deletion
     always reaches a point. Skipping the pass keeps cliques from nesting
     one rim test per clique vertex. The empty and the disconnected graphs
-    are refuted by tier 2: their reduced homology is nonzero in degree -1
-    or 0.
+    are refuted by tier 2 before the pass: their reduced homology is
+    nonzero in degree -1 or 0. The pass runs on ``rows`` with the rim table
+    ``rims`` (see `_greedy`); tiers 2 and 3 run on dense rows.
     """
-    if _cone(rows, (1 << n) - 1):
-        return True, 1
-    if n == 0 or not connected(n, rows):
-        return False, 2
-    alive, _ = _greedy(n, rows)
-    if not alive & (alive - 1):
-        return True, 1
-    if not _acyclic(*subgraph_rows(rows, alive)):
-        return False, 2
-    return _exact(n, rows), 3
-
-
-def settle_within(rows, alive: int, rest: int) -> bool:
-    """The verdict for the subgraph induced on ``alive`` of ``rows`` once
-    its greedy pass (``_greedy(len(rows), rows, start=alive)``) has left the
-    vertices of ``rest``: the pass's own answer when at most one is left,
-    else tiers 2 and 3 on dense rows."""
+    if _cone(rows, alive):
+        return True, 1, []
+    if not alive or _component(rows, alive) != alive:
+        return False, 2, []
+    rest, order = _greedy(len(rows), rows, start=alive, rims=rims)
     if not rest & (rest - 1):
-        return rest != 0
-    # simple-point deletions keep the components, so the residue is
-    # connected exactly when the input is
-    if _component(rows, rest) != rest or not _acyclic(*subgraph_rows(rows, rest)):
-        return False
-    return _exact(*subgraph_rows(rows, alive))
+        return True, 1, order
+    if not _acyclic(*subgraph_rows(rows, rest)):
+        return False, 2, order
+    return _exact(*subgraph_rows(rows, alive)), 3, order
 
 
 def _simple(rows, v: int, alive: int, rims: dict[int, bool]) -> bool:
@@ -308,7 +310,7 @@ def _simple(rows, v: int, alive: int, rims: dict[int, bool]) -> bool:
     rim = rows[v] & alive
     hit = rims.get(rim)
     if hit is None:
-        hit = rims[rim] = _cone(rows, rim) or is_contractible(*subgraph_rows(rows, rim))
+        hit = rims[rim] = contractible_on(rows, rim)
     return hit
 
 
@@ -417,14 +419,10 @@ def contraction_order(n: int, rows) -> list[int] | None:
     order whenever greedy deletion reaches a point. Only a stalled greedy
     pass falls back to `_witness`.
     """
-    if n == 0 or not connected(n, rows):
-        return None
-    alive, order = _greedy(n, rows)
-    if not alive & (alive - 1):
-        return order
     if not is_contractible(n, rows):
         return None
-    return _witness(n, rows)
+    alive, order = _greedy(n, rows)
+    return order if not alive & (alive - 1) else _witness(n, rows)
 
 
 def _witness(n: int, rows) -> list[int]:

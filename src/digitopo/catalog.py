@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from . import _kernels as kernels
 from .classify import is_n_manifold, is_n_sphere, is_n_disk, minimal_sphere
 from .graph import Graph, GraphError, build_graph, components, induced_subgraph, is_connected, rim
+from .homotopy import is_contractible
 from .invariants import HomologyProfile, _euler_and_homology, same_profile
 
 
@@ -366,6 +366,8 @@ def validate(entry: CatalogEntry) -> dict[str, Any]:
         check("homology profile", same_profile(prof, want))
 
     kind = exp["kind"]
+    # a band or disk without a boundary fails its boundary checks
+    boundary = entry.boundary or ()
     if kind == "sphere":
         check(
             f"is_n_sphere(dim {exp['dimension']})",
@@ -377,7 +379,6 @@ def validate(entry: CatalogEntry) -> dict[str, Any]:
             is_n_manifold(g, exp["dimension"]).ok,
         )
     elif kind == "band":
-        boundary = set(entry.boundary or ())
         interior = [v for v in g.vertices if v not in boundary]
         check("interior rims are cycles", all(_rim_shape(g, v) == "cycle" for v in interior))
         check(
@@ -386,14 +387,14 @@ def validate(entry: CatalogEntry) -> dict[str, Any]:
         )
         check(
             f"boundary forms {exp['boundary_cycles']} cycle(s)",
-            _boundary_cycle_count(g, entry.boundary) == exp["boundary_cycles"],
+            _boundary_cycle_count(g, boundary) == exp["boundary_cycles"],
         )
     elif kind == "disk":
         check(
             f"is_n_disk(dim {exp['dimension']})",
-            is_n_disk(g, entry.boundary, exp["dimension"]),
+            is_n_disk(g, boundary, exp["dimension"]),
         )
-        check("contractible", kernels.is_contractible(g.order, g._rows))
+        check("contractible", is_contractible(g))
 
     return {
         "name": entry.name,

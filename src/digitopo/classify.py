@@ -17,15 +17,15 @@ whose deletion) fails, with the rims read off the same walk.
 
 The deletion clause runs only after the rim clause has held, and is not
 reindexed: each ``G - v`` is decided on the sphere candidate's own rows
-with ``alive = full ^ (1 << v)``, by a greedy pass of `_pure` and, when the
-pass stalls, `_pure.settle_within` on dense rows. All n clauses of one
-sphere test share one rim table, local to that test and keyed on rim masks,
-which are exact keys while the rows stay fixed. A rim the table does not
-hold is decided on its own dense rows (`_pure._simple`), under the
-kernel's rows-keyed memo; its nested rims stay out of the table. Three
-facts, each exact once every rim is a (d-1)-sphere, cut the passes
-(Ivashchenko, Discrete Math. 126, 1994: simple-point deletions preserve
-homology):
+with ``alive = full ^ (1 << v)``, by one `_pure.decide` call: a cone at
+once, else a greedy pass on those rows and, when it stalls, the exact tiers
+on dense rows. All n clauses of one sphere test share one rim table, local
+to that test and keyed on rim masks, which are exact keys while the rows
+stay fixed. A rim the table does not hold is decided on its own dense rows
+(`_pure._simple`), under the kernel's rows-keyed memo; its nested rims stay
+out of the table. Three facts, each exact once every rim is a
+(d-1)-sphere, cut the passes (Ivashchenko, Discrete Math. 126, 1994:
+simple-point deletions preserve homology):
 
 - Seeded rims (`_seeded_rims`). A whole rim is a sphere, which is not
   contractible: its reduced homology is nonzero. A rim minus one vertex is
@@ -50,16 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ._kernels._pure import (
-    _bits,
-    _cone,
-    _greedy,
-    _memo_put,
-    _simple,
-    connected,
-    settle_within,
-    subgraph_rows,
-)
+from ._kernels._pure import _bits, _cone, _memo_put, _simple, connected, decide, subgraph_rows
 from .graph import Graph, GraphError, _mask_of
 
 KIND_SPHERE = "Sphere"
@@ -210,12 +201,10 @@ def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
             continue
         pending ^= 1 << v
         alive = full ^ (1 << v)
-        if _cone(rows, alive):
-            continue
-        rest, seq = _greedy(n, rows, start=alive, rims=rims)
-        if not settle_within(rows, alive, rest):
+        verdict, tier, seq = decide(rows, alive, rims)
+        if not verdict:
             return v
-        if not rest & (rest - 1):
+        if tier == 1:
             pending ^= _rotated(rows, v, alive, seq, pending, rims)
     return None
 

@@ -249,10 +249,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, CoverError, ShapeError, TransformationError) as exc:
+    except (InputError, GraphError, CoverError, ShapeError, TransformationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -12,7 +12,7 @@ from itertools import zip_longest
 from typing import Any, Iterator, Optional, Union
 
 from . import _kernels as kernels
-from ._kernels._pure import _greedy, subgraph_rows
+from ._kernels._pure import _greedy
 from .graph import (
     Graph,
     _check_label,
@@ -127,19 +127,14 @@ def _label(lab: Any) -> str:
 # simplicity tests
 
 
-def _contractible_on(rows, mask: int) -> bool:
-    """Is the subgraph induced on the vertices of ``mask`` contractible?"""
-    return kernels.is_contractible(*subgraph_rows(rows, mask))
-
-
 def is_simple_point(g: Graph, v: str) -> bool:
     """True when the rim of ``v`` is contractible."""
-    return _contractible_on(g._rows, g._rows[g._require(v)])
+    return kernels.contractible_on(g._rows, g._rows[g._require(v)])
 
 
 def is_simple_edge(g: Graph, u: str, v: str) -> bool:
     """True when the common-neighbor rim of the edge is contractible."""
-    return _contractible_on(g._rows, _edge_rim_mask(g, u, v))
+    return kernels.contractible_on(g._rows, _edge_rim_mask(g, u, v))
 
 
 def is_contractible(g: Graph, return_trace: bool = False):
@@ -189,7 +184,7 @@ def apply_transformation(g: Graph, step: Step) -> Graph:
         if missing:
             raise TransformationError(f"attach-point {step.v!r}: unknown rim vertices {missing}")
         rim_mask = _mask_of(g, step.rim)
-        if not _contractible_on(g._rows, rim_mask):
+        if not kernels.contractible_on(g._rows, rim_mask):
             raise TransformationError(
                 f"attach-point {step.v!r}: rim set does not induce a contractible subgraph"
             )
@@ -213,7 +208,7 @@ def apply_transformation(g: Graph, step: Step) -> Graph:
         if g.has_edge(step.u, step.v):
             raise TransformationError(f"attach-edge ({step.u!r}, {step.v!r}): already an edge")
         iu, iv = g._index[step.u], g._index[step.v]
-        if not _contractible_on(g._rows, g._rows[iu] & g._rows[iv]):
+        if not kernels.contractible_on(g._rows, g._rows[iu] & g._rows[iv]):
             raise TransformationError(
                 f"attach-edge ({step.u!r}, {step.v!r}): common-neighbor rim is not contractible"
             )
@@ -312,15 +307,15 @@ def _search_moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
     rows, labels = g._rows, g._labels
     order = sorted(range(g.order), key=labels.__getitem__)
     for i in order:
-        if _contractible_on(rows, rows[i]):
+        if kernels.contractible_on(rows, rows[i]):
             yield DeletePoint(labels[i]), _without_vertex(g, i)
     for k, i in enumerate(order):
         for j in order[k + 1 :]:
             common = rows[i] & rows[j]
             if (rows[i] >> j) & 1:
-                if _contractible_on(rows, common):
+                if kernels.contractible_on(rows, common):
                     yield DeleteEdge(labels[i], labels[j]), _flip_edge(g, i, j)
-            elif common and _contractible_on(rows, common):
+            elif common and kernels.contractible_on(rows, common):
                 yield AttachEdge(labels[i], labels[j]), _flip_edge(g, i, j)
 
 

@@ -1,5 +1,7 @@
 """Catalog entries re-prove their expected properties from scratch."""
 
+import dataclasses
+
 import pytest
 
 from digitopo.catalog import get, names, validate
@@ -40,6 +42,18 @@ class TestCatalogBasics:
     def test_sphere_min_2_is_octahedron_size(self):
         e = get("sphere_min_2")
         assert e.graph.order == 6 and e.graph.size == 12
+
+    def test_missing_boundary_is_reported_not_raised(self):
+        # a band or disk entry without a boundary reads it as empty, so its
+        # boundary checks fail and the contractibility check still runs
+        band = validate(dataclasses.replace(get("moebius12"), boundary=None, _report=None))
+        assert not band["ok"]
+        assert "boundary forms 1 cycle(s)" in band["failures"]
+        assert "interior rims are cycles" in band["failures"]
+        for name, dim in (("disk_path3", 1), ("disk_oct5", 2)):
+            disk = validate(dataclasses.replace(get(name), boundary=None, _report=None))
+            assert disk["failures"] == [f"is_n_disk(dim {dim})"], name
+            assert "contractible" in disk["checks"], name
 
 
 class TestTorus16:

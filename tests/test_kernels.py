@@ -31,7 +31,7 @@ from conftest import (
 )
 from digitopo import _kernels as kernels
 from digitopo._kernels import _pure
-from digitopo.graph import build_graph, canonical_key, induced_subgraph, relabeled, rim
+from digitopo.graph import build_graph, canonical_key, components, induced_subgraph, relabeled, rim
 from digitopo.homotopy import reduce
 from digitopo.invariants import clique_vector, euler_characteristic, homology
 from test_invariants import collapse_homology
@@ -39,6 +39,11 @@ from test_invariants import collapse_homology
 
 def masks(g):
     return g.order, g._rows
+
+
+def whole(g):
+    """`_pure.decide` on every vertex of ``g``: the verdict and its tier."""
+    return _pure.decide(g._rows, (1 << g.order) - 1)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +154,9 @@ def dense_oracle(rows, alive):
 
 
 def within(rows, alive, rims):
-    """The sphere clause's decision of the subgraph on ``alive``: a cone,
-    or a greedy pass on the parent rows with the shared rim table, settled
-    on dense rows when it stalls."""
-    if _pure._cone(rows, alive):
-        return True
-    rest, _ = _pure._greedy(len(rows), rows, start=alive, rims=rims)
-    return _pure.settle_within(rows, alive, rest)
+    """The sphere clause's decision of the subgraph on ``alive``, with the
+    rim table it shares between the clauses of one sphere test."""
+    return _pure.decide(rows, alive, rims)[0]
 
 
 @st.composite
@@ -172,6 +173,38 @@ def graphs_7_to_12_with_masks(draw):
     more = draw(st.lists(st.integers(0, full), max_size=6))
     # the masks of the deletion clause first, then arbitrary ones
     return rows, [full ^ (1 << v) for v in range(n)] + more
+
+
+class TestDecide:
+    """`decide` is the one contractibility decision on a vertex mask."""
+
+    def test_every_mask_of_every_graph_up_to_5(self):
+        brute: dict[tuple[int, ...], bool] = {}
+
+        def oracle(g, mask):
+            sub = induced_subgraph(g, [v for i, v in enumerate(g.vertices) if mask >> i & 1])
+            if sub._rows not in brute:
+                brute[sub._rows] = brute_contractible(sub)
+            return brute[sub._rows], sub
+
+        for n in range(6):
+            for g in all_labeled_graphs(n):
+                rows = g._rows
+                for alive in range(1 << n):
+                    verdict, tier, order = _pure.decide(rows, alive)
+                    want, sub = oracle(g, alive)
+                    assert verdict == want == _pure.contractible_on(rows, alive), (g.edges(), alive)
+                    if any(alive >> v & 1 and (rows[v] | 1 << v) & alive == alive for v in range(n)):
+                        assert (tier, order) == (1, []), (g.edges(), alive)
+                    elif len(components(sub)) != 1:
+                        assert (verdict, tier, order) == (False, 2, []), (g.edges(), alive)
+                    elif tier == 1:
+                        # a pass's order replays as simple-point deletions to one vertex
+                        left = alive
+                        for v in order:
+                            assert oracle(g, rows[v] & left)[0], (g.edges(), alive, order)
+                            left ^= 1 << v
+                        assert left.bit_count() == 1, (g.edges(), alive, order)
 
 
 class TestContractibleWithin:
@@ -302,30 +335,30 @@ class TestTiers:
     """Each tier decides the case it exists for, and says so."""
 
     def test_greedy_reduces_the_wheel(self):
-        assert _pure.decide(*masks(wheel(6))) == (True, 1)
+        assert whole(wheel(6)) == (True, 1)
         # no vertex of these is adjacent to all others, so the pass runs
-        assert _pure.decide(*masks(path_graph(6))) == (True, 1)
-        assert _pure.decide(*masks(chebyshev_block(4, dim=2))) == (True, 1)
+        assert whole(path_graph(6)) == (True, 1)
+        assert whole(chebyshev_block(4, dim=2)) == (True, 1)
 
     def test_homology_refutes_the_octahedron(self):
-        assert _pure.decide(*masks(octahedron())) == (False, 2)
+        assert whole(octahedron()) == (False, 2)
 
     def test_homology_refutes_the_rim_of_an_interior_cube(self):
         # a 26-vertex 2-sphere; the exact search alone took minutes on it
         g = rim(chebyshev_block(3), "q1_1_1")
         assert g.order == 26
         start = time.perf_counter()
-        assert _pure.decide(*masks(g)) == (False, 2)
+        assert whole(g) == (False, 2)
         assert time.perf_counter() - start < 10
 
     def test_disconnected_is_refuted_by_homology(self):
-        assert _pure.decide(*masks(build_graph(["a", "b"]))) == (False, 2)
+        assert whole(build_graph(["a", "b"])) == (False, 2)
 
     def test_integer_homology_refutes_odd_torsion(self):
         # H_1 = Z/3 is invisible over GF(2), so GF(2) ranks sent this to tier 3
         g = mod3_moore_space()
         assert euler_characteristic(g) == 1 and homology(g).betti_z2 == (1, 0, 0)
-        assert _pure.decide(*masks(g)) == (False, 2)
+        assert whole(g) == (False, 2)
 
     def test_tier_2_is_exact(self):
         """Tier 2 accepts exactly the graphs whose integer homology is a
@@ -357,7 +390,7 @@ class TestTiers:
         assert not any(_pure.is_contractible(*_pure.subgraph_rows(rows, r)) for r in rows)
         assert euler_characteristic(g) == 1
         assert homology(g).betti_z2 == (1, 0, 0)
-        assert _pure.decide(n, rows) == (False, 3)
+        assert whole(g) == (False, 3)
         assert kernels.is_contractible(n, rows) is False
         assert kernels.contraction_order(n, rows) is None
 
