@@ -6,8 +6,11 @@ package's real call sites; layer rows time `cubical_model`, cold-cache
 `classify` (grown spheres, a grown torus as a negative for the sphere
 clause, and the minimal 20-sphere, whose time is all rim walk), cold-cache
 `reduce` of 3-D sphere shells (the `digitize` hot path) and `homology` of
-their residues, tier 2 of contractibility on the dunce hat,
-and the cover operations on the brick-wall torus, each on a fresh cover
+their residues, tier 2 of contractibility and a cold tier-3 `decide`
+(the exact search, whose memo keeps refutations only) on the dunce hat, a
+cold traced `is_contractible` on a 160-vertex path with its number of
+greedy passes (`_pure._greedy`), and the cover operations on the
+brick-wall torus, each on a fresh cover
 (a cover computes its nerve once and keeps it), alone and together as one
 `certify`-shaped cover task; the macro row runs sphere
 recognition, a 3-D digitization and a cover validation once, after clearing
@@ -135,33 +138,38 @@ def _grown(g, order: int, seed: int):
     return g
 
 
-def _rim_tests(fn) -> int:
-    """Calls of `_pure._simple` in one run of ``fn``: the wrapper replaces it
-    in `_pure` and under the name `classify` imported, then is removed."""
+def _calls(fn, name: str) -> int:
+    """Calls of ``_pure.<name>`` in one run of ``fn``: the wrapper replaces
+    it in `_pure` and under the name `classify` or `homotopy` imported,
+    then is removed."""
     import digitopo.classify
+    import digitopo.homotopy
 
-    real, count = _pure._simple, [0]
+    real, count = getattr(_pure, name), [0]
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         count[0] += 1
-        return real(*args)
+        return real(*args, **kwargs)
 
-    _pure._simple = digitopo.classify._simple = counting
+    holders = [m for m in (_pure, digitopo.classify, digitopo.homotopy) if getattr(m, name, None) is real]
+    for m in holders:
+        setattr(m, name, counting)
     try:
         fn()
     finally:
-        _pure._simple = digitopo.classify._simple = real
+        for m in holders:
+            setattr(m, name, real)
     return count[0]
 
 
 def layers():
     import digitopo
-    from conftest import brick_wall_torus_cover, dunce_hat
+    from conftest import brick_wall_torus_cover, dunce_hat, path_graph
     from digitopo.catalog import get
     from digitopo.classify import classify, minimal_sphere
     from digitopo.covers import BoxCell, boundary_trace_cover, nerve, validate_lcl
     from digitopo.digitizer import cubical_model, model_graph, shape_sphere
-    from digitopo.homotopy import reduce
+    from digitopo.homotopy import is_contractible, reduce
     from digitopo.invariants import homology
 
     window = BoxCell.make([-2] * 3, [2] * 3)
@@ -184,7 +192,7 @@ def layers():
             digitopo.classify.clear_caches()
             assert classify(g).kind == kind
 
-        t, tests = _time(cold_classify), _rim_tests(cold_classify)
+        t, tests = _time(cold_classify), _calls(cold_classify, "_simple")
         print(f"{f'classify {label}':50s}{t * 1e3:>10.2f}ms{tests:>10d} rim tests")
     for r, w in (("3/2", "2"), ("2", "5/2")):
         shell = model_graph(cubical_model(shape_sphere(r), BoxCell.make([f"-{w}"] * 3, [w] * 3), "1/4"))
@@ -193,7 +201,7 @@ def layers():
             kernels.clear_caches()
             return reduce(shell)
 
-        t, tests = _time(cold_reduce), _rim_tests(cold_reduce)
+        t, tests = _time(cold_reduce), _calls(cold_reduce, "_simple")
         label = f"reduce r={r} shell ({shell.order} vertices)"
         print(f"{label:50s}{t * 1e3:>10.2f}ms{tests:>10d} rim tests")
         residue, _ = reduce(shell)
@@ -203,6 +211,22 @@ def layers():
     hat = dunce_hat()
     t = _time(lambda: _pure._acyclic(hat.order, hat._rows))
     print(f"{'tier 2 (_acyclic) on the 49-vertex dunce hat':50s}{t * 1e3:>10.2f}ms")
+
+    def cold_decide():
+        kernels.clear_caches()
+        return kernels.decide(hat._rows, (1 << hat.order) - 1)
+
+    t, tier = _time(cold_decide), cold_decide()[1]
+    print(f"{'cold decide on the 49-vertex dunce hat':50s}{t * 1e3:>10.2f}ms{'tier':>10s} {tier}")
+    path = path_graph(160)
+
+    def cold_trace():
+        kernels.clear_caches()
+        assert is_contractible(path, return_trace=True)[0]
+
+    t, passes = _time(cold_trace), _calls(cold_trace, "_greedy")
+    label = "cold traced is_contractible path (160 vertices)"
+    print(f"{label:50s}{t * 1e3:>10.2f}ms{passes:>10d} greedy passes")
     for name, call in (
         ("validate_lcl", validate_lcl),
         ("nerve", nerve),

@@ -7,12 +7,13 @@ a kernel on an induced subgraph takes the rows and a mask of its vertices:
     canon_bytes(n, rows)        exact canonical form of an adjacency-mask graph
     decide(rows, alive)         the one contractibility decision, on the
                                 subgraph induced on a vertex mask:
-                                (verdict, tier 1-3, greedy deletion order)
+                                (verdict, tier 1-3, deletion order), the
+                                order a witness to one vertex for every
+                                True verdict but a cone's (empty)
     is_contractible(n, rows)    `decide` on the whole graph, memoized on rows
     contractible_on(rows, mask) is the induced subgraph on ``mask``
                                 contractible? (a cone at once, else
                                 `is_contractible` on its dense rows)
-    contraction_order(n, rows)  witnessing deletion order, or None
     connected(n, rows)          non-empty and connected
     clear_caches()              empty the contractibility memo
 
@@ -28,7 +29,6 @@ from ._pure import (  # noqa: F401
     clear_caches,
     connected,
     contractible_on,
-    contraction_order,
     decide,
     is_contractible,
 )

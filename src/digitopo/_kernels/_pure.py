@@ -8,10 +8,12 @@ Everything is deterministic and every verdict is exact. Contractibility is
 decided by one function on a vertex mask, `decide`, in three tiers (greedy
 deletion, homology of the stuck residue, exact search) and memoized in one
 table under two kinds of exact keys: the input rows, and the canonical
-forms of the exact search's nodes. A cached verdict is always safe to
-reuse. Rim tests go through one function, `_simple`, which reads a table
-of rim verdicts keyed on the rim mask, one table per pass, in front of that
-memo.
+forms of the exact search's refuted nodes. A cached verdict is always safe
+to reuse. A True verdict of `decide` comes with a deletion order to one
+vertex, the first successful branch of the exact search (a cone's order
+is empty). Rim tests go through one function, `_simple`, which reads a
+table of rim verdicts keyed on the rim mask, one table per pass, in front
+of that memo.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ _EMPTY_KEY = (0).to_bytes(2, "big") + b"\x00"
 
 # Contractibility memo. Keys are exact: ``(n, tuple(rows))`` for every
 # decided graph (label-dependent, but far cheaper than a canonical form), and
-# canonical bytes for the nodes of the exact search. The cap guards unbounded
-# growth on adversarial workloads; clearing is always sound.
+# canonical bytes for the refuted nodes of the exact search (a contractible
+# node is searched again for its branch). The cap guards unbounded growth on
+# adversarial workloads; clearing is always sound.
 _MEMO_CAP = 1_000_000
 _contractible: dict[object, bool] = {}
 
@@ -241,7 +244,8 @@ def canon_bytes(n: int, rows) -> bytes:
 #    The homology comes from the package's one engine, `homology_of`.
 # 3. Exact search: greedy deletion can stall on contractible inputs
 #    (Benedetti & Lutz, Exp. Math. 23, 2014), so what survives tier 2 gets
-#    the backtracking search over every simple point.
+#    the backtracking search over every simple point. Its first successful
+#    branch is the deletion order of a True verdict.
 #
 # `decide` runs the tiers on the subgraph induced on a vertex mask of fixed
 # rows, and is the one decision: `is_contractible` memoizes it on a whole
@@ -257,7 +261,7 @@ def canon_bytes(n: int, rows) -> bytes:
 # rim densely reindexed, so the rows-keyed memo behind the table still hits
 # when a rim recurs under a different mask: translated copies of a rim in
 # `reduce`, equal rims of different search states in `homotopy_equivalent`.
-# Canonical forms key only the nodes of the exact search.
+# Canonical forms key only the refuted nodes of the exact search.
 
 
 def is_contractible(n: int, rows) -> bool:
@@ -281,16 +285,19 @@ def contractible_on(rows, mask: int) -> bool:
 
 def decide(rows, alive: int, rims: dict[int, bool] | None = None) -> tuple[bool, int, list[int]]:
     """The verdict for the subgraph induced on ``alive`` of ``rows``,
-    unmemoized at the top, the tier (1-3) that reached it, and the greedy
-    pass's deletion order (empty when no pass ran).
+    unmemoized at the top, the tier (1-3) that reached it, and a deletion
+    order of vertices of ``alive``. A True verdict's order, except a
+    cone's, reduces the subgraph to one vertex: the greedy pass's at tier
+    1, the exact search's first successful branch at tier 3. A False
+    verdict's order is the greedy deletions down to the stuck residue.
 
     A cone (some vertex adjacent to all others) is decided by tier 1 without
-    a pass: every other vertex's rim is a cone too, so greedy deletion
-    always reaches a point. Skipping the pass keeps cliques from nesting
-    one rim test per clique vertex. The empty and the disconnected graphs
-    are refuted by tier 2 before the pass: their reduced homology is
-    nonzero in degree -1 or 0. The pass runs on ``rows`` with the rim table
-    ``rims`` (see `_greedy`); tiers 2 and 3 run on dense rows.
+    a pass, so its order is empty: every other vertex's rim is a cone too,
+    so greedy deletion always reaches a point. Skipping the pass keeps
+    cliques from nesting one rim test per clique vertex. The empty and the
+    disconnected graphs are refuted by tier 2 before the pass: their reduced
+    homology is nonzero in degree -1 or 0. The pass runs on ``rows`` with
+    the rim table ``rims`` (see `_greedy`); tiers 2 and 3 run on dense rows.
     """
     if _cone(rows, alive):
         return True, 1, []
@@ -301,7 +308,11 @@ def decide(rows, alive: int, rims: dict[int, bool] | None = None) -> tuple[bool,
         return True, 1, order
     if not _acyclic(*subgraph_rows(rows, rest)):
         return False, 2, order
-    return _exact(*subgraph_rows(rows, alive)), 3, order
+    branch = _exact(*subgraph_rows(rows, alive))
+    if branch is None:
+        return False, 3, order
+    verts = _bits(alive)
+    return True, 3, [verts[u] for u in branch]
 
 
 def _simple(rows, v: int, alive: int, rims: dict[int, bool]) -> bool:
@@ -365,86 +376,49 @@ def _acyclic(n: int, rows) -> bool:
     return betti_q[0] == 1 and not any(betti_q[1:]) and not any(torsion)
 
 
-def _exact(n: int, rows) -> bool:
+def _exact(n: int, rows) -> list[int] | None:
     """Tier 3: backtracking over every simple point, on an explicit stack.
+    Returns the first successful branch as a deletion order down to one
+    vertex, or None.
 
     A node is a graph whose greedy pass stalls; its children delete its
     simple points in greedy order. A child that the greedy pass reduces to
-    a point proves its parent; any other child becomes a node unless the
-    memo knows its canonical form. Children skip tier 2: deleting a simple
+    a point proves its parent: its greedy order, lifted back through the
+    vertex each frame deleted from its parent, is the branch. Any other
+    child becomes a node unless the memo holds its canonical form, which it
+    does for refuted nodes only: a contractible node has to be searched
+    again to give up its branch. Children skip tier 2: deleting a simple
     point preserves homology, so every node has the homology of the root.
     """
     key = canon_bytes(n, rows)
-    found = _contractible.get(key)
-    if found is not None:
-        return found
-    stack = [(key, n, rows, iter(_greedy_order(n, rows)), {})]
+    if key in _contractible:
+        return None
+    # (canonical key, vertex deleted from the parent frame, n, rows, candidates, rim table)
+    stack = [(key, -1, n, rows, iter(_greedy_order(n, rows)), {})]
     while stack:
-        key, n, rows, candidates, rims = stack[-1]
+        key, _, n, rows, candidates, rims = stack[-1]
         full = (1 << n) - 1
-        child = None
-        if not found:
-            for v in candidates:
-                if not _simple(rows, v, full, rims):
-                    continue
-                cn, crows = subgraph_rows(rows, full ^ (1 << v))
-                alive, _ = _greedy(cn, crows)
-                if not alive & (alive - 1):
-                    found = True
-                    break
-                ckey = canon_bytes(cn, crows)
-                found = _contractible.get(ckey)
-                if found is None:
-                    child = (ckey, cn, crows, iter(_greedy_order(cn, crows)), {})
-                    break
-                if found:
-                    break
-        if child is not None:
-            stack.append(child)
-            continue
-        found = bool(found)
-        _memo_put(_contractible, key, found)
-        stack.pop()
-    return found
+        for v in candidates:
+            if not _simple(rows, v, full, rims):
+                continue
+            cn, crows = subgraph_rows(rows, full ^ (1 << v))
+            alive, order = _greedy(cn, crows)
+            if not alive & (alive - 1):
+                for w in [v] + [frame[1] for frame in reversed(stack[1:])]:
+                    order = [w] + [u + (u >= w) for u in order]
+                return order
+            ckey = canon_bytes(cn, crows)
+            if ckey not in _contractible:
+                stack.append((ckey, v, cn, crows, iter(_greedy_order(cn, crows)), {}))
+                break
+        else:
+            _memo_put(_contractible, key, False)
+            stack.pop()
+    return None
 
 
 def _greedy_order(n: int, rows) -> list[int]:
     return sorted(range(n), key=lambda v: (rows[v].bit_count(), v))
-
-
-def contraction_order(n: int, rows) -> list[int] | None:
-    """A witnessing deletion order down to one vertex, or None.
-
-    The order is the first successful branch of the exact search: the tier-1
-    order whenever greedy deletion reaches a point. Only a stalled greedy
-    pass falls back to `_witness`.
-    """
-    if not is_contractible(n, rows):
-        return None
-    alive, order = _greedy(n, rows)
-    return order if not alive & (alive - 1) else _witness(n, rows)
-
-
-def _witness(n: int, rows) -> list[int]:
-    """Deletion order of a contractible graph whose greedy pass stalls.
-
-    Each step deletes the first simple vertex, in greedy order, whose
-    deletion leaves a contractible graph, until the greedy pass finishes.
-    """
-    names = list(range(n))
-    acc: list[int] = []
-    while True:
-        full, rims = (1 << n) - 1, {}
-        for v in _greedy_order(n, rows):
-            if _simple(rows, v, full, rims):
-                dn, drows = subgraph_rows(rows, full ^ (1 << v))
-                if is_contractible(dn, drows):
-                    break
-        acc.append(names.pop(v))
-        n, rows = dn, drows
-        alive, order = _greedy(n, rows)
-        if not alive & (alive - 1):
-            return acc + [names[u] for u in order]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from .classify import is_n_manifold, is_n_sphere, is_n_disk, minimal_sphere
-from .graph import Graph, GraphError, build_graph, components, induced_subgraph, is_connected, rim
+from .graph import Graph, GraphError, build_graph, components, induced_subgraph, rim
 from .homotopy import is_contractible
 from .invariants import HomologyProfile, _euler_and_homology, same_profile
 
@@ -315,20 +315,9 @@ def get(name: str) -> CatalogEntry:
 # validation
 
 
-def _rim_shape(g: Graph, v: str) -> str:
-    """'cycle', 'path', or 'other' for the rim of v (chordless check included)."""
-    r = rim(g, v)
-    k = r.order
-    if k == 0:
-        return "other"
-    degs = sorted(r.degree(w) for w in r.vertices)
-    if not is_connected(r):
-        return "other"
-    if k >= 3 and degs == [2] * k and r.size == k:
-        return "cycle"
-    if k == 1 or (degs[:2] == [1, 1] and degs[2:] == [2] * (k - 2) and r.size == k - 1):
-        return "path"
-    return "other"
+def _is_path_rim(r: Graph) -> bool:
+    """Is ``r`` a 1-disk whose boundary is its degree-1 vertices?"""
+    return is_n_disk(r, [w for w in r.vertices if r.degree(w) == 1], 1)
 
 
 def _boundary_cycle_count(g: Graph, boundary: tuple[str, ...]) -> int:
@@ -380,10 +369,13 @@ def validate(entry: CatalogEntry) -> dict[str, Any]:
         )
     elif kind == "band":
         interior = [v for v in g.vertices if v not in boundary]
-        check("interior rims are cycles", all(_rim_shape(g, v) == "cycle" for v in interior))
+        # the recognizers' own shapes: a 1-sphere is a chordless cycle of at
+        # least 4 vertices, a 1-disk a path of at least 3 whose ends cone
+        # into a 1-sphere
+        check("interior rims are cycles", all(is_n_sphere(rim(g, v), 1).ok for v in interior))
         check(
             "boundary rims are paths",
-            all(_rim_shape(g, v) == "path" for v in sorted(boundary)),
+            all(_is_path_rim(rim(g, v)) for v in sorted(boundary)),
         )
         check(
             f"boundary forms {exp['boundary_cycles']} cycle(s)",

@@ -67,12 +67,8 @@ def _parse(obj: Any, depth: int):
             return ("var", _VAR_NAMES[obj])
         if obj.isidentifier():
             raise ShapeError(f"unknown variable {obj!r}")
-        try:
-            return ("const", _frac(obj))
-        except CoverError:
-            raise ShapeError(f"constant {obj!r} is not a valid rational") from None
-    if isinstance(obj, (int, float, Fraction)):
-        return ("const", _frac(obj))
+    if isinstance(obj, (str, int, float, Fraction)):
+        return ("const", _rational(obj, "constant"))
     if isinstance(obj, (list, tuple)) and obj:
         if depth == MAX_EXPR_DEPTH:
             raise ShapeError(f"expression nested deeper than {MAX_EXPR_DEPTH} operations")
@@ -92,6 +88,15 @@ def _parse(obj: Any, depth: int):
             return (op, args[0])
         raise ShapeError(f"unknown operation {op!r}")
     raise ShapeError(f"cannot parse expression {obj!r}")
+
+
+def _rational(x: Any, what: str) -> Fraction:
+    """``x`` as a rational; anything else (a boolean, NaN, an infinity, a
+    malformed string) raises ShapeError naming it as ``what``."""
+    try:
+        return _frac(x)
+    except CoverError:
+        raise ShapeError(f"{what} {x!r} is not a valid rational") from None
 
 
 def eval_expr(expr, point: Sequence[Fraction]) -> Fraction:
@@ -147,9 +152,8 @@ class ShapeSpec:
                 raise ShapeError("curve 'points' must be an array of coordinate arrays")
             if len(pts) < 2:
                 raise ShapeError("curve shape needs at least two points")
-            return ShapeSpec(
-                "curve", points=tuple(tuple(_frac(x) for x in p) for p in pts)
-            )
+            points = tuple(tuple(_rational(x, "curve coordinate") for x in p) for p in pts)
+            return ShapeSpec("curve", points=points)
         raise ShapeError(f"unknown shape kind {kind!r}")
 
 

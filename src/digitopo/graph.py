@@ -186,8 +186,8 @@ def _induced_mask(g: Graph, mask: int) -> Graph:
 # row edits
 #
 # The one-row or two-bit edits behind the contractible transformations. Each
-# keeps the existing vertex order and appends a new vertex last: witness
-# traces from contraction_order name vertices by index, so that order is
+# keeps the existing vertex order and appends a new vertex last: the
+# witness orders of `_pure.decide` name vertices by index, so that order is
 # part of the contract.
 
 

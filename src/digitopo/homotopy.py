@@ -146,22 +146,23 @@ def is_contractible(g: Graph, return_trace: bool = False):
     integer homology are checked: deletions preserve homology, so anything
     but the homology of a point answers False. Only what remains gets the full
     backtracking search. Verdicts are memoized on the exact adjacency rows,
-    and nodes of the backtracking search on canonical forms. The empty graph
-    is not contractible.
+    and refuted nodes of the backtracking search on canonical forms. The
+    empty graph is not contractible.
 
     With ``return_trace=True`` returns ``(bool, HomotopyTrace | None)`` where
     the trace replays the witnessing deletions: the greedy order when the
     greedy pass succeeds, else the first successful branch of the search.
+    That is one unmemoized `decide` call, which carries the order; only a
+    cone, which `decide` answers without a pass, gets its greedy pass here.
     """
-    verdict = kernels.is_contractible(g.order, g._rows)
     if not return_trace:
-        return verdict
+        return kernels.is_contractible(g.order, g._rows)
+    verdict, _, order = kernels.decide(g._rows, (1 << g.order) - 1)
     if not verdict:
         return False, None
-    order = kernels.contraction_order(g.order, g._rows)
-    assert order is not None
-    steps = tuple(DeletePoint(g.vertices[i]) for i in order)
-    return True, HomotopyTrace(steps)
+    if not order:
+        order = _greedy(g.order, g._rows)[1]
+    return True, HomotopyTrace(tuple(DeletePoint(g.vertices[i]) for i in order))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from digitopo.catalog import get, names, validate
+from conftest import complete_graph
+from digitopo.catalog import CatalogEntry, get, names, validate
 from digitopo.classify import is_n_manifold, is_n_sphere
 from digitopo.graph import canonical_key, components, induced_subgraph, rim
 from digitopo.homotopy import is_contractible
@@ -54,6 +55,17 @@ class TestCatalogBasics:
             disk = validate(dataclasses.replace(get(name), boundary=None, _report=None))
             assert disk["failures"] == [f"is_n_disk(dim {dim})"], name
             assert "contractible" in disk["checks"], name
+
+    def test_band_rims_are_read_by_the_recognizers(self):
+        # every rim of K4 is a triangle and every rim of a triangle an edge:
+        # a chordless cycle and a path, but no 1-sphere and no 1-disk
+        def band(g, boundary, cycles):
+            exp = {"kind": "band", "vertices": g.order, "euler": 1, "boundary_cycles": cycles}
+            return validate(CatalogEntry("band", g, exp, "test", tuple(boundary)))
+
+        assert band(complete_graph(4), (), 0)["failures"] == ["interior rims are cycles"]
+        triangle = complete_graph(3)
+        assert band(triangle, triangle.vertices, 1)["failures"] == ["boundary rims are paths"]
 
 
 class TestTorus16:

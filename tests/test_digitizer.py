@@ -184,6 +184,14 @@ class TestExpressions:
         with pytest.raises(ShapeError, match="^constant '1/0' is not a valid rational$"):
             parse_expr(["-", "x", "1/0"])
 
+    @pytest.mark.parametrize("value", ["true", "NaN", "Infinity"])
+    def test_json_values_that_are_not_rationals_are_shape_errors(self, value):
+        # Python's json reads all three, as a boolean and two floats
+        with pytest.raises(ShapeError, match="^constant .* is not a valid rational$"):
+            load_shape('{"kind": "region", "expr": ["-", "x", %s]}' % value)
+        with pytest.raises(ShapeError, match="^curve coordinate .* is not a valid rational$"):
+            load_shape('{"kind": "curve", "points": [[0], [%s]]}' % value)
+
     def test_rational_strings(self):
         e = parse_expr(["-", "x", "1/3"])
         assert eval_expr(e, (Fraction(1),)) == Fraction(2, 3)

@@ -32,7 +32,7 @@ from conftest import (
 from digitopo import _kernels as kernels
 from digitopo._kernels import _pure
 from digitopo.graph import build_graph, canonical_key, components, induced_subgraph, relabeled, rim
-from digitopo.homotopy import reduce
+from digitopo.homotopy import apply_trace, is_contractible, reduce
 from digitopo.invariants import clique_vector, euler_characteristic, homology
 from test_invariants import collapse_homology
 
@@ -44,6 +44,16 @@ def masks(g):
 def whole(g):
     """`_pure.decide` on every vertex of ``g``: the verdict and its tier."""
     return _pure.decide(g._rows, (1 << g.order) - 1)[:2]
+
+
+def contraction_order(n, rows):
+    """The witnessing deletion order down to one vertex, or None: `decide`'s
+    order, or the greedy pass's for a cone, which `decide` answers without
+    one (as `homotopy.is_contractible` does when asked for a trace)."""
+    verdict, _, order = _pure.decide(rows, (1 << n) - 1)
+    if not verdict:
+        return None
+    return order or _pure._greedy(n, rows)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +148,26 @@ class TestContractibleKernel:
         n, rows = graph
         verdict = exact_search(n, rows)
         assert _pure.is_contractible(n, rows) == verdict
-        assert _pure.contraction_order(n, rows) == exact_search_order(n, rows)
-        # tier 3 and the stalled-greedy witness, run on any input
-        assert _pure._exact(n, rows) == verdict
-        if verdict:
-            assert _pure._witness(n, rows) == exact_search_order(n, rows)
+        assert contraction_order(n, rows) == exact_search_order(n, rows)
+        # tier 3 alone, run on any input
+        assert _pure._exact(n, rows) == exact_search_order(n, rows)
+
+    def test_nested_frames_lift_the_branch(self, monkeypatch):
+        """With a greedy pass that deletes nothing, every node of the exact
+        search below the root is a frame of its stack, so the branch is
+        lifted through one frame per deleted vertex."""
+
+        def stalled(n, rows, tie=None, start=None, rims=None):
+            return ((1 << n) - 1 if start is None else start), []
+
+        kernels.clear_caches()
+        monkeypatch.setattr(_pure, "_greedy", stalled)
+        try:
+            for n in range(2, 6):
+                for g in all_labeled_graphs(n):
+                    assert _pure._exact(n, g._rows) == exact_search_order(n, g._rows), g.edges()
+        finally:
+            kernels.clear_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +415,9 @@ class TestTiers:
         assert not any(_pure.is_contractible(*_pure.subgraph_rows(rows, r)) for r in rows)
         assert euler_characteristic(g) == 1
         assert homology(g).betti_z2 == (1, 0, 0)
-        assert whole(g) == (False, 3)
+        assert _pure.decide(rows, (1 << n) - 1) == (False, 3, [])
         assert kernels.is_contractible(n, rows) is False
-        assert kernels.contraction_order(n, rows) is None
+        assert contraction_order(n, rows) is None
 
 
 class TestRobustness:
@@ -419,7 +444,7 @@ class TestRobustness:
         g = complete_graph(300)
         start = time.perf_counter()
         residue, trace = reduce(g)
-        order = kernels.contraction_order(*masks(g))
+        order = contraction_order(*masks(g))
         assert residue.order == 1 and len(trace) == 299
         assert len(order) == len(set(order)) == 299
         assert time.perf_counter() - start < 5
@@ -435,7 +460,7 @@ class TestRobustness:
         kernels.clear_caches()
         start = time.perf_counter()
         assert kernels.is_contractible(*masks(g)) is False
-        assert kernels.contraction_order(*masks(g)) is None
+        assert contraction_order(*masks(g)) is None
         assert time.perf_counter() - start < 2
 
     def test_canonical_form_of_a_star_does_not_recurse(self):
@@ -456,7 +481,7 @@ class TestContractionOrder:
         for _ in range(40):
             g = random_graph(rng, rng.randint(1, 8), rng.random())
             n, rows = masks(g)
-            order = kernels.contraction_order(n, rows)
+            order = contraction_order(n, rows)
             if kernels.is_contractible(n, rows):
                 assert order is not None and len(order) == n - 1
                 # replay: each deleted vertex has a contractible rim at its moment
@@ -474,11 +499,40 @@ class TestContractionOrder:
 
     def test_memo_does_not_poison_witness(self):
         g = wheel(5)
-        n, rows = masks(g)
-        assert kernels.is_contractible(n, rows)
-        assert kernels.contraction_order(n, rows) is not None
+        assert is_contractible(g)
         # ask twice: cached decision, fresh witness
-        assert kernels.contraction_order(n, rows) is not None
+        verdict, trace = is_contractible(g, return_trace=True)
+        assert verdict and len(trace) == g.order - 1
+        assert is_contractible(g, return_trace=True) == (verdict, trace)
+
+    @pytest.mark.parametrize("g", [path_graph(8), wheel(6)], ids=["path", "wheel"])
+    def test_cold_traced_decision_runs_one_greedy_pass(self, g, monkeypatch):
+        # one `decide` call gives the verdict and the order; a cone (the
+        # wheel) gets its one pass from `homotopy.is_contractible` itself
+        import digitopo.homotopy
+
+        real, passes = _pure._greedy, []
+
+        def counting(*args, **kwargs):
+            passes.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(_pure, "_greedy", counting)
+        monkeypatch.setattr(digitopo.homotopy, "_greedy", counting)
+        kernels.clear_caches()
+        verdict, trace = is_contractible(g, return_trace=True)
+        assert verdict and len(trace) == g.order - 1
+        assert passes == [g.order]
+
+    def test_every_trace_up_to_6_replays_to_a_point(self):
+        for n in range(7):
+            for g in all_labeled_graphs(n):
+                verdict, trace = is_contractible(g, return_trace=True)
+                assert verdict == kernels.is_contractible(*masks(g)), g.edges()
+                if verdict:
+                    assert apply_trace(g, trace).order == 1, g.edges()
+                else:
+                    assert trace is None, g.edges()
 
 
 def clique_sizes(g, cap=9):
