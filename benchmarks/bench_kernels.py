@@ -2,7 +2,8 @@
 """Benchmark the kernels, the package layers above them, and one workload.
 
 Micro rows call the kernel functions directly on graphs shaped like the
-package's real call sites; layer rows time `cubical_model`, cold-cache
+package's real call sites; layer rows time `cubical_model` (a 2-D region,
+a 2-D hypersurface, a polyline and a 3-D sphere), cold-cache
 `classify` (grown spheres, a grown torus as a negative for the sphere
 clause, and the minimal 20-sphere, whose time is all rim walk), cold-cache
 `reduce` of 3-D sphere shells (the `digitize` hot path) and `homology` of
@@ -26,6 +27,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from fractions import Fraction as F
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
@@ -39,13 +41,18 @@ def _inputs():
     """Workloads shaped like the package's real call sites.
 
     Contractibility rows cover each tier of the kernel: graphs the
-    greedy pass reduces to a point (the wheel, the 3x3x3 solid block of
-    Chebyshev-adjacent cubes) and stuck residues whose homology refutes
-    contractibility (the torus, the 3-sphere, and the 26-vertex rim of an
-    interior cube, the rim test that dominates reducing solid 3-D models).
+    greedy pass reduces to a point (a 40-vertex path and a 40-vertex graph
+    grown by attaching points over contractible rims; neither is a cone,
+    which `decide` answers before any pass) and stuck residues whose
+    homology refutes contractibility (the torus, the 3-sphere, and the
+    26-vertex rim of an interior cube of the 3x3x3 solid block of
+    Chebyshev-adjacent cubes, the rim test that dominates reducing solid
+    3-D models).
     """
     import itertools
+    import random
 
+    from conftest import path_graph, random_contractible_graph
     from digitopo.catalog import get
     from digitopo.classify import minimal_sphere
     from digitopo.covers import BoxCell
@@ -61,11 +68,6 @@ def _inputs():
             cubical_model(shape_circle(), BoxCell.make([-2, -2], [2, 2]), "1/4")
         ),
     }
-    k = 12
-    wheel = build_graph(
-        [f"c{i}" for i in range(k)] + ["hub"],
-        [(f"c{i}", f"c{(i + 1) % k}") for i in range(k)] + [(f"c{i}", "hub") for i in range(k)],
-    )
     cubes = list(itertools.product(range(3), repeat=3))
     block = build_graph(
         [str(c) for c in cubes],
@@ -76,8 +78,8 @@ def _inputs():
         ],
     )
     contract_graphs = {
-        "wheel-12 (contractible)": wheel,
-        "3x3x3 block (contractible)": block,
+        "path-40 (contractible)": path_graph(40),
+        "grown-40 (contractible)": random_contractible_graph(random.Random(5), 40),
         "torus16 (irreducible)": get("torus16").graph,
         "minimal 3-sphere (irreducible)": minimal_sphere(3),
         "26-vertex cube rim (irreducible)": rim(block, str((1, 1, 1))),
@@ -168,14 +170,28 @@ def layers():
     from digitopo.catalog import get
     from digitopo.classify import classify, minimal_sphere
     from digitopo.covers import BoxCell, boundary_trace_cover, nerve, validate_lcl
-    from digitopo.digitizer import cubical_model, model_graph, shape_sphere
+    from digitopo.digitizer import (
+        ShapeSpec,
+        cubical_model,
+        model_graph,
+        shape_annulus,
+        shape_circle,
+        shape_sphere,
+    )
     from digitopo.homotopy import is_contractible, reduce
     from digitopo.invariants import homology
 
-    window = BoxCell.make([-2] * 3, [2] * 3)
     print(f"\n{'layer':50s}{'time':>12s}")
-    t = _time(lambda: cubical_model(shape_sphere(), window, "1/3"))
-    print(f"{'cubical_model 3-D sphere, pitch 1/3, [-2,2]^3':50s}{t * 1e3:>10.2f}ms")
+    zigzag = ShapeSpec("curve", points=((F(0), F(0)), (F(2), F(0)), (F(0), F(2)), (F(2), F(2))))
+    square = BoxCell.make([-2] * 2, [2] * 2)
+    for label, shape, window, pitch in (
+        ("2-D annulus region", shape_annulus("3/4", "3/2"), square, "1/10"),
+        ("2-D circle hypersurface", shape_circle(), square, "1/10"),
+        ("2-D Z polyline", zigzag, BoxCell.make([-1] * 2, [3] * 2), "1/10"),
+        ("3-D sphere", shape_sphere(), BoxCell.make([-2] * 3, [2] * 3), "1/3"),
+    ):
+        t = _time(lambda: cubical_model(shape, window, pitch))
+        print(f"{f'cubical_model {label}, pitch {pitch}':50s}{t * 1e3:>10.2f}ms")
     # the torus is a negative for the sphere clause: every G - v fails; every
     # G - v of the minimal 20-sphere is a cone, so its deletion clause runs no
     # pass and the time is the rim walk

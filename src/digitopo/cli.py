@@ -94,7 +94,7 @@ def _cmd_invariants(args) -> int:
 def _cmd_digitize(args) -> int:
     try:
         shape, window, pitch = load_shape(_read(args.shape))
-    except (json.JSONDecodeError, ShapeError, CoverError) as exc:
+    except (json.JSONDecodeError, ShapeError) as exc:
         raise InputError(f"{args.shape}: {exc}") from exc
     if args.pitch is not None:
         try:
@@ -156,7 +156,7 @@ def _cmd_catalog(args) -> int:
         entry = catalog.get(args.name)
     except KeyError as exc:
         raise InputError(str(exc.args[0])) from exc
-    report = catalog.validate(entry)
+    report = entry._report  # validated and cached by `catalog.get`
     _emit(
         {
             "name": entry.name,

@@ -4,9 +4,10 @@ A shape is digitized by collecting the lattice cubes at pitch L that meet
 it, judged by a deterministic corner-and-center sample grid: 3 positions
 per axis, at multiples of the half pitch L/2. Neighbouring cubes share
 samples, so regions and hypersurfaces are evaluated once per point of the
-shared half-pitch lattice. `_compile` turns the expression into integer
-arithmetic over a common denominator and only the sign of each point is
-kept, so the verdicts are exact and use no floats. The model graph joins
+shared half-pitch lattice. `_compile` turns the expression into one lazy
+stream of integers over a common denominator and only the sign of each
+point is kept; curve samples are integers over a common denominator too,
+so the verdicts are exact and use no floats. The model graph joins
 cubes whose closed boxes intersect, i.e. cubes within Chebyshev distance
 one. Reducing the model graph and reading its invariants reproduces the
 experiment chain shape -> cubical model -> intersection graph.
@@ -40,8 +41,9 @@ class ShapeError(ValueError):
 
 _VAR_NAMES = {"x": 0, "y": 1, "z": 2, "x0": 0, "x1": 1, "x2": 2}
 
-# Operations nest at most this deep, so parsing, `eval_expr` and the
-# evaluator from `_compile` all recurse far below the interpreter's limit.
+# Operations nest at most this deep, so parsing, `eval_expr` and `_compile`
+# recurse far below the interpreter's limit, and the iterators of a stream
+# from `_compile` nest at most three per operation, never one per operand.
 MAX_EXPR_DEPTH = 100
 
 # `_compile` evaluates an expression at this integer degree at most. A
@@ -233,10 +235,13 @@ def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel
     feature smaller than the sample grid can be missed. A window of more
     than `MAX_CUBES` cubes raises ShapeError.
 
-    Neighbouring cubes share samples, so a region or hypersurface is
-    evaluated once at every point of the half-pitch lattice over the
-    window's cube range, by `_compile` in exact integer arithmetic, and
-    only the sign of each point is kept.
+    Everything runs on integers over a common scale. A region or
+    hypersurface is evaluated once at every point of the half-pitch lattice
+    over the window's cube range, as one lazy stream from `_compile`, and
+    only the sign of each point is kept; each cube then reads the OR of its
+    samples' sign codes at its corner point, after one shifted OR pass per
+    axis. A curve sample is one integer numerator per axis over the
+    segment's denominator, whose quotient is the cube index.
     """
     L = _frac(pitch)
     if L <= 0:
@@ -256,56 +261,37 @@ def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel
         raise ShapeError(
             f"window holds {count} cubes at pitch {_fmt(L)}, above the cap of {MAX_CUBES}"
         )
-
-    cubes: set[tuple[int, ...]] = set()
     if shape.kind == "curve":
-        # a sample outside the cube range's closed box touches no cube of it
-        box = [(r.start * L, r.stop * L) for r in ranges]
-        for a, b in zip(shape.points, shape.points[1:]):
-            if len(a) != p or len(b) != p:
-                raise ShapeError("curve points do not match the window dimension")
-            l1 = sum(abs(bb - aa) for aa, bb in zip(a, b))
-            steps = max(1, int((4 * l1 / L).__ceil__()))
-            for s in _samples_in_box(a, b, steps, box):
-                t = Fraction(s, steps)
-                pt = tuple(aa + t * (bb - aa) for aa, bb in zip(a, b))
-                for cand in itertools.product(
-                    *[_cubes_touching(x, L) for x in pt]
-                ):
-                    cubes.add(cand)
-        cubes = {c for c in cubes if all(c[ax] in ranges[ax] for ax in range(p))}
-        return CubicalModel(L, p, frozenset(cubes))
+        return CubicalModel(L, p, frozenset(_curve_cubes(shape.points, L, ranges)))
     if not all(ranges):
         return CubicalModel(L, p, frozenset())
 
     # Lattice points are laid out flat, the last axis fastest.
     half = L / 2
     scale = math.lcm(half.denominator, *_const_denominators(shape.expr))
-    f = _compile(shape.expr, scale, p)[0]
     step = half.numerator * (scale // half.denominator)
     axes = [[k * step for k in range(2 * r.start, 2 * r.stop + 1)] for r in ranges]
-    signs = bytearray(
-        _NEG if v < 0 else _POS if v else _ZERO
-        for v in map(f, itertools.product(*axes))
+    values = _compile(shape.expr, scale, axes)[0]
+    points = math.prod(map(len, axes))
+    signs = bytes(
+        _NEG if v < 0 else _POS if v else _ZERO for v in itertools.islice(values, points)
     )
-    strides = [1] * p
-    for ax in range(p - 2, -1, -1):
-        strides[ax] = strides[ax + 1] * len(axes[ax + 1])
-    offsets = [
-        sum(o * s for o, s in zip(off, strides))
-        for off in itertools.product(range(3), repeat=p)
-    ]
+    # Byte i of `seen` ORs the codes at i, i + s and i + 2s along each axis
+    # of stride s, so a cube's 3^p samples meet at its corner point.
+    seen = int.from_bytes(signs, "little")
+    strides = [math.prod(map(len, axes[ax + 1 :])) for ax in range(p)]
+    for s in strides:
+        seen |= seen >> 8 * s | seen >> 16 * s
+    seen = seen.to_bytes(points, "little")
     hits = _REGION_HITS if shape.kind == "region" else _HYPERSURFACE_HITS
     corners = itertools.product(
         *[range(0, 2 * len(r) * s, 2 * s) for r, s in zip(ranges, strides)]
     )
-    for cube, corner in zip(itertools.product(*ranges), corners):
-        base = sum(corner)
-        seen = 0
-        for o in offsets:
-            seen |= signs[base + o]
-        if hits[seen]:
-            cubes.add(cube)
+    cubes = {
+        cube
+        for cube, corner in zip(itertools.product(*ranges), map(sum, corners))
+        if hits[seen[corner]]
+    }
     return CubicalModel(L, p, frozenset(cubes))
 
 
@@ -326,54 +312,51 @@ def _const_denominators(expr) -> list[int]:
     return [d for a in expr[1:] for d in _const_denominators(a)]
 
 
-def _compile(expr, scale: int, ambient: int):
-    """Compile an expression into an exact integer evaluator.
+def _compile(expr, scale: int, axes: Sequence[Sequence[int]]):
+    """Compile an expression into a lazy stream of exact integer values.
 
-    Returns ``(fn, degree)``. Given a point whose coordinates are integers
-    ``x_i * scale``, ``fn`` returns ``f(x) * scale**degree`` as an int, so
-    its sign is the sign of f. ``scale`` must be a multiple of every
-    constant's denominator. A degree above `MAX_DEGREE` raises ShapeError
-    before any operand is rescaled.
+    Returns ``(values, degree)``. The lattice is ``itertools.product(*axes)``,
+    whose coordinates are integers ``x_i * scale``; ``values`` yields
+    ``f(x) * scale**degree`` as an int at each lattice point in turn, so its
+    signs are the signs of f. ``scale`` must be a multiple of every
+    constant's denominator. Each node is one `map` (over a `zip` of its
+    operands when it has several), so the stream holds no per-point state
+    and nests at most three iterators deep per operation. A degree above
+    `MAX_DEGREE` raises ShapeError here, before any value is drawn; a
+    variable beyond the lattice's axes raises when the first value is.
     """
     op = expr[0]
     if op == "const":
         c = expr[1]
-        n = c.numerator * (scale // c.denominator)
-        return (lambda pt: n), 1
+        return itertools.repeat(c.numerator * (scale // c.denominator)), 1
     if op == "var":
         idx = expr[1]
-        if idx >= ambient:
-
-            def missing(pt):
-                raise ShapeError(f"expression uses axis {idx}, point has {ambient}")
-
-            return missing, 1
-        return operator.itemgetter(idx), 1
-    parts = [_compile(a, scale, ambient) for a in expr[1:]]
+        if idx >= len(axes):
+            return _missing_axis(idx, len(axes)), 1
+        return map(operator.itemgetter(idx), itertools.product(*axes)), 1
+    parts = [_compile(a, scale, axes) for a in expr[1:]]
     if op == "*":
-        fns = [fn for fn, _ in parts]
-        return (lambda pt: math.prod([fn(pt) for fn in fns])), _capped(sum(d for _, d in parts))
+        return map(math.prod, zip(*[v for v, _ in parts])), _capped(sum(d for _, d in parts))
     if op == "square":
         (a, d), = parts
-        return (lambda pt: a(pt) ** 2), _capped(2 * d)
+        return map(pow, a, itertools.repeat(2)), _capped(2 * d)
     if op == "abs":
         (a, d), = parts
-        return (lambda pt: abs(a(pt))), d
+        return map(abs, a), d
     if op == "-" and len(parts) == 1:
         (a, d), = parts
-        return (lambda pt: -a(pt)), d
+        return map(operator.neg, a), d
     # +, binary -, min and max compare or add operands at one common degree
     degree = max(d for _, d in parts)
-    fns = [_rescaled(fn, scale ** (degree - d)) for fn, d in parts]
+    ops = [v if d == degree else map((scale ** (degree - d)).__mul__, v) for v, d in parts]
     if op == "+":
-        return (lambda pt: sum([fn(pt) for fn in fns])), degree
+        return map(sum, zip(*ops)), degree
     if op == "-":
-        a, b = fns
-        return (lambda pt: a(pt) - b(pt)), degree
+        return map(operator.sub, *ops), degree
     if op == "min":
-        return (lambda pt: min([fn(pt) for fn in fns])), degree
+        return map(min, zip(*ops)), degree
     if op == "max":
-        return (lambda pt: max([fn(pt) for fn in fns])), degree
+        return map(max, zip(*ops)), degree
     raise ShapeError(f"unknown operation {op!r}")
 
 
@@ -383,36 +366,55 @@ def _capped(degree: int) -> int:
     return degree
 
 
-def _rescaled(fn, factor: int):
-    if factor == 1:
-        return fn
-    return lambda pt: fn(pt) * factor
+def _missing_axis(idx: int, ambient: int):
+    """A stream that raises on its first value: the expression reads axis
+    ``idx`` of points with ``ambient`` coordinates."""
+    raise ShapeError(f"expression uses axis {idx}, point has {ambient}")
+    yield  # a generator, so the raise waits for the first value
 
 
-def _samples_in_box(a, b, steps: int, box) -> range:
-    """The indices s in 0..steps whose point a + (s/steps)(b - a) lies in
-    the closed box, one (lo, hi) pair per axis; exact."""
-    t0, t1 = Fraction(0), Fraction(1)
-    for aa, bb, (lo, hi) in zip(a, b, box):
-        d = bb - aa
+def _curve_cubes(points, L: Fraction, ranges) -> set[tuple[int, ...]]:
+    """The cubes of ``ranges`` that the polyline's samples touch.
+
+    With ``scale`` the common denominator of every coordinate over L, a
+    segment sampled ``steps`` times puts sample s at ``(n + s*d) / D`` pitches
+    on each axis, for integers n, d and ``D = scale * steps``. The quotient
+    is the cube index and a zero remainder a face, where the sample touches
+    the cube below too.
+    """
+    p = len(ranges)
+    if any(len(pt) != p for pt in points):
+        raise ShapeError("curve points do not match the window dimension")
+    scaled = [[x / L for x in pt] for pt in points]
+    scale = math.lcm(*[q.denominator for pt in scaled for q in pt])
+    scaled = [[q.numerator * (scale // q.denominator) for q in pt] for pt in scaled]
+    cubes = set()
+    for a, b in zip(scaled, scaled[1:]):
+        deltas = [bb - aa for aa, bb in zip(a, b)]
+        # at most a quarter pitch, in L1 length, between samples
+        steps = max(1, -(-4 * sum(map(abs, deltas)) // scale))
+        D = scale * steps
+        axes = [(aa * steps, d) for aa, d in zip(a, deltas)]
+        for s in _samples_in_box(axes, D, steps, ranges):
+            at = [divmod(n + s * d, D) for n, d in axes]
+            cubes.update(itertools.product(*[(k - 1, k) if r == 0 else (k,) for k, r in at]))
+    return {c for c in cubes if all(x in r for x, r in zip(c, ranges))}
+
+
+def _samples_in_box(axes, D: int, steps: int, ranges) -> range:
+    """The indices s in 0..steps whose sample ``(n + s*d) / D`` lies in the
+    closed box of the cube ranges on every axis, one (n, d) pair per axis."""
+    first, last = 0, steps
+    for (n, d), r in zip(axes, ranges):
+        lo, hi = r.start * D - n, r.stop * D - n
         if d == 0:
-            if not lo <= aa <= hi:
+            if not lo <= 0 <= hi:
                 return range(0)
             continue
-        u, v = sorted(((lo - aa) / d, (hi - aa) / d))
-        t0, t1 = max(t0, u), min(t1, v)
-    if t0 > t1:
-        return range(0)
-    return range(math.ceil(t0 * steps), math.floor(t1 * steps) + 1)
-
-
-def _cubes_touching(x: Fraction, L: Fraction) -> list[int]:
-    """Indices k with k*L <= x <= (k+1)*L (two when x sits on a face)."""
-    q = x / L
-    k = int(q.__floor__())
-    if q.denominator == 1:
-        return [k - 1, k]
-    return [k]
+        if d < 0:
+            lo, hi = hi, lo
+        first, last = max(first, -(-lo // d)), min(last, hi // d)
+    return range(first, last + 1)
 
 
 def model_graph(model: CubicalModel) -> Graph:
@@ -481,19 +483,25 @@ def digitize_reduce(shape: ShapeSpec, window: BoxCell, pitch: Any) -> DigitizeRe
 
 
 def load_shape(text: str) -> tuple[ShapeSpec, Optional[BoxCell], Optional[Fraction]]:
-    """Read a shape JSON file; window and pitch are optional fields."""
+    """Read a shape JSON file; window and pitch are optional fields.
+
+    Malformed JSON raises json.JSONDecodeError; any other malformed field,
+    a window bound or the pitch included, raises ShapeError."""
     try:
         obj = json.loads(text)
     except RecursionError:
         raise ShapeError("JSON nested too deeply") from None
     shape = ShapeSpec.from_obj(obj)
-    window = None
-    if "window" in obj:
-        try:
+    window = pitch = None
+    try:
+        if "window" in obj:
             window = BoxCell.make(obj["window"]["lo"], obj["window"]["hi"])
-        except (KeyError, TypeError) as exc:
-            raise ShapeError(f"malformed window: {exc}") from exc
-    pitch = _frac(obj["pitch"]) if "pitch" in obj else None
+        if "pitch" in obj:
+            pitch = _frac(obj["pitch"])
+    except (KeyError, TypeError) as exc:
+        raise ShapeError(f"malformed window: {exc}") from exc
+    except CoverError as exc:
+        raise ShapeError(str(exc)) from None
     return shape, window, pitch
 
 
@@ -512,18 +520,3 @@ def mask_csv(model: CubicalModel) -> str:
             ",".join("1" if (x, y) in model.cubes else "0" for x in range(min(xs), max(xs) + 1))
         )
     return "\n".join(lines) + "\n"
-
-
-def mask_pgm(model: CubicalModel) -> str:
-    if model.ambient != 2:
-        raise ShapeError("mask dumps need a 2-dimensional model")
-    xs = [c[0] for c in model.cubes]
-    ys = [c[1] for c in model.cubes]
-    w = max(xs) - min(xs) + 1
-    h = max(ys) - min(ys) + 1
-    rows = []
-    for y in range(max(ys), min(ys) - 1, -1):
-        rows.append(
-            " ".join("0" if (x, y) in model.cubes else "1" for x in range(min(xs), max(xs) + 1))
-        )
-    return f"P2\n{w} {h}\n1\n" + "\n".join(rows) + "\n"

@@ -214,6 +214,16 @@ class TestCatalogCli:
         assert code == 0
         assert obj["validation"]["ok"] and len(obj["graph"]["vertices"]) == 11
 
+    def test_show_validates_once(self, capsys, monkeypatch):
+        from digitopo import catalog
+
+        calls, real = [], catalog.validate
+        monkeypatch.setattr(catalog, "validate", lambda e: calls.append(e.name) or real(e))
+        monkeypatch.setattr(catalog.get("torus16"), "_report", None)
+        code, out, _ = run(capsys, "catalog", "show", "torus16")
+        assert code == 0 and json.loads(out)["validation"]["ok"]
+        assert calls == ["torus16"]
+
     def test_unknown_exit_2(self, capsys):
         code, _, err = run(capsys, "catalog", "show", "zzz")
         assert code == 2 and "unknown catalog entry" in err

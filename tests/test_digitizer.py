@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from digitopo.digitizer import (
     eval_expr,
     load_shape,
     mask_csv,
-    mask_pgm,
     model_graph,
     parse_expr,
     shape_annulus,
@@ -217,14 +217,14 @@ class TestExpressions:
         # x - 1/3 squared six times has degree 64, the cap; a constant
         # counts degree 1, as the scaled evaluator sees it
         expr = ["-", "x", "1/3"]
-        while _compile(parse_expr(expr), 3, 1)[1] < MAX_DEGREE:
+        while _compile(parse_expr(expr), 3, [[]])[1] < MAX_DEGREE:
             expr = ["square", expr]
         at_cap = parse_expr(["-", expr, "1/2"])
-        f, degree = _compile(at_cap, 6, 1)
+        values, degree = _compile(at_cap, 6, [range(-12, 13)])
         assert degree == MAX_DEGREE
-        for k in range(-12, 13):
-            x = Fraction(k, 6)
-            assert f((k,)) == eval_expr(at_cap, (x,)) * 6**degree
+        assert list(values) == [
+            eval_expr(at_cap, (Fraction(k, 6),)) * 6**degree for k in range(-12, 13)
+        ]
         shape, window = ShapeSpec("region", expr=at_cap), BoxCell.make([-2], [2])
         assert cubical_model(shape, window, "1/3") == reference_cubical_model(shape, window, "1/3")
         for above in (["square", expr], ["*", expr, "x"]):
@@ -308,6 +308,35 @@ class TestCubicalModel:
         for window in (BoxCell.make([0, -1], [0, 1]), BoxCell.make([-1, "1/2"], [1, "1/2"])):
             model = cubical_model(uses_z, window, "1/2")
             assert model == CubicalModel(Fraction(1, 2), 2, frozenset())
+
+    def test_wide_sum_digitizes(self):
+        # one `+` of 100,000 operands: the evaluator must not nest per operand
+        wide = ShapeSpec("region", expr=parse_expr(["+"] + ["x"] * 100_000))
+        model = cubical_model(wide, BoxCell.make([-2], [2]), 1)
+        assert model.cubes == {(-2,), (-1,), (0,)}
+
+    def test_lattice_evaluation_holds_no_list_per_node(self):
+        # 8,000 cubes over 68,921 lattice points; a list of values per node
+        # would hold megabytes
+        window = BoxCell.make([-4] * 3, [4] * 3)
+        tracemalloc.start()
+        try:
+            model = cubical_model(shape_sphere(3), window, "2/5")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.cubes
+        assert peak < 4 * 2**20
+
+    def test_degree_cap_comes_before_a_missing_axis(self):
+        # x squared six times has degree 64; one more factor passes the cap
+        big = "x"
+        for _ in range(6):
+            big = ["square", big]
+        for expr in (["*", "z", big], ["*", big, "z"], ["+", "z", ["*", big, "y"]]):
+            with pytest.raises(ShapeError) as exc:
+                cubical_model(ShapeSpec("region", expr=parse_expr(expr)), WINDOW2, "1/2")
+            assert str(exc.value) == "expression has degree 65, above the cap of 64"
 
     def test_missing_axis_raises_when_a_point_is_evaluated(self):
         for kind in ("region", "hypersurface"):
@@ -437,6 +466,20 @@ class TestShapeIo:
         assert shape.kind == "hypersurface"
         assert window.lo == (-2, -2) and pitch == Fraction(1, 2)
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ('"pitch": true', "cannot read rational value True"),
+            ('"window": {"lo": [NaN, 0], "hi": [1, 1]}', "cannot read rational value nan"),
+            ('"window": {"lo": ["q", 0], "hi": [1, 1]}', "cannot read rational value 'q'"),
+        ],
+    )
+    def test_pitch_and_window_bounds_that_are_not_rationals(self, field, message):
+        text = '{"kind": "region", "expr": "x", %s}' % field
+        with pytest.raises(ShapeError) as exc:
+            load_shape(text)
+        assert str(exc.value) == message
+
     def test_deeply_nested_json_is_a_shape_error(self):
         with pytest.raises(ShapeError, match="JSON nested too deeply"):
             load_shape('{"kind": "region", "expr": ' + "[" * 3000 + "]" * 3000 + "}")
@@ -445,8 +488,6 @@ class TestShapeIo:
         model = cubical_model(shape_circle(), WINDOW2, "1/2")
         csv = mask_csv(model)
         assert csv.count("\n") == 6 and set(csv) <= set("01,\n")
-        pgm = mask_pgm(model)
-        assert pgm.startswith("P2\n6 6\n1\n")
 
     def test_mask_requires_2d(self):
         model = cubical_model(shape_segment(), BoxCell.make([0], [1]), "1/2")
