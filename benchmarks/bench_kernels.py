@@ -13,7 +13,8 @@ cold traced `is_contractible` on a 160-vertex path with its number of
 greedy passes (`_pure._greedy`), and the cover operations on the
 brick-wall torus, each on a fresh cover
 (a cover computes its nerve once and keeps it), alone and together as one
-`certify`-shaped cover task; the macro row runs sphere
+`certify`-shaped cover task, plus validation and the cover task (validate,
+nerve, no trace) on the invalid aligned-grid torus; the macro row runs sphere
 recognition, a 3-D digitization and a cover validation once, after clearing
 every memo table. Each `is_contractible` row also prints the tier that
 decides it (`_pure.decide`), and each `classify` and `reduce` row the number
@@ -166,7 +167,7 @@ def _calls(fn, name: str) -> int:
 
 def layers():
     import digitopo
-    from conftest import brick_wall_torus_cover, dunce_hat, path_graph
+    from conftest import aligned_grid_torus_cover, brick_wall_torus_cover, dunce_hat, path_graph
     from digitopo.catalog import get
     from digitopo.classify import classify, minimal_sphere
     from digitopo.covers import BoxCell, boundary_trace_cover, nerve, validate_lcl
@@ -251,6 +252,14 @@ def layers():
     ):
         t = _time(lambda: call(brick_wall_torus_cover()))
         print(f"{f'{name} brick-wall torus (16 cells)':50s}{t * 1e3:>10.2f}ms")
+    # invalid, so its 3- and 4-cell cliques are intersected outside the
+    # pairwise pass, and a task traces no cell, as in `certify`
+    for name, call in (
+        ("validate_lcl", validate_lcl),
+        ("cover task", lambda c: (validate_lcl(c), nerve(c))),
+    ):
+        t = _time(lambda: call(aligned_grid_torus_cover()))
+        print(f"{f'{name} aligned-grid torus (16 cells)':50s}{t * 1e3:>10.2f}ms")
 
 
 def macro():

@@ -3,9 +3,9 @@
 JSON goes to stdout, diagnostics to stderr. Exit codes: 0 when the request
 succeeded, 1 when it computed cleanly but the property failed (invalid
 cover, non-recognized graph, failed replay), 2 on malformed or unsupported
-input (a clique above the cap). Output is deterministic: everything
-upstream uses fixed tie-breaking, and objects are serialized with sorted
-keys.
+input (a clique above the cap, rims nested too deep for the recursion
+limit). Output is deterministic: everything upstream uses fixed
+tie-breaking, and objects are serialized with sorted keys.
 """
 
 from __future__ import annotations
@@ -251,6 +251,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (InputError, GraphError, CoverError, ShapeError, TransformationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("input error: input too deep for the recursion limit", file=sys.stderr)
         return 2
 
 

@@ -1,12 +1,14 @@
 """Axis-aligned box covers: validity checks, nerves, boundary traces, merges.
 
 Cells are boxes with rational corners on a Euclidean or periodic (flat
-torus) lattice, which keeps every intersection exactly computable. All
-arithmetic uses Fractions; there are no epsilons anywhere.
+torus) lattice, which keeps every intersection exactly computable. A
+cover's geometry runs on its corners and periods scaled to integers
+(`BoxCover._lattice`); Fractions remain only in parsing, `BoxCover.make`,
+output, and boxes going back into a cover. There are no epsilons anywhere.
 
 The nerve (intersection graph) is kept as bitmask rows, ``rows[i]`` having
 bit ``j`` set when cells i and j meet, from one pairwise pass per cover:
-`BoxCover._pair_pieces` keeps the per-axis pieces of every meeting pair,
+`BoxCover._pair_pieces` keeps the lattice pieces of every meeting pair,
 `BoxCover._nerve_rows` reads the nerve off them, both on first use, and
 validation, `nerve` and `boundary_trace_cover` read them, so no pair is
 intersected twice. Validation walks the cliques of the nerve once with the
@@ -24,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
@@ -138,13 +141,29 @@ class BoxCover:
         return self.cells[0].ambient
 
     @functools.cached_property
+    def _lattice(self) -> tuple[int, tuple[BoxCell, ...], tuple[Optional[int], ...]]:
+        """``(scale, cells, periods)``: the corners and periods times
+        ``scale``, the lcm of all their denominators, as ints. Computed on
+        first use and kept (not a field, so equality and output ignore it)."""
+        values = [x for c in self.cells for x in c.lo + c.hi]
+        values += [p for p in self.periods if p is not None]
+        scale = math.lcm(*(x.denominator for x in values))
+
+        def up(x: Fraction) -> int:
+            return x.numerator * (scale // x.denominator)
+
+        cells = tuple(BoxCell(tuple(map(up, c.lo)), tuple(map(up, c.hi))) for c in self.cells)
+        periods = tuple(None if p is None else up(p) for p in self.periods)
+        return scale, cells, periods
+
+    @functools.cached_property
     def _pair_pieces(self) -> dict[tuple[int, int], list]:
-        """Per-axis pieces of the intersection of cells ``i < j``, for every
-        pair that meets; computed on first use and kept (not a field, so
-        equality and output ignore it)."""
+        """Per-axis lattice pieces of the intersection of cells ``i < j``,
+        for every pair that meets; kept like `_lattice`."""
+        _, cells, periods = self._lattice
         out = {}
-        for i, j in itertools.combinations(range(len(self.cells)), 2):
-            pieces = _intersection_pieces([self.cells[i], self.cells[j]], self.periods)
+        for i, j in itertools.combinations(range(len(cells)), 2):
+            pieces = _intersection_pieces([cells[i], cells[j]], periods)
             if pieces is not None:
                 out[i, j] = pieces
         return out
@@ -200,7 +219,7 @@ def load_cover(text: str) -> BoxCover:
 
 
 # ---------------------------------------------------------------------------
-# exact interval geometry
+# exact interval geometry, on a cover's integer lattice (`BoxCover._lattice`)
 #
 # On a periodic axis an interval is an arc; the intersection of arcs can
 # have up to two components, which is never a box. _axis_pieces returns the
@@ -209,15 +228,15 @@ def load_cover(text: str) -> BoxCover:
 
 
 def _axis_pieces(
-    intervals: Sequence[tuple[Fraction, Fraction]], period: Optional[Fraction]
-) -> list[tuple[Fraction, Fraction]]:
+    intervals: Sequence[tuple[int, int]], period: Optional[int]
+) -> list[tuple[int, int]]:
     if period is None:
         lo = max(a for a, _ in intervals)
         hi = min(b for _, b in intervals)
         return [(lo, hi)] if lo <= hi else []
     pieces = [intervals[0]]
     for a2, b2 in intervals[1:]:
-        nxt: list[tuple[Fraction, Fraction]] = []
+        nxt: list[tuple[int, int]] = []
         for a1, b1 in pieces:
             for k in (-1, 0, 1):
                 lo = max(a1, a2 + k * period)
@@ -225,7 +244,7 @@ def _axis_pieces(
                 if lo <= hi:
                     nxt.append((lo, hi))
         nxt.sort()
-        merged: list[tuple[Fraction, Fraction]] = []
+        merged: list[tuple[int, int]] = []
         for lo, hi in nxt:
             if merged and lo <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
@@ -247,8 +266,8 @@ def _axis_pieces(
 
 
 def _intersection_pieces(
-    cells: Sequence[BoxCell], periods: Sequence[Optional[Fraction]]
-) -> Optional[list[list[tuple[Fraction, Fraction]]]]:
+    cells: Sequence[BoxCell], periods: Sequence[Optional[int]]
+) -> Optional[list[list[tuple[int, int]]]]:
     """Per-axis piece lists of the common intersection; None when empty."""
     out = []
     for ax, period in enumerate(periods):
@@ -259,41 +278,20 @@ def _intersection_pieces(
     return out
 
 
-def _single_box(pieces: list[list[tuple[Fraction, Fraction]]]) -> Optional[BoxCell]:
+def _single_box(pieces: list[list[tuple[int, int]]]) -> Optional[BoxCell]:
     """The box of per-axis ``pieces`` when every axis has one piece, else None."""
     if any(len(ax) != 1 for ax in pieces):
         return None
     return BoxCell(tuple(ax[0][0] for ax in pieces), tuple(ax[0][1] for ax in pieces))
 
 
-def intersect_cells(
-    cells: Sequence[BoxCell], periods: Sequence[Optional[Fraction]]
-) -> Optional[BoxCell]:
-    """Common intersection of a nonempty subfamily, as a box.
-
-    Returns None when the intersection is empty and raises when it is
-    nonempty but not a single box (possible on periodic axes when two arcs
-    wrap far enough to meet twice).
-    """
-    if not cells:
-        raise CoverError("empty subfamily")
-    p = cells[0].ambient
-    for c in cells:
-        if c.ambient != p:
-            raise CoverError("mixed ambient dimensions")
-    if len(periods) != p:
-        raise CoverError("period list length differs from ambient dimension")
-    pieces = _intersection_pieces(cells, periods)
-    if pieces is None:
-        return None
-    box = _single_box(pieces)
-    if box is None:
-        raise CoverError("intersection is not a single box")
-    return box
+def _unscale(box: BoxCell, scale: int) -> BoxCell:
+    """A lattice box back in the cover's own coordinates."""
+    return BoxCell(*(tuple(Fraction(x, scale) for x in xs) for xs in (box.lo, box.hi)))
 
 
 def _box_in_relative_boundary(
-    box: BoxCell, cell: BoxCell, periods: Sequence[Optional[Fraction]]
+    box: BoxCell, cell: BoxCell, periods: Sequence[Optional[int]]
 ) -> bool:
     """Is ``box`` inside the relative boundary of ``cell``?
 
@@ -338,10 +336,11 @@ class LclReport:
 
 
 def _ll_violations(
-    cover: BoxCover, indices: tuple[int, ...], pieces: list[list[tuple[Fraction, Fraction]]]
+    cover: BoxCover, indices: tuple[int, ...], pieces: list[list[tuple[int, int]]]
 ) -> list[LclViolation]:
     """The locally-lump clauses for cells ``indices`` whose common
-    intersection has the per-axis ``pieces``."""
+    intersection has the per-axis lattice ``pieces``."""
+    _, cells, periods = cover._lattice
     box = _single_box(pieces)
     if box is None:
         return [LclViolation(indices, "LL-dimension", "intersection is not a single box")]
@@ -356,7 +355,7 @@ def _ll_violations(
         detail = f"intersection has dimension {dim}, expected {want}"
         out.append(LclViolation(indices, "LL-dimension", detail))
     for i in indices:
-        if not _box_in_relative_boundary(box, cover.cells[i], cover.periods):
+        if not _box_in_relative_boundary(box, cells[i], periods):
             detail = f"intersection not inside the boundary of cell {i}"
             out.append(LclViolation(indices, "LL-boundary", detail))
     return out
@@ -375,6 +374,7 @@ def validate_lcl(cover: BoxCover) -> LclReport:
     of a valid cover meet).
     """
     rows = cover._nerve_rows
+    _, cells, periods = cover._lattice
     violations: list[LclViolation] = []
     try:
         for clique in cliques(len(rows), rows, CLIQUE_CAP):
@@ -383,7 +383,7 @@ def validate_lcl(cover: BoxCover) -> LclReport:
             if len(clique) == 2:
                 pieces = cover._pair_pieces[clique]
             else:
-                pieces = _intersection_pieces([cover.cells[i] for i in clique], cover.periods)
+                pieces = _intersection_pieces([cells[i] for i in clique], periods)
             if pieces is not None:
                 violations += _ll_violations(cover, clique, pieces)
                 continue
@@ -416,7 +416,7 @@ def boundary_trace_cover(cover: BoxCover, i: int) -> tuple[BoxCover, bool]:
     (n-1)-dimensional cover, plus the verdict that its nerve is isomorphic
     to the nerve induced on the neighbors of cell i (which holds on valid
     LCL input). Both nerves are read from the covers' own rows, and the
-    traces from the pieces of the cover's pairwise pass.
+    traces from the lattice pieces of the cover's pairwise pass.
     """
     if not 0 <= i < len(cover.cells):
         raise CoverError(f"no cell {i}")
@@ -426,7 +426,8 @@ def boundary_trace_cover(cover: BoxCover, i: int) -> tuple[BoxCover, bool]:
         raise CoverError("intersection is not a single box")
     if not traces:
         raise CoverError(f"cell {i} has no neighbors")
-    traced = BoxCover.make(traces, cover.periods, cover.n - 1)
+    boxes = [_unscale(b, cover._lattice[0]) for b in traces]
+    traced = BoxCover.make(boxes, cover.periods, cover.n - 1)
     induced = canon_bytes(*subgraph_rows(rows, rows[i]))
     return traced, induced == canon_bytes(len(traces), traced._nerve_rows)
 
@@ -443,7 +444,7 @@ def _union_box(cells: Sequence[BoxCell], periods) -> BoxCell:
     for c in cells[1:]:
         best = None
         for shifts in itertools.product(*[
-            (0,) if periods[ax] is None else (-periods[ax], Fraction(0), periods[ax])
+            (0,) if periods[ax] is None else (-periods[ax], 0, periods[ax])
             for ax in range(p)
         ]):
             cand = [(c.lo[ax] + shifts[ax], c.hi[ax] + shifts[ax]) for ax in range(p)]
@@ -490,15 +491,12 @@ def merge_cells(cover: BoxCover, subset: Sequence[int]) -> tuple[BoxCover, LclRe
     for i in subset:
         if not 0 <= i < len(cover.cells):
             raise CoverError(f"no cell {i}")
-    union = _union_box([cover.cells[i] for i in subset], cover.periods)
+    scale, lattice_cells, periods = cover._lattice
+    union = _union_box([lattice_cells[i] for i in subset], periods)
     if union.dimension != cover.n:
         raise CoverError(f"union has dimension {union.dimension}, expected {cover.n}")
-    cells = []
-    for i, c in enumerate(cover.cells):
-        if i == subset[0]:
-            cells.append(union)
-        elif i not in subset:
-            cells.append(c)
+    kept = [c for i, c in enumerate(cover.cells) if i not in subset]
+    cells = kept[: subset[0]] + [_unscale(union, scale)] + kept[subset[0] :]
     merged = BoxCover.make(cells, cover.periods, cover.n)
     report = validate_lcl(merged)
     if not report.verdict:

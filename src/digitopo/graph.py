@@ -68,12 +68,12 @@ class Graph:
         return self._rows[self._require(v)].bit_count()
 
     def edges(self) -> tuple[tuple[str, str], ...]:
-        out = []
+        labels, out = self._labels, []
         for i, r in enumerate(self._rows):
-            for j in _bits(r):
-                if j > i:
-                    a, b = sorted((self._labels[i], self._labels[j]))
-                    out.append((a, b))
+            a = labels[i]
+            for j in _bits(r >> (i + 1) << (i + 1)):
+                b = labels[j]
+                out.append((a, b) if a < b else (b, a))
         return tuple(sorted(out))
 
     def _require(self, v: str) -> int:

@@ -298,18 +298,14 @@ class EquivalenceVerdict:
 
 
 def _search_moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
-    """Neighbor states for the bounded search.
-
-    Moves are deletions of simple points and edges plus attachments of
-    simple edges. Point attachments are excluded: their rim-set choice is
-    unbounded, and the remaining moves already connect the graphs this
-    search is used on.
+    """Neighbor states for the bounded search, which expands only residues
+    of `reduce`: deletions and attachments of simple edges. A residue has
+    no simple point to delete. Point attachments are excluded: their
+    rim-set choice is unbounded, and the edge moves already connect the
+    graphs this search is used on.
     """
     rows, labels = g._rows, g._labels
     order = sorted(range(g.order), key=labels.__getitem__)
-    for i in order:
-        if kernels.contractible_on(rows, rows[i]):
-            yield DeletePoint(labels[i]), _without_vertex(g, i)
     for k, i in enumerate(order):
         for j in order[k + 1 :]:
             common = rows[i] & rows[j]
@@ -364,10 +360,11 @@ def homotopy_equivalent(g: Graph, h: Graph, budget: int = 4000) -> EquivalenceVe
     """Semi-decide homotopy equivalence.
 
     Equivalent when the greedy residues are isomorphic or a bounded
-    bidirectional search over contractible transformations connects them
-    (budget counts node expansions); Distinguished when the Euler
-    characteristic or a Betti number differs; Unknown otherwise. An
-    Equivalent verdict always carries replayable witness traces.
+    bidirectional search connects them: it expands residues by simple-edge
+    moves and reduces each result (budget counts node expansions);
+    Distinguished when the Euler characteristic or a Betti number differs;
+    Unknown otherwise. An Equivalent verdict always carries replayable
+    witness traces.
     """
     from .invariants import _euler_and_homology, same_profile
 

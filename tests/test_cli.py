@@ -2,17 +2,20 @@
 
 import contextlib
 import copy
+import inspect
 import io
 import json
+import sys
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from digitopo.classify import minimal_sphere
 from digitopo.cli import main
 from digitopo.graph import canonical_key
-from digitopo.io import graph_from_obj, parse_edge_list
+from digitopo.io import graph_from_obj, graph_to_obj, parse_edge_list
 
 
 @pytest.fixture
@@ -380,6 +383,21 @@ class TestDeepNesting:
         code, out, err = run(capsys, *args, str(path))
         assert code == 2 and not out
         assert err == f"input error: {path}: JSON nested too deeply\n"
+
+    def test_deep_rims_exit_2(self, files, capsys):
+        """Each rim level of `reduce` on a minimal sphere takes a few frames;
+        under a limit 200 frames above the caller's, the 60-sphere (122
+        vertices) runs out of them."""
+        path = files / "sphere60.json"
+        path.write_text(json.dumps(graph_to_obj(minimal_sphere(60))))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 200)
+        try:
+            code, out, err = run(capsys, "reduce", str(path))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert code == 2 and not out
+        assert err == "input error: input too deep for the recursion limit\n"
 
 
 class TestDeterminismAndDot:

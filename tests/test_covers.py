@@ -1,4 +1,4 @@
-"""Box covers: exact intersections, LCL validation, nerves, traces, merges."""
+"""Box covers: exact lattice intersections, LCL validation, nerves, traces, merges."""
 
 import random
 from fractions import Fraction
@@ -24,7 +24,6 @@ from digitopo.covers import (
     BoxCover,
     CoverError,
     boundary_trace_cover,
-    intersect_cells,
     merge_cells,
     nerve,
     validate_lcl,
@@ -58,41 +57,103 @@ class TestBoxCell:
 
 
 class TestIntersectCells:
+    """Intersections of two cells, read off the pairwise pass on the cover's
+    integer lattice and brought back to the cover's own coordinates by
+    `boundary_trace_cover`; and the checks `BoxCover.make` makes before any
+    intersection."""
+
     def test_shared_face(self):
         a = BoxCell.make([0, 0], [1, 1])
         b = BoxCell.make([1, 0], [2, 1])
-        e = intersect_cells([a, b], [None, None])
+        traced, _ = boundary_trace_cover(BoxCover.make([a, b], [None, None], 2), 0)
+        (e,) = traced.cells
         assert e.lo == (1, 0) and e.hi == (1, 1) and e.dimension == 1
 
     def test_disjoint(self):
-        assert intersect_cells(
-            [BoxCell.make([0], [1]), BoxCell.make([2], [3])], [None]
-        ) is None
+        cover = BoxCover.make([BoxCell.make([0], [1]), BoxCell.make([2], [3])], [None], 1)
+        assert cover._pair_pieces == {} and nerve(cover).size == 0
 
     def test_periodic_wraparound_point(self):
-        e = intersect_cells(
-            [BoxCell.make([3], [4]), BoxCell.make([0], [1])], [Fraction(4)]
-        )
+        cover = BoxCover.make([BoxCell.make([3], [4]), BoxCell.make([0], [1])], [Fraction(4)], 1)
+        traced, _ = boundary_trace_cover(cover, 0)
+        (e,) = traced.cells
         assert e.lo == (0,) and e.hi == (0,) and e.dimension == 0
 
     def test_two_arc_double_touch_not_a_box(self):
         # arcs [0,2] and [2,4] on a period-4 circle meet at 0 and 2
+        cover = BoxCover.make([BoxCell.make([0], [2]), BoxCell.make([2], [4])], [Fraction(4)], 1)
+        assert cover._pair_pieces[0, 1] == [[(0, 0), (2, 2)]]
         with pytest.raises(CoverError, match="not a single box"):
-            intersect_cells(
-                [BoxCell.make([0], [2]), BoxCell.make([2], [4])], [Fraction(4)]
-            )
+            boundary_trace_cover(cover, 0)
+        report = validate_lcl(cover)
+        assert report.violations[0].to_obj() == {
+            "indices": [0, 1],
+            "clause": "LL-dimension",
+            "detail": "intersection is not a single box",
+        }
 
     def test_mixed_ambient_rejected(self):
         with pytest.raises(CoverError, match="ambient"):
-            intersect_cells([BoxCell.make([0], [1]), BoxCell.make([0, 0], [1, 1])], [None])
+            BoxCover.make([BoxCell.make([0], [1]), BoxCell.make([0, 0], [1, 1])], [None], 1)
 
     @pytest.mark.parametrize("periods", [[None], [None, None, None]])
     def test_period_list_of_the_wrong_length_rejected(self, periods):
-        # too short, the second axis went unchecked and these disjoint
-        # squares "met"; too long, it raised IndexError
+        # too short, the second axis would go unchecked and these disjoint
+        # squares "meet"; too long, it would index past the corners
         cells = [BoxCell.make([0, 0], [2, 2]), BoxCell.make([1, 5], [3, 6])]
         with pytest.raises(CoverError, match="period list length differs from ambient"):
-            intersect_cells(cells, periods)
+            BoxCover.make(cells, periods, 2)
+
+
+def _lattice_covers():
+    """A period of 5/2 over integer corners, whose scale comes from the
+    period alone, and a torus-by-interval cover mixing thirds and halves."""
+    half_period = BoxCover.make(
+        [BoxCell.make([a, b], [a + 1, b + 1]) for a in range(3) for b in range(2)]
+        + [BoxCell.make([0, 0], [2, 1])],
+        ["5/2", None],
+        2,
+    )
+    thirds_and_halves = BoxCover.make(
+        [
+            BoxCell.make([0, 0], ["1/2", "1/3"]),
+            BoxCell.make(["1/2", 0], ["3/2", "1/3"]),
+            BoxCell.make([0, "1/3"], ["2/3", 1]),
+            BoxCell.make(["2/3", "1/3"], ["4/3", 1]),
+            BoxCell.make(["4/3", "1/3"], [2, 1]),
+            BoxCell.make(["1/3", "1/2"], ["5/6", "3/2"]),
+        ],
+        ["3/2", None],
+        2,
+    )
+    return [half_period, thirds_and_halves]
+
+
+class TestLattice:
+    @pytest.mark.parametrize("cover, scale", zip(_lattice_covers(), [2, 6]), ids=["5/2", "thirds"])
+    def test_against_brute_force(self, cover, scale):
+        assert cover._lattice[0] == scale
+        assert validate_lcl(cover).to_obj() == brute_lcl(cover)
+        assert graph_to_obj(nerve(cover)) == graph_to_obj(brute_nerve(cover))
+        for i in range(len(cover.cells)):
+            want = brute_trace(cover, i)
+            if want is None:
+                with pytest.raises(CoverError):
+                    boundary_trace_cover(cover, i)
+                continue
+            traced, verdict = boundary_trace_cover(cover, i)
+            assert ([(c.lo, c.hi) for c in traced.cells], verdict) == want, i
+
+    def test_merge_returns_to_the_cover_coordinates(self):
+        cover = BoxCover.make(
+            [BoxCell.make([0], ["1/3"]), BoxCell.make(["1/3"], ["2/3"]), BoxCell.make(["2/3"], [1])],
+            [None],
+            1,
+        )
+        merged, report = merge_cells(cover, [0, 1])
+        assert report.verdict
+        assert merged.cells[0] == BoxCell.make([0], ["2/3"])
+        assert merged.to_obj()["cells"][0] == {"lo": [0], "hi": ["2/3"]}
 
 
 class TestValidateLcl:

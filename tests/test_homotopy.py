@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     complete_graph,
@@ -13,6 +15,7 @@ from conftest import (
     random_accepted_steps,
     random_contractible_graph,
     random_graph,
+    shuffled_copy,
     small_graphs_out_of_label_order,
     wheel,
 )
@@ -290,6 +293,14 @@ class TestReduce:
             replayed = apply_trace(g, trace)
             assert canonical_key(replayed) == canonical_key(residue)
             assert not any(is_simple_point(residue, v) for v in residue.vertices)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 14), st.floats(0.1, 0.9), st.randoms(use_true_random=False))
+    def test_residue_has_no_simple_point(self, n, p, rnd):
+        """The equivalence search expands residues only and tries no point
+        deletion on them, which needs this."""
+        residue, _ = reduce(shuffled_copy(rnd, random_graph(rnd, n, p)))
+        assert not any(is_simple_point(residue, v) for v in residue.vertices), residue.edges()
 
 
 class TestInvariancePreservation:
