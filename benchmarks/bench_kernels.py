@@ -3,7 +3,8 @@
 
 Micro rows call the kernel functions directly on graphs shaped like the
 package's real call sites; layer rows time `cubical_model` (a 2-D region,
-a 2-D hypersurface, a polyline and a 3-D sphere), cold-cache
+a 2-D hypersurface, a polyline and a 3-D sphere), `model_graph` (the
+sphere's and the region's models), cold-cache
 `classify` (grown spheres, a grown torus as a negative for the sphere
 clause, and the minimal 20-sphere, whose time is all rim walk), cold-cache
 `reduce` of 3-D sphere shells (the `digitize` hot path) and `homology` of
@@ -185,14 +186,21 @@ def layers():
     print(f"\n{'layer':50s}{'time':>12s}")
     zigzag = ShapeSpec("curve", points=((F(0), F(0)), (F(2), F(0)), (F(0), F(2)), (F(2), F(2))))
     square = BoxCell.make([-2] * 2, [2] * 2)
+    annulus = ("2-D annulus region", shape_annulus("3/4", "3/2"), square, "1/10")
+    sphere = ("3-D sphere", shape_sphere(), BoxCell.make([-2] * 3, [2] * 3), "1/3")
     for label, shape, window, pitch in (
-        ("2-D annulus region", shape_annulus("3/4", "3/2"), square, "1/10"),
+        annulus,
         ("2-D circle hypersurface", shape_circle(), square, "1/10"),
         ("2-D Z polyline", zigzag, BoxCell.make([-1] * 2, [3] * 2), "1/10"),
-        ("3-D sphere", shape_sphere(), BoxCell.make([-2] * 3, [2] * 3), "1/3"),
+        sphere,
     ):
         t = _time(lambda: cubical_model(shape, window, pitch))
         print(f"{f'cubical_model {label}, pitch {pitch}':50s}{t * 1e3:>10.2f}ms")
+    for label, shape, window, pitch in (sphere, annulus):
+        model = cubical_model(shape, window, pitch)
+        t = _time(lambda: model_graph(model))
+        label = f"model_graph {label}, pitch {pitch}"
+        print(f"{label:50s}{t * 1e3:>10.2f}ms{len(model.cubes):>10d} cubes")
     # the torus is a negative for the sphere clause: every G - v fails; every
     # G - v of the minimal 20-sphere is a cone, so its deletion clause runs no
     # pass and the time is the rim walk

@@ -4,13 +4,14 @@ A shape is digitized by collecting the lattice cubes at pitch L that meet
 it, judged by a deterministic corner-and-center sample grid: 3 positions
 per axis, at multiples of the half pitch L/2. Neighbouring cubes share
 samples, so regions and hypersurfaces are evaluated once per point of the
-shared half-pitch lattice. `_compile` turns the expression into one lazy
-stream of integers over a common denominator and only the sign of each
-point is kept; curve samples are integers over a common denominator too,
-so the verdicts are exact and use no floats. The model graph joins
-cubes whose closed boxes intersect, i.e. cubes within Chebyshev distance
-one. Reducing the model graph and reading its invariants reproduces the
-experiment chain shape -> cubical model -> intersection graph.
+shared half-pitch lattice. `_compile` evaluates each subtree of the
+expression on the lattice axes it reads, in integers over a common
+denominator, and only the sign of each point is kept; curve samples are
+integers over a common denominator too, so the verdicts are exact and use
+no floats. The model graph joins cubes whose closed boxes intersect, i.e.
+cubes within Chebyshev distance one, found at fixed flat offsets. Reducing
+the model graph and reading its invariants reproduces the experiment chain
+shape -> cubical model -> intersection graph.
 """
 
 from __future__ import annotations
@@ -237,11 +238,14 @@ def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel
 
     Everything runs on integers over a common scale. A region or
     hypersurface is evaluated once at every point of the half-pitch lattice
-    over the window's cube range, as one lazy stream from `_compile`, and
-    only the sign of each point is kept; each cube then reads the OR of its
-    samples' sign codes at its corner point, after one shifted OR pass per
-    axis. A curve sample is one integer numerator per axis over the
-    segment's denominator, whose quotient is the cube index.
+    over the window's cube range, as one stream from `_compile`: a subtree
+    that reads one axis, such as a shell's ``square(x - c)``, is computed
+    once per coordinate of that axis, and only the subtrees that read two
+    or more axes run per point. Only the sign of each point is kept; each
+    cube then reads the OR of its samples' sign codes at its corner point,
+    after one shifted OR pass per axis. A curve sample is one integer
+    numerator per axis over the segment's denominator, whose quotient is
+    the cube index.
     """
     L = _frac(pitch)
     if L <= 0:
@@ -272,10 +276,8 @@ def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel
     step = half.numerator * (scale // half.denominator)
     axes = [[k * step for k in range(2 * r.start, 2 * r.stop + 1)] for r in ranges]
     values = _compile(shape.expr, scale, axes)[0]
-    points = math.prod(map(len, axes))
-    signs = bytes(
-        _NEG if v < 0 else _POS if v else _ZERO for v in itertools.islice(values, points)
-    )
+    signs = bytes(_NEG if v < 0 else _POS if v else _ZERO for v in values)
+    points = len(signs)
     # Byte i of `seen` ORs the codes at i, i + s and i + 2s along each axis
     # of stride s, so a cube's 3^p samples meet at its corner point.
     seen = int.from_bytes(signs, "little")
@@ -287,12 +289,8 @@ def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel
     corners = itertools.product(
         *[range(0, 2 * len(r) * s, 2 * s) for r, s in zip(ranges, strides)]
     )
-    cubes = {
-        cube
-        for cube, corner in zip(itertools.product(*ranges), map(sum, corners))
-        if hits[seen[corner]]
-    }
-    return CubicalModel(L, p, frozenset(cubes))
+    hit = map(hits.__getitem__, map(seen.__getitem__, map(sum, corners)))
+    return CubicalModel(L, p, frozenset(itertools.compress(itertools.product(*ranges), hit)))
 
 
 # Sign codes of lattice samples; a cube ORs the codes of its samples and
@@ -319,45 +317,115 @@ def _compile(expr, scale: int, axes: Sequence[Sequence[int]]):
     whose coordinates are integers ``x_i * scale``; ``values`` yields
     ``f(x) * scale**degree`` as an int at each lattice point in turn, so its
     signs are the signs of f. ``scale`` must be a multiple of every
-    constant's denominator. Each node is one `map` (over a `zip` of its
-    operands when it has several), so the stream holds no per-point state
-    and nests at most three iterators deep per operation. A degree above
-    `MAX_DEGREE` raises ShapeError here, before any value is drawn; a
-    variable beyond the lattice's axes raises when the first value is.
+    constant's denominator.
+
+    Each subtree is evaluated on the axes it reads (`_subtree`,
+    `_combine`): one int when it reads none, one list over an axis's
+    coordinates when it reads one, and a lazy per-point `map` over the
+    whole lattice only when it reads two or more, with the lists of its
+    one-axis operands broadcast into lattice order by `_on_lattice`. The
+    stream holds no per-point state and nests at most three iterators per
+    operation, never one per operand. A degree above `MAX_DEGREE` raises ShapeError here, at
+    the node that passes it and before that node's value is formed; a
+    variable beyond the lattice's axes raises when the first value is drawn.
     """
+    sizes = list(map(len, axes))
+    reads, values, degree = _subtree(expr, scale, axes, sizes)
+    return _on_lattice(reads, values, sizes), degree
+
+
+def _subtree(expr, scale: int, axes, sizes):
+    """``(reads, values, degree)`` of one subtree at ``f * scale**degree``:
+    ``reads`` is ``()`` with ``values`` an int, ``(i,)`` with ``values`` one
+    value per coordinate of axis i, or None with ``values`` a lazy stream
+    over the whole lattice."""
     op = expr[0]
     if op == "const":
         c = expr[1]
-        return itertools.repeat(c.numerator * (scale // c.denominator)), 1
+        return (), c.numerator * (scale // c.denominator), 1
     if op == "var":
         idx = expr[1]
         if idx >= len(axes):
-            return _missing_axis(idx, len(axes)), 1
-        return map(operator.itemgetter(idx), itertools.product(*axes)), 1
-    parts = [_compile(a, scale, axes) for a in expr[1:]]
+            return None, _missing_axis(idx, len(axes)), 1
+        return (idx,), axes[idx], 1
+    parts = [_subtree(a, scale, axes, sizes) for a in expr[1:]]
+    operands = [(r, v) for r, v, _ in parts]
+    degrees = [d for _, _, d in parts]
     if op == "*":
-        return map(math.prod, zip(*[v for v, _ in parts])), _capped(sum(d for _, d in parts))
-    if op == "square":
-        (a, d), = parts
-        return map(pow, a, itertools.repeat(2)), _capped(2 * d)
-    if op == "abs":
-        (a, d), = parts
-        return map(abs, a), d
-    if op == "-" and len(parts) == 1:
-        (a, d), = parts
-        return map(operator.neg, a), d
-    # +, binary -, min and max compare or add operands at one common degree
-    degree = max(d for _, d in parts)
-    ops = [v if d == degree else map((scale ** (degree - d)).__mul__, v) for v, d in parts]
-    if op == "+":
-        return map(sum, zip(*ops)), degree
+        degree = _capped(sum(degrees))
+    elif op == "square":
+        degree = _capped(2 * degrees[0])
+    else:
+        # +, -, min and max add or compare their operands at one common degree
+        degree = max(degrees)
+        operands = [
+            rv if d == degree else _combine("*", [rv, ((), scale ** (degree - d))], sizes)
+            for rv, d in zip(operands, degrees)
+        ]
+    return (*_combine(op, operands, sizes), degree)
+
+
+def _combine(op: str, parts, sizes):
+    """``(reads, values)`` of one operation over ``(reads, values)`` operands:
+    an int when none reads an axis, a list when all that do read the same
+    one, else a lazy stream over the whole lattice."""
+    reads = {r for r, _ in parts} - {()}
+    if not reads:
+        (value,) = _apply(op, [(v,) for _, v in parts])
+        return (), value
+    if None not in reads and len(reads) == 1:
+        (only,) = reads
+        return only, list(_apply(op, [itertools.repeat(v) if r == () else v for r, v in parts]))
+    return None, _apply(op, [_on_lattice(r, v, sizes) for r, v in parts])
+
+
+def _apply(op: str, ops: list):
+    """One operation over aligned operand iterables, one value per position;
+    nests at most two iterators whatever the number of operands."""
+    if op in ("+", "*"):
+        pair, fold = (operator.add, sum) if op == "+" else (operator.mul, math.prod)
+        if len(ops) > 3:
+            return map(fold, zip(*ops))
+        # up to three operands, nested pairs beat a tuple per position
+        values = ops[0]
+        for more in ops[1:]:
+            values = map(pair, values, more)
+        return values
     if op == "-":
-        return map(operator.sub, *ops), degree
+        return map(operator.sub, *ops) if len(ops) == 2 else map(operator.neg, *ops)
+    if op == "abs":
+        return map(abs, *ops)
+    if op == "square":
+        return map(pow, *ops, itertools.repeat(2))
+    # a generator compares two operands faster than the builtins' calls
     if op == "min":
-        return map(min, zip(*ops)), degree
+        if len(ops) == 2:
+            return (a if a <= b else b for a, b in zip(*ops))
+        return map(min, zip(*ops))
     if op == "max":
-        return map(max, zip(*ops)), degree
+        if len(ops) == 2:
+            return (a if a >= b else b for a, b in zip(*ops))
+        return map(max, zip(*ops))
     raise ShapeError(f"unknown operation {op!r}")
+
+
+def _on_lattice(reads, values, sizes):
+    """A subtree's values as a stream over the whole lattice, the last axis
+    fastest: an int repeated at every point, or an axis's values each
+    repeated over the axes after it, and that sequence repeated over the
+    axes before it."""
+    if reads is None:
+        return values
+    if reads == ():
+        return itertools.repeat(values, math.prod(sizes))
+    (axis,) = reads
+    outer, inner = math.prod(sizes[:axis]), math.prod(sizes[axis + 1 :])
+    if outer > 1:
+        values = itertools.chain.from_iterable(itertools.repeat(values, outer))
+    if inner > 1:
+        values = map(itertools.repeat, values, itertools.repeat(inner))
+        values = itertools.chain.from_iterable(values)
+    return values
 
 
 def _capped(degree: int) -> int:
@@ -423,14 +491,30 @@ def model_graph(model: CubicalModel) -> Graph:
     Vertices are labelled "x,y,..." and ordered by label. Closed cubes
     intersect exactly when every coordinate offset is in {-1, 0, 1}, so the
     degree never exceeds 3^p - 1.
+
+    Each cube gets one flat integer position in the model's bounding box
+    padded by one cube on every side, with the last axis fastest; its
+    neighbours sit at its position plus the 3^p - 1 flat offsets, and the
+    padding keeps an offset from wrapping across the box's edge. Each pair
+    is probed once, from the lower position through the positive offsets,
+    and sets both rows' bits. The positions key the vertex indices in a
+    dict rather than a padded list, so a sparse model costs its cubes, not
+    its box.
     """
     labelled = sorted((",".join(map(str, c)), c) for c in model.cubes)
-    index = {c: i for i, (_, c) in enumerate(labelled)}
-    offsets = [o for o in itertools.product((-1, 0, 1), repeat=model.ambient) if any(o)]
-    rows = []
-    for _, c in labelled:
-        near = (index.get(tuple(map(operator.add, c, o))) for o in offsets)
-        rows.append(sum(1 << j for j in near if j is not None))
+    cubes = [c for _, c in labelled]
+    sizes = [max(col) - min(col) + 3 for col in zip(*cubes)]
+    strides = [math.prod(sizes[ax + 1 :]) for ax in range(len(sizes))]
+    flat = [sum(map(operator.mul, c, strides)) for c in cubes]
+    index = dict(zip(flat, range(len(flat)))).get
+    steps = itertools.product((-1, 0, 1), repeat=model.ambient)
+    forward = [d for d in (sum(map(operator.mul, o, strides)) for o in steps) if d > 0]
+    rows = [0] * len(flat)
+    for i, q in enumerate(flat):
+        for j in map(index, map(operator.add, forward, itertools.repeat(q))):
+            if j is not None:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
     return Graph(tuple(lab for lab, _ in labelled), tuple(rows))
 
 

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import labelled_model_graph
 from digitopo.covers import BoxCell
@@ -18,6 +19,7 @@ from digitopo.digitizer import (
     ShapeError,
     ShapeSpec,
     _compile,
+    _const_denominators,
     cubical_model,
     digitize_reduce,
     eval_expr,
@@ -128,18 +130,56 @@ _CONSTS = st.one_of(
 )
 
 
-def _exprs(ambient):
-    leaves = _CONSTS | st.sampled_from(["x", "y", "z"][:ambient])
-
+def _trees(leaves, max_leaves, max_operands=3):
     def node(sub):
         nary = st.tuples(
-            st.sampled_from(["+", "*", "min", "max"]), st.lists(sub, min_size=2, max_size=3)
+            st.sampled_from(["+", "*", "min", "max"]),
+            st.lists(sub, min_size=2, max_size=max_operands),
         ).map(lambda t: [t[0], *t[1]])
         minus = st.lists(sub, min_size=1, max_size=2).map(lambda a: ["-", *a])
         unary = st.tuples(st.sampled_from(["abs", "square"]), sub).map(list)
         return nary | minus | unary
 
-    return st.recursive(leaves, node, max_leaves=8)
+    return st.recursive(leaves, node, max_leaves=max_leaves)
+
+
+def _exprs(ambient):
+    return _trees(_CONSTS | st.sampled_from(["x", "y", "z"][:ambient]), max_leaves=8)
+
+
+def _degree(expr) -> int:
+    """The integer degree `_compile` evaluates ``expr`` at."""
+    op = expr[0]
+    if op in ("const", "var"):
+        return 1
+    degrees = [_degree(a) for a in expr[1:]]
+    if op == "*":
+        return sum(degrees)
+    if op == "square":
+        return 2 * degrees[0]
+    return max(degrees)
+
+
+@st.composite
+def _compile_cases(draw):
+    """An expression over 1-3 axes built from subtrees that read 0, 1, 2 or 3
+    of them, one lattice of 1-4 integer coordinates per axis, and a scale
+    that clears every constant's denominator."""
+    ambient = draw(st.integers(1, 3))
+    names = ["x", "y", "z"][:ambient]
+    parts = []
+    for _ in range(draw(st.integers(2, 4))):
+        reads = draw(st.lists(st.sampled_from(names), unique=True, max_size=ambient))
+        leaves = _CONSTS | st.sampled_from(reads) if reads else _CONSTS
+        parts.append(draw(_trees(leaves, max_leaves=5, max_operands=5)))
+    op = draw(st.sampled_from(["+", "*", "min", "max", "-"]))
+    expr = parse_expr([op, *parts] if op != "-" else ["-", *parts[:2]])
+    if draw(st.booleans()):
+        expr = (draw(st.sampled_from(["abs", "square", "-"])), expr)
+    assume(_degree(expr) <= MAX_DEGREE)
+    axes = [draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4)) for _ in names]
+    scale = math.lcm(*_const_denominators(expr)) * draw(st.sampled_from([1, 2, 3]))
+    return expr, scale, axes
 
 
 @st.composite
@@ -230,6 +270,42 @@ class TestExpressions:
         for above in (["square", expr], ["*", expr, "x"]):
             with pytest.raises(ShapeError, match="^expression has degree .*above the cap of 64$"):
                 cubical_model(ShapeSpec("region", expr=parse_expr(above)), window, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_compile_cases())
+    def test_compiled_stream_matches_eval_expr(self, case):
+        expr, scale, axes = case
+        values, degree = _compile(expr, scale, axes)
+        assert degree == _degree(expr)
+        assert list(values) == [
+            eval_expr(expr, [Fraction(k, scale) for k in point]) * scale**degree
+            for point in itertools.product(*axes)
+        ]
+
+    def test_constant_subtree_past_the_cap_raises_before_folding(self):
+        # 2^(2^15) squared six times folds to a 256 KiB int at degree 64; one
+        # more square or factor would form another of 256-512 KiB
+        expr = 2 ** 2**15
+        for _ in range(6):
+            expr = ["square", expr]
+        at_cap = parse_expr(expr)
+
+        def peak_of(expr):
+            tracemalloc.start()
+            try:
+                values, degree = _compile(expr, 1, [[0]])
+                return tracemalloc.get_traced_memory()[1], list(values), degree
+            except ShapeError as exc:
+                return tracemalloc.get_traced_memory()[1], str(exc), None
+            finally:
+                tracemalloc.stop()
+
+        folded, values, degree = peak_of(at_cap)
+        assert degree == MAX_DEGREE and values == [2 ** 2**21]
+        for above, past in ((("square", at_cap), 128), (("*", ("const", Fraction(3)), at_cap), 65)):
+            peak, message, _ = peak_of(above)
+            assert message == f"expression has degree {past}, above the cap of 64"
+            assert peak < folded + 2**17
 
 
 class TestCubicalModel:
@@ -363,6 +439,37 @@ class TestModelGraph:
             g, want = model_graph(model), labelled_model_graph(model)
             assert g.vertices == want.vertices
             assert g._rows == want._rows
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda p: st.tuples(
+                st.just(p),
+                st.tuples(*[st.integers(-10**6, 10**6)] * p),
+                st.sets(st.tuples(*[st.integers(0, 4)] * p), max_size=40),
+            )
+        )
+    )
+    @example((2, (0, 0), set()))
+    @example((1, (-3,), {(0,), (1,), (3,), (4,)}))
+    @example((3, (-7, -2, -5), {(0, 0, 0), (1, 1, 1), (0, 2, 0), (4, 4, 4), (3, 4, 4)}))
+    @example((3, (10**9, 0, -10**9), {(0, 0, 0), (1, 0, 0), (0, 1, 1)}))
+    def test_rows_match_the_labelled_graph_anywhere_on_the_lattice(self, case):
+        # empty, 1-D, negative and far-off models; labels with a minus sign
+        # or more digits sort apart from their lattice order
+        ambient, corner, box = case
+        cubes = frozenset(tuple(map(operator.add, corner, c)) for c in box)
+        model = CubicalModel(Fraction(1), ambient, cubes)
+        g, want = model_graph(model), labelled_model_graph(model)
+        assert g.vertices == want.vertices
+        assert g._rows == want._rows
+
+    def test_sparse_model_costs_its_cubes(self):
+        # two cubes 10^12 apart share no box worth allocating
+        model = CubicalModel(Fraction(1), 3, frozenset({(0, 0, 0), (10**12, 1, 0), (10**12, 0, 0)}))
+        g = model_graph(model)
+        assert g.vertices == ("0,0,0", "1000000000000,0,0", "1000000000000,1,0")
+        assert g._rows == (0, 0b100, 0b010)
 
     def test_degree_bound(self):
         model = cubical_model(shape_disk(), WINDOW2, "1/2")
