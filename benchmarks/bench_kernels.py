@@ -8,10 +8,14 @@ sphere's and the region's models), cold-cache
 `classify` (grown spheres, a grown torus as a negative for the sphere
 clause, and the minimal 20-sphere, whose time is all rim walk), cold-cache
 `reduce` of 3-D sphere shells (the `digitize` hot path) and `homology` of
-their residues, tier 2 of contractibility and a cold tier-3 `decide`
-(the exact search, whose memo keeps refutations only) on the dunce hat, a
-cold traced `is_contractible` on a 160-vertex path with its number of
-greedy passes (`_pure._greedy`), and the cover operations on the
+their residues, tier 2 of contractibility on the dunce hat, a cold tier-3
+`decide` (the exact search, whose memo keeps refutations only) on the
+dunce hat, which has no simple point, so the search refutes its root at
+once, and on the dunce hat with pendant vertices at four of its vertices,
+whose search visits one node per set of deleted pendants (each row prints
+its search nodes, the calls of `_pure._greedy_order`), a cold traced
+`is_contractible` on a 160-vertex path with its number of greedy passes
+(`_pure._greedy`), and the cover operations on the
 brick-wall torus, each on a fresh cover
 (a cover computes its nerve once and keeps it), alone and together as one
 `certify`-shaped cover task, plus validation and the cover task (validate,
@@ -101,7 +105,7 @@ def _time(fn, repeat=3):
 def _table(rows_spec):
     print(f"{'workload':50s}{'time':>12s}")
     for label, g, call, *note in rows_spec:
-        t = _time(lambda: call(g.order, g._rows))
+        t = _time(lambda: call(g._rows, (1 << g.order) - 1))
         print(f"{label:50s}{t * 1e3:>10.2f}ms" + "".join(note))
 
 
@@ -115,14 +119,14 @@ def micro():
             (
                 f"is_contractible {gname}",
                 g,
-                lambda n, r: (kernels.clear_caches(), kernels.is_contractible(n, r)),
+                lambda r, m: (kernels.clear_caches(), kernels.is_contractible(len(r), r)),
                 f"{'tier':>10s} {kernels.decide(g._rows, (1 << g.order) - 1)[1]}",
             )
         )
     for gname, g in canon_graphs.items():
         if g.order <= 20:
             spec.append(
-                (f"cliques_by_size {gname}", g, lambda n, r: _pure.cliques_by_size(n, r, CLIQUE_CAP))
+                (f"cliques_by_size {gname}", g, lambda r, m: _pure.cliques_by_size(r, m, CLIQUE_CAP))
             )
     _table(spec)
 
@@ -180,6 +184,7 @@ def layers():
         shape_circle,
         shape_sphere,
     )
+    from digitopo.graph import build_graph
     from digitopo.homotopy import is_contractible, reduce
     from digitopo.invariants import homology
 
@@ -234,15 +239,28 @@ def layers():
         label = f"homology r={r} shell residue ({residue.order} vertices)"
         print(f"{label:50s}{t * 1e3:>10.2f}ms")
     hat = dunce_hat()
-    t = _time(lambda: _pure._acyclic(hat.order, hat._rows))
+    t = _time(lambda: _pure._acyclic(hat._rows, (1 << hat.order) - 1))
     print(f"{'tier 2 (_acyclic) on the 49-vertex dunce hat':50s}{t * 1e3:>10.2f}ms")
+    pendants = [f"p{i}" for i in range(4)]
+    hung = build_graph(
+        hat.vertices + tuple(pendants),
+        hat.edges() + tuple(zip(pendants, hat.vertices[::12])),
+    )
+    for label, g in (
+        ("49-vertex dunce hat", hat),
+        ("dunce hat with 4 pendants", hung),
+    ):
 
-    def cold_decide():
-        kernels.clear_caches()
-        return kernels.decide(hat._rows, (1 << hat.order) - 1)
+        def cold_decide():
+            kernels.clear_caches()
+            return kernels.decide(g._rows, (1 << g.order) - 1)
 
-    t, tier = _time(cold_decide), cold_decide()[1]
-    print(f"{'cold decide on the 49-vertex dunce hat':50s}{t * 1e3:>10.2f}ms{'tier':>10s} {tier}")
+        t, tier = _time(cold_decide), cold_decide()[1]
+        nodes = _calls(cold_decide, "_greedy_order")
+        print(
+            f"{f'cold decide on the {label}':50s}{t * 1e3:>10.2f}ms"
+            f"{'tier':>10s} {tier}{nodes:>10d} search nodes"
+        )
     path = path_graph(160)
 
     def cold_trace():

@@ -1,20 +1,21 @@
 """Bitmask graph kernels.
 
-A graph enters a kernel as ``(n, rows)``, where ``rows[i]`` is an integer
-whose bit ``j`` is set exactly when vertices ``i`` and ``j`` are adjacent;
-a kernel on an induced subgraph takes the rows and a mask of its vertices:
+A graph enters a kernel as its ``rows``, where ``rows[i]`` is an integer
+whose bit ``j`` is set exactly when vertices ``i`` and ``j`` are adjacent,
+and a mask of the vertices whose induced subgraph is asked about
+(``(1 << n) - 1`` for the whole graph). Answers name the caller's vertices:
 
-    canon_bytes(n, rows)        exact canonical form of an adjacency-mask graph
-    decide(rows, alive)         the one contractibility decision, on the
-                                subgraph induced on a vertex mask:
+    canon_bytes(rows, mask)     exact canonical form of the induced subgraph
+    decide(rows, alive)         the one contractibility decision:
                                 (verdict, tier 1-3, deletion order), the
                                 order a witness to one vertex for every
                                 True verdict but a cone's (empty)
-    is_contractible(n, rows)    `decide` on the whole graph, memoized on rows
-    contractible_on(rows, mask) is the induced subgraph on ``mask``
-                                contractible? (a cone at once, else
-                                `is_contractible` on its dense rows)
-    connected(n, rows)          non-empty and connected
+    is_contractible(n, rows)    `decide` on a whole graph of ``n`` vertices,
+                                memoized on its rows
+    contractible_on(rows, mask) is the induced subgraph contractible? (a
+                                cone at once, else `is_contractible` on its
+                                dense rows, so the memo sees every copy)
+    connected(rows, mask)       non-empty and connected
     clear_caches()              empty the contractibility memo
 
 The one implementation is `_pure`, whose `BACKEND` is always ``"pure"``.

@@ -1,8 +1,9 @@
 """Pure-Python bit-twiddling kernels for the rest of the package.
 
-A graph enters kernel functions as ``(n, rows)`` where ``rows[i]`` is an
-integer whose bit ``j`` is set exactly when vertices ``i`` and ``j`` are
-adjacent. Python integers make this work for any vertex count.
+A query takes ``rows``, where ``rows[i]`` is an integer whose bit ``j`` is
+set exactly when vertices ``i`` and ``j`` are adjacent, and a vertex mask:
+it is about the subgraph induced on the mask, and answers in the caller's
+vertex indices. Python integers make this work for any vertex count.
 
 Everything is deterministic and every verdict is exact. Contractibility is
 decided by one function on a vertex mask, `decide`, in three tiers (greedy
@@ -74,10 +75,9 @@ def _component(rows, mask: int) -> int:
     return seen
 
 
-def connected(n: int, rows) -> bool:
-    """True when the graph is non-empty and connected."""
-    full = (1 << n) - 1
-    return n > 0 and _component(rows, full) == full
+def connected(rows, mask: int) -> bool:
+    """True when the subgraph induced on ``mask`` is non-empty and connected."""
+    return mask != 0 and _component(rows, mask) == mask
 
 
 def subgraph_rows(rows, mask: int) -> tuple[int, tuple[int, ...]]:
@@ -161,17 +161,17 @@ def _pack(rows, order: list[int]) -> bytes:
     return acc.to_bytes((nbits + 7) // 8, "big")
 
 
-def _component_masks(n: int, rows) -> list[int]:
-    unseen = (1 << n) - 1
+def _component_masks(rows, mask: int) -> list[int]:
     masks = []
-    while unseen:
-        masks.append(_component(rows, unseen))
-        unseen ^= masks[-1]
+    while mask:
+        masks.append(_component(rows, mask))
+        mask ^= masks[-1]
     return masks
 
 
-def canon_bytes(n: int, rows) -> bytes:
-    """Exact canonical form: equal bytes if and only if isomorphic.
+def canon_bytes(rows, mask: int) -> bytes:
+    """Exact canonical form within ``mask``: equal bytes if and only if
+    isomorphic.
 
     A disconnected graph is keyed by the sorted multiset of its component
     keys; a connected one by the minimum packed adjacency over the leaves of
@@ -179,22 +179,23 @@ def canon_bytes(n: int, rows) -> bytes:
     with or without a mutual edge) are branch-pruned: swapping twins is an
     automorphism, so their subtrees yield the same minimum.
     """
+    n = mask.bit_count()
     if n == 0:
         return _EMPTY_KEY
     header = n.to_bytes(2, "big")
     if n == 1:
         return header + b"\x00"
-    comps = _component_masks(n, rows)
+    comps = _component_masks(rows, mask)
     if len(comps) > 1:
-        keys = []
-        for mask in comps:
-            cn, crows = subgraph_rows(rows, mask)
-            keys.append(canon_bytes(cn, crows))
-        return header + b"\x01" + b"".join(sorted(keys))
+        return header + b"\x01" + b"".join(sorted(canon_bytes(rows, c) for c in comps))
 
+    # the rows cut to the mask, in a list indexed like ``rows``
+    cut = [0] * len(rows)
     buckets: dict[int, list[int]] = {}
-    for v in range(n):
-        buckets.setdefault(rows[v].bit_count(), []).append(v)
+    for v in _bits(mask):
+        cut[v] = rows[v] & mask
+        buckets.setdefault(cut[v].bit_count(), []).append(v)
+    rows = cut
     cells = _refine(rows, [tuple(buckets[d]) for d in sorted(buckets)])
 
     # depth-first over the refinement tree on an explicit stack: the tree is
@@ -247,10 +248,10 @@ def canon_bytes(n: int, rows) -> bytes:
 #    the backtracking search over every simple point. Its first successful
 #    branch is the deletion order of a True verdict.
 #
-# `decide` runs the tiers on the subgraph induced on a vertex mask of fixed
-# rows, and is the one decision: `is_contractible` memoizes it on a whole
-# graph's rows, and `contractible_on` asks it, through that memo, about any
-# induced subgraph.
+# `decide` runs the tiers on masks of fixed rows (the residue and every
+# search node are masks), and is the one decision: `is_contractible`
+# memoizes it on a whole graph's rows, and `contractible_on` asks it,
+# through that memo, about any induced subgraph.
 #
 # Every rim test is `_simple`. It looks the rim mask up in a table of rim
 # verdicts, exact while the rows stay fixed: one per greedy pass, one per
@@ -296,23 +297,22 @@ def decide(rows, alive: int, rims: dict[int, bool] | None = None) -> tuple[bool,
     so greedy deletion always reaches a point. Skipping the pass keeps
     cliques from nesting one rim test per clique vertex. The empty and the
     disconnected graphs are refuted by tier 2 before the pass: their reduced
-    homology is nonzero in degree -1 or 0. The pass runs on ``rows`` with
-    the rim table ``rims`` (see `_greedy`); tiers 2 and 3 run on dense rows.
+    homology is nonzero in degree -1 or 0. All tiers run on ``rows``, the
+    pass with the rim table ``rims`` (see `_greedy`).
     """
     if _cone(rows, alive):
         return True, 1, []
-    if not alive or _component(rows, alive) != alive:
+    if not connected(rows, alive):
         return False, 2, []
-    rest, order = _greedy(len(rows), rows, start=alive, rims=rims)
+    rest, order = _greedy(rows, alive, rims=rims)
     if not rest & (rest - 1):
         return True, 1, order
-    if not _acyclic(*subgraph_rows(rows, rest)):
+    if not _acyclic(rows, rest):
         return False, 2, order
-    branch = _exact(*subgraph_rows(rows, alive))
+    branch = _exact(rows, alive)
     if branch is None:
         return False, 3, order
-    verts = _bits(alive)
-    return True, 3, [verts[u] for u in branch]
+    return True, 3, branch
 
 
 def _simple(rows, v: int, alive: int, rims: dict[int, bool]) -> bool:
@@ -326,12 +326,11 @@ def _simple(rows, v: int, alive: int, rims: dict[int, bool]) -> bool:
 
 
 def _greedy(
-    n: int, rows, tie=None, start: int | None = None, rims: dict[int, bool] | None = None
+    rows, alive: int, tie=None, rims: dict[int, bool] | None = None
 ) -> tuple[int, list[int]]:
-    """Tier 1: the mask of vertices left when greedy deletion stalls, and
-    the deletion order.
+    """Tier 1: the mask of vertices left when greedy deletion from
+    ``alive`` stalls, and the deletion order.
 
-    The pass starts from the vertices of ``start`` (all ``n`` when None).
     Each deleted vertex is the simple one of minimum degree among the
     surviving vertices; equal degrees go to the smaller ``tie[i]`` (the
     index ``i`` itself when ``tie`` is None; `homotopy.reduce` passes the
@@ -342,10 +341,9 @@ def _greedy(
     changes its rim, so every smaller key was found not simple.
     """
     if tie is None:
-        tie = range(n)
+        tie = range(len(rows))
     if rims is None:
         rims = {}
-    alive = (1 << n) - 1 if start is None else start
     heap = [((rows[v] & alive).bit_count(), tie[v], v) for v in _bits(alive)]
     heapify(heap)
     order: list[int] = []
@@ -363,53 +361,52 @@ def _greedy(
     return alive, order
 
 
-def _acyclic(n: int, rows) -> bool:
-    """Tier 2: does the clique complex have the integer homology of a point?
+def _acyclic(rows, mask: int) -> bool:
+    """Tier 2: does the clique complex within ``mask`` have the integer
+    homology of a point?
 
     The Euler characteristic, read off the clique counts, answers most
     cases before `homology_of` runs.
     """
-    by_size = cliques_by_size(n, rows, n)
+    by_size = cliques_by_size(rows, mask, mask.bit_count())
     if sum(len(g) if k % 2 == 0 else -len(g) for k, g in enumerate(by_size)) != 1:
         return False
     betti_q, _, torsion = homology_of(by_size)
     return betti_q[0] == 1 and not any(betti_q[1:]) and not any(torsion)
 
 
-def _exact(n: int, rows) -> list[int] | None:
-    """Tier 3: backtracking over every simple point, on an explicit stack.
-    Returns the first successful branch as a deletion order down to one
-    vertex, or None.
+def _exact(rows, alive: int) -> list[int] | None:
+    """Tier 3: backtracking over every simple point, on an explicit stack,
+    from ``alive``. Returns the first successful branch as a deletion order
+    down to one vertex, or None.
 
-    A node is a graph whose greedy pass stalls; its children delete its
-    simple points in greedy order. A child that the greedy pass reduces to
-    a point proves its parent: its greedy order, lifted back through the
-    vertex each frame deleted from its parent, is the branch. Any other
-    child becomes a node unless the memo holds its canonical form, which it
-    does for refuted nodes only: a contractible node has to be searched
-    again to give up its branch. Children skip tier 2: deleting a simple
-    point preserves homology, so every node has the homology of the root.
+    A node is a mask of ``rows`` whose greedy pass stalls; its children
+    delete its simple points in greedy order. A child that the greedy pass
+    reduces to a point proves its parent: the vertices deleted from the
+    root down to the child, then its greedy order, are the branch. Any
+    other child becomes a node unless the memo holds its canonical form,
+    which it does for refuted nodes only: a contractible node has to be
+    searched again to give up its branch. Children skip tier 2: deleting a
+    simple point preserves homology, so every node has the homology of the
+    root.
     """
-    key = canon_bytes(n, rows)
+    key = canon_bytes(rows, alive)
     if key in _contractible:
         return None
-    # (canonical key, vertex deleted from the parent frame, n, rows, candidates, rim table)
-    stack = [(key, -1, n, rows, iter(_greedy_order(n, rows)), {})]
+    # (canonical key, vertex deleted from the parent node, mask, candidates, rim table)
+    stack = [(key, -1, alive, iter(_greedy_order(rows, alive)), {})]
     while stack:
-        key, _, n, rows, candidates, rims = stack[-1]
-        full = (1 << n) - 1
+        key, _, node, candidates, rims = stack[-1]
         for v in candidates:
-            if not _simple(rows, v, full, rims):
+            if not _simple(rows, v, node, rims):
                 continue
-            cn, crows = subgraph_rows(rows, full ^ (1 << v))
-            alive, order = _greedy(cn, crows)
-            if not alive & (alive - 1):
-                for w in [v] + [frame[1] for frame in reversed(stack[1:])]:
-                    order = [w] + [u + (u >= w) for u in order]
-                return order
-            ckey = canon_bytes(cn, crows)
+            child = node ^ (1 << v)
+            rest, order = _greedy(rows, child)
+            if not rest & (rest - 1):
+                return [frame[1] for frame in stack[1:]] + [v] + order
+            ckey = canon_bytes(rows, child)
             if ckey not in _contractible:
-                stack.append((ckey, v, cn, crows, iter(_greedy_order(cn, crows)), {}))
+                stack.append((ckey, v, child, iter(_greedy_order(rows, child)), {}))
                 break
         else:
             _memo_put(_contractible, key, False)
@@ -417,24 +414,24 @@ def _exact(n: int, rows) -> list[int] | None:
     return None
 
 
-def _greedy_order(n: int, rows) -> list[int]:
-    return sorted(range(n), key=lambda v: (rows[v].bit_count(), v))
+def _greedy_order(rows, mask: int) -> list[int]:
+    return sorted(_bits(mask), key=lambda v: ((rows[v] & mask).bit_count(), v))
 
 
 # ---------------------------------------------------------------------------
 # clique enumeration
 
 
-def cliques(n: int, rows, cap: int):
-    """Every clique once, as an increasing tuple of vertex indices.
+def cliques(rows, mask: int, cap: int):
+    """Every clique within ``mask`` once, as an increasing index tuple.
 
     Raises ValueError if a clique larger than ``cap`` exists; callers treat
     that as a pathological input rather than silently truncating.
     """
-    for v in range(n):
+    for v in _bits(mask):
         yield (v,)
         # (clique, vertices above its last one that extend it); no recursion
-        stack = [((v,), rows[v] >> (v + 1) << (v + 1))]
+        stack = [((v,), rows[v] & (mask >> (v + 1) << (v + 1)))]
         while stack:
             base, cand = stack.pop()
             if cand and len(base) == cap:
@@ -450,11 +447,11 @@ def cliques(n: int, rows, cap: int):
                     stack.append((grown, more))
 
 
-def cliques_by_size(n: int, rows, cap: int) -> list[list[tuple[int, ...]]]:
+def cliques_by_size(rows, mask: int, cap: int) -> list[list[tuple[int, ...]]]:
     """Every clique (see `cliques`) grouped by size: index k-1 holds the
     k-vertex cliques, and the list ends at the clique number."""
     by_size: list[list[tuple[int, ...]]] = []
-    for c in cliques(n, rows, cap):
+    for c in cliques(rows, mask, cap):
         # a clique comes after its prefix, so sizes grow one at a time
         if len(c) > len(by_size):
             by_size.append([])

@@ -18,14 +18,14 @@ whose deletion) fails, with the rims read off the same walk.
 The deletion clause runs only after the rim clause has held, and is not
 reindexed: each ``G - v`` is decided on the sphere candidate's own rows
 with ``alive = full ^ (1 << v)``, by one `_pure.decide` call: a cone at
-once, else a greedy pass on those rows and, when it stalls, the exact tiers
-on dense rows. All n clauses of one sphere test share one rim table, local
-to that test and keyed on rim masks, which are exact keys while the rows
-stay fixed. A rim the table does not hold is decided on its own dense rows
-(`_pure._simple`), under the kernel's rows-keyed memo; its nested rims stay
-out of the table. Three facts, each exact once every rim is a
-(d-1)-sphere, cut the passes (Ivashchenko, Discrete Math. 126, 1994:
-simple-point deletions preserve homology):
+once, else a greedy pass on those rows and, when it stalls, the exact
+tiers on the same rows. All n clauses of one sphere test share one rim
+table, local to that test and keyed on rim masks, which are exact keys
+while the rows stay fixed. A rim the table does not hold is decided on
+its own dense rows (`_pure._simple`), under the kernel's rows-keyed memo;
+its nested rims stay out of the table. Three facts, each exact once
+every rim is a (d-1)-sphere, cut the passes (Ivashchenko, Discrete Math.
+126, 1994: simple-point deletions preserve homology):
 
 - Seeded rims (`_seeded_rims`). A whole rim is a sphere, which is not
   contractible: its reduced homology is nonzero. A rim minus one vertex is
@@ -99,11 +99,12 @@ def _dimension(n: int, rows: tuple[int, ...]) -> Optional[int]:
     if rows not in _memo:
         if n == 2 and not rows[0]:
             return 0
-        if not connected(n, rows):
+        full = (1 << n) - 1
+        if not connected(rows, full):
             return None
         rims: list[tuple[int, tuple[int, ...]]] = []
         dims: set[Optional[int]] = set()
-        if not _cone(rows, (1 << n) - 1):
+        if not _cone(rows, full):
             for r in rows:
                 rims.append(subgraph_rows(rows, r))
                 dims.add(_dimension(*rims[-1]))
@@ -190,10 +191,9 @@ def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
     three facts used here. The cycle shortcut for d = 1 tests connectivity
     because `is_n_sphere` comes here without testing it.
     """
-    n = len(rows)
-    if d == 1 and connected(n, rows):
+    full = (1 << len(rows)) - 1
+    if d == 1 and connected(rows, full):
         return None
-    full = (1 << n) - 1
     rims = _seeded_rims(rows)
     pending = full
     for v in order:
@@ -250,7 +250,7 @@ def is_n_manifold(g: Graph, n: int) -> ClassificationVerdict:
     """Recognize a closed digital n-manifold (every rim an (n-1)-sphere)."""
     if n < 1:
         raise GraphError("manifold dimension must be >= 1")
-    if not connected(g.order, g._rows):
+    if not connected(g._rows, (1 << g.order) - 1):
         return ClassificationVerdict(KIND_NONE, None, min(g.vertices, default=None))
     i = _failing_rim(g, lambda m, r: _is_sphere(m, r, n - 1))
     if i is not None:

@@ -105,10 +105,7 @@ def _cmd_digitize(args) -> int:
         raise InputError(f"{args.shape}: shape file has no window")
     if pitch is None:
         raise InputError(f"{args.shape}: no pitch given (file field or --pitch)")
-    try:
-        report = digitize_reduce(shape, window, pitch)
-    except ShapeError as exc:
-        raise InputError(str(exc)) from exc
+    report = digitize_reduce(shape, window, pitch)
     if args.dump_csv:
         try:
             Path(args.dump_csv).write_text(mask_csv(report.model))
@@ -133,10 +130,7 @@ def _cmd_cover(args) -> int:
     # trace
     if args.cell is None:
         raise InputError("cover trace needs --cell")
-    try:
-        traced, verdict = boundary_trace_cover(cover, args.cell)
-    except CoverError as exc:
-        raise InputError(str(exc)) from exc
+    traced, verdict = boundary_trace_cover(cover, args.cell)
     _emit(
         {
             "isomorphic": verdict,
@@ -161,9 +155,7 @@ def _cmd_catalog(args) -> int:
         {
             "name": entry.name,
             "graph": graph_to_obj(entry.graph),
-            "expected": {
-                k: (list(v) if isinstance(v, tuple) else v) for k, v in entry.expected.items()
-            },
+            "expected": entry.expected,
             "construction": entry.construction,
             "validation": report,
         },

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
-from ._kernels._pure import _bits, canon_bytes, cliques, subgraph_rows
+from ._kernels._pure import _bits, canon_bytes, cliques
 from .graph import Graph
 from .invariants import CLIQUE_CAP
 
@@ -377,7 +377,7 @@ def validate_lcl(cover: BoxCover) -> LclReport:
     _, cells, periods = cover._lattice
     violations: list[LclViolation] = []
     try:
-        for clique in cliques(len(rows), rows, CLIQUE_CAP):
+        for clique in cliques(rows, (1 << len(rows)) - 1, CLIQUE_CAP):
             if len(clique) < 2:
                 continue
             if len(clique) == 2:
@@ -428,8 +428,8 @@ def boundary_trace_cover(cover: BoxCover, i: int) -> tuple[BoxCover, bool]:
         raise CoverError(f"cell {i} has no neighbors")
     boxes = [_unscale(b, cover._lattice[0]) for b in traces]
     traced = BoxCover.make(boxes, cover.periods, cover.n - 1)
-    induced = canon_bytes(*subgraph_rows(rows, rows[i]))
-    return traced, induced == canon_bytes(len(traces), traced._nerve_rows)
+    induced = canon_bytes(rows, rows[i])
+    return traced, induced == canon_bytes(traced._nerve_rows, (1 << len(traces)) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -214,13 +214,6 @@ class CubicalModel:
     ambient: int
     cubes: frozenset[tuple[int, ...]]
 
-    def to_obj(self) -> dict[str, Any]:
-        return {
-            "pitch": _fmt(self.pitch),
-            "ambient": self.ambient,
-            "cubes": sorted(list(c) for c in self.cubes),
-        }
-
 
 def cubical_model(shape: ShapeSpec, window: BoxCell, pitch: Any) -> CubicalModel:
     """Cubes inside the window that the membership rule judges to meet the shape.

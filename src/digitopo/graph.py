@@ -260,7 +260,7 @@ def join(g: Graph, h: Graph) -> Graph:
 def canonical_key(g: Graph) -> bytes:
     """Deterministic canonical form: equal keys exactly for isomorphic graphs."""
     if g._key is None:
-        g._key = kernels.canon_bytes(g.order, g._rows)
+        g._key = kernels.canon_bytes(g._rows, (1 << g.order) - 1)
     return g._key
 
 
@@ -269,7 +269,7 @@ def canonical_key(g: Graph) -> bytes:
 
 
 def is_connected(g: Graph) -> bool:
-    return kernels.connected(g.order, g._rows)
+    return kernels.connected(g._rows, (1 << g.order) - 1)
 
 
 def components(g: Graph) -> tuple[tuple[str, ...], ...]:
@@ -277,6 +277,6 @@ def components(g: Graph) -> tuple[tuple[str, ...], ...]:
     return tuple(
         sorted(
             tuple(sorted(g._labels[i] for i in _bits(mask)))
-            for mask in _component_masks(g.order, g._rows)
+            for mask in _component_masks(g._rows, (1 << g.order) - 1)
         )
     )

@@ -157,11 +157,12 @@ def is_contractible(g: Graph, return_trace: bool = False):
     """
     if not return_trace:
         return kernels.is_contractible(g.order, g._rows)
-    verdict, _, order = kernels.decide(g._rows, (1 << g.order) - 1)
+    full = (1 << g.order) - 1
+    verdict, _, order = kernels.decide(g._rows, full)
     if not verdict:
         return False, None
     if not order:
-        order = _greedy(g.order, g._rows)[1]
+        order = _greedy(g._rows, full)[1]
     return True, HomotopyTrace(tuple(DeletePoint(g.vertices[i]) for i in order))
 
 
@@ -264,7 +265,7 @@ def reduce(g: Graph) -> tuple[Graph, HomotopyTrace]:
     to the input by construction. This is the kernel's greedy pass
     (`_pure._greedy`) on the input's rows, with labels as the tie-break.
     """
-    alive, order = _greedy(g.order, g._rows, g._labels)
+    alive, order = _greedy(g._rows, (1 << g.order) - 1, g._labels)
     steps = tuple(DeletePoint(g._labels[i]) for i in order)
     return _induced_mask(g, alive), HomotopyTrace(steps)
 
@@ -286,15 +287,6 @@ class EquivalenceVerdict:
     traces: Optional[tuple[HomotopyTrace, HomotopyTrace]] = None
     invariant: Optional[str] = None
     values: Optional[tuple] = None
-
-    def to_obj(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"status": self.status}
-        if self.traces is not None:
-            out["traces"] = [t.to_obj() for t in self.traces]
-        if self.invariant is not None:
-            out["invariant"] = self.invariant
-            out["values"] = list(self.values or ())
-        return out
 
 
 def _search_moves(g: Graph) -> Iterator[tuple[Step, Graph]]:

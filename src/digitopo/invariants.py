@@ -64,7 +64,7 @@ def same_profile(a: HomologyProfile, b: HomologyProfile) -> bool:
 def _cliques_by_size(g: Graph) -> list[list[tuple[int, ...]]]:
     """All cliques as increasing tuples of vertex indices, grouped by size."""
     try:
-        return cliques_by_size(g.order, g._rows, CLIQUE_CAP)
+        return cliques_by_size(g._rows, (1 << g.order) - 1, CLIQUE_CAP)
     except ValueError as exc:
         raise GraphError(str(exc)) from exc
 

@@ -439,7 +439,7 @@ def replay_rotations(rows, rims):
     replayed = 0
     for v in range(n):
         alive = full ^ (1 << v)
-        rest, seq = _greedy(n, rows, start=alive, rims=rims)
+        rest, seq = _greedy(rows, alive, rims=rims)
         if not rest or rest & (rest - 1):
             continue
         for s in _bits(recognizers._rotated(rows, v, alive, seq, alive, rims)):
@@ -457,7 +457,7 @@ def dense_sphere_1(n, rows):
     non-adjacent vertices, every G - v contractible."""
     full = (1 << n) - 1
     return (
-        kernels.connected(n, rows)
+        kernels.connected(rows, full)
         and all(r.bit_count() == 2 and not rows[(r & -r).bit_length() - 1] & r for r in rows)
         and all(kernels.is_contractible(*subgraph_rows(rows, full ^ (1 << v))) for v in range(n))
     )
@@ -486,7 +486,7 @@ class TestSphereClauseFacts:
         rotated = 0
         for n in range(3, 7):
             for rows in all_rows(n):
-                if kernels.connected(n, rows):
+                if kernels.connected(rows, (1 << n) - 1):
                     rotated += replay_rotations(rows, {})
         assert rotated > 10000
 
@@ -506,7 +506,7 @@ class TestSphereClauseFacts:
         surface dimensions and sphere verdicts on the same graphs)."""
         for g in small_graphs_out_of_label_order(5):
             dim = rim_dimension(g)
-            if kernels.connected(g.order, g._rows) and any(
+            if kernels.connected(g._rows, (1 << g.order) - 1) and any(
                 g.degree(v) == g.order - 1 for v in g.vertices
             ):
                 assert dim is None and classify(g).kind == "None", g.edges()

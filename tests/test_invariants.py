@@ -240,7 +240,7 @@ def collapse_homology(g):
                 rows[rank[i]] |= 1 << rank[j]
     by_size = [[] for _ in range(CLIQUE_CAP)]
     try:
-        for c in cliques(g.order, rows, CLIQUE_CAP):
+        for c in cliques(rows, (1 << g.order) - 1, CLIQUE_CAP):
             by_size[len(c) - 1].append(c)
     except ValueError as exc:
         raise GraphError(str(exc)) from exc

@@ -32,13 +32,18 @@ from conftest import (
 from digitopo import _kernels as kernels
 from digitopo._kernels import _pure
 from digitopo.graph import build_graph, canonical_key, components, induced_subgraph, relabeled, rim
-from digitopo.homotopy import apply_trace, is_contractible, reduce
+from digitopo.homotopy import DeletePoint, HomotopyTrace, apply_trace, is_contractible, reduce
 from digitopo.invariants import clique_vector, euler_characteristic, homology
 from test_invariants import collapse_homology
 
 
 def masks(g):
     return g.order, g._rows
+
+
+def on_all(g):
+    """The rows of ``g`` and the mask of all its vertices."""
+    return g._rows, (1 << g.order) - 1
 
 
 def whole(g):
@@ -53,7 +58,7 @@ def contraction_order(n, rows):
     verdict, _, order = _pure.decide(rows, (1 << n) - 1)
     if not verdict:
         return None
-    return order or _pure._greedy(n, rows)[1]
+    return order or _pure._greedy(rows, (1 << n) - 1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +74,9 @@ def exact_search(n, rows) -> bool:
         return False
     if n == 1:
         return True
-    if not _pure.connected(n, rows):
+    if not _pure.connected(rows, (1 << n) - 1):
         return False
-    key = _pure.canon_bytes(n, rows)
+    key = _pure.canon_bytes(rows, (1 << n) - 1)
     if key not in _exact_memo:
         _exact_memo[key] = exact_search_order(n, rows) is not None
     return _exact_memo[key]
@@ -150,24 +155,34 @@ class TestContractibleKernel:
         assert _pure.is_contractible(n, rows) == verdict
         assert contraction_order(n, rows) == exact_search_order(n, rows)
         # tier 3 alone, run on any input
-        assert _pure._exact(n, rows) == exact_search_order(n, rows)
+        assert _pure._exact(rows, (1 << n) - 1) == exact_search_order(n, rows)
 
-    def test_nested_frames_lift_the_branch(self, monkeypatch):
+    def test_nested_frames_name_the_callers_vertices(self, monkeypatch):
         """With a greedy pass that deletes nothing, every node of the exact
-        search below the root is a frame of its stack, so the branch is
-        lifted through one frame per deleted vertex."""
+        search below the root is a frame of its stack, so a branch on a mask
+        of three or more vertices runs through two frames or more. On a
+        proper mask the branch must name the caller's vertices: the dense
+        search's branch mapped back through the mask's vertices."""
 
-        def stalled(n, rows, tie=None, start=None, rims=None):
-            return ((1 << n) - 1 if start is None else start), []
+        def stalled(rows, alive, tie=None, rims=None):
+            return alive, []
 
         kernels.clear_caches()
         monkeypatch.setattr(_pure, "_greedy", stalled)
+        deep = 0
         try:
-            for n in range(2, 6):
+            for n in range(4, 6):
                 for g in all_labeled_graphs(n):
-                    assert _pure._exact(n, g._rows) == exact_search_order(n, g._rows), g.edges()
+                    for v in range(n):
+                        mask = ((1 << n) - 1) ^ (1 << v)
+                        verts = _pure._bits(mask)
+                        dense = exact_search_order(*_pure.subgraph_rows(g._rows, mask))
+                        want = None if dense is None else [verts[u] for u in dense]
+                        assert _pure._exact(g._rows, mask) == want, (g.edges(), mask)
+                        deep += want is not None
         finally:
             kernels.clear_caches()
+        assert deep > 1000
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +307,106 @@ class TestContractibleWithin:
 
 
 # ---------------------------------------------------------------------------
+# every query on a mask of the caller's rows against the induced graph
+
+
+def masked_query(g, mask):
+    """`decide`, `canon_bytes` and `cliques_by_size` on a mask of ``g``'s rows."""
+    rows = g._rows
+    return (
+        _pure.decide(rows, mask),
+        _pure.canon_bytes(rows, mask),
+        _pure.cliques_by_size(rows, mask, mask.bit_count()),
+    )
+
+
+def induced_query(sub, verts):
+    """The same queries on the induced graph ``sub`` and its full mask, with
+    its vertex ``i`` named ``verts[i]``."""
+    rows, full = on_all(sub)
+    verdict, tier, order = _pure.decide(rows, full)
+    groups = _pure.cliques_by_size(rows, full, sub.order)
+    return (
+        (verdict, tier, [verts[u] for u in order]),
+        _pure.canon_bytes(rows, full),
+        [[tuple(verts[u] for u in c) for c in group] for group in groups],
+    )
+
+
+def embedding_invariant(g, mask, seen=None) -> int:
+    """Assert that the queries on ``mask`` answer as on the induced graph,
+    and that a True order of tier 3 replays it to one vertex; the tier.
+    ``seen`` keeps the induced answers by mask and induced rows."""
+    verts = _pure._bits(mask)
+    sub = induced_subgraph(g, [g.vertices[v] for v in verts])
+    key = mask, sub._rows
+    want = seen.get(key) if seen is not None else None
+    if want is None:
+        want = induced_query(sub, verts)
+        if seen is not None:
+            seen[key] = want
+    got = masked_query(g, mask)
+    assert got == want, (g.edges(), mask)
+    verdict, tier, order = got[0]
+    if verdict and tier == 3:
+        trace = HomotopyTrace(tuple(DeletePoint(g.vertices[v]) for v in order))
+        assert apply_trace(sub, trace).order == 1, (g.edges(), mask)
+    return tier
+
+
+@st.composite
+def graphs_7_to_20_with_masks(draw):
+    n = draw(st.integers(7, 20))
+    density = draw(st.integers(1, 9))
+    labels = [f"v{i}" for i in range(n)]
+    pairs = itertools.combinations(labels, 2)
+    edges = [pair for pair in pairs if draw(st.integers(0, 9)) < density]
+    alive_masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    return build_graph(labels, edges), alive_masks
+
+
+class TestEmbeddingInvariance:
+    """A kernel query on a mask of the caller's rows answers as the same
+    query on the induced graph, with the answer's vertices mapped back
+    through the mask."""
+
+    def test_every_mask_of_every_graph_up_to_5(self):
+        for n in range(6):
+            for g in all_labeled_graphs(n):
+                for mask in range(1 << n):
+                    embedding_invariant(g, mask)
+
+    def test_a_deletion_mask_of_every_graph_on_6(self):
+        """One ``G - v`` per graph, the deleted vertex cycling through all
+        six (every mask of every graph takes minutes)."""
+        full, seen = (1 << 6) - 1, {}
+        for i, g in enumerate(all_labeled_graphs(6)):
+            embedding_invariant(g, full ^ (1 << i % 6), seen)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_7_to_20_with_masks())
+    def test_random_masks_of_larger_graphs(self, case):
+        g, alive_masks = case
+        for mask in alive_masks:
+            embedding_invariant(g, mask)
+
+    def test_tier_3_orders_replay_on_every_mask_up_to_5(self, monkeypatch):
+        """With a greedy pass that deletes nothing, every contractible mask
+        but a cone's reaches tier 3, and its order replays to one vertex."""
+        monkeypatch.setattr(_pure, "_greedy", lambda rows, alive, tie=None, rims=None: (alive, []))
+        kernels.clear_caches()
+        tier_3 = 0
+        try:
+            for n in range(6):
+                for g in all_labeled_graphs(n):
+                    for mask in range(1 << n):
+                        tier_3 += embedding_invariant(g, mask) == 3
+        finally:
+            kernels.clear_caches()
+        assert tier_3 > 1000
+
+
+# ---------------------------------------------------------------------------
 # the lazy greedy pass against the eager one
 
 
@@ -320,14 +435,14 @@ class TestLazyGreedy:
     def test_every_graph_up_to_6(self):
         for n in range(7):
             for g in all_labeled_graphs(n):
-                assert _pure._greedy(n, g._rows) == eager_greedy(n, g._rows), g.edges()
+                assert _pure._greedy(*on_all(g)) == eager_greedy(n, g._rows), g.edges()
 
     def test_every_tie_order_up_to_4(self):
         for n in range(5):
             for g in all_labeled_graphs(n):
                 for tie in itertools.permutations(range(n)):
                     want = eager_greedy(n, g._rows, tie)
-                    assert _pure._greedy(n, g._rows, tie) == want, (g.edges(), tie)
+                    assert _pure._greedy(*on_all(g), tie) == want, (g.edges(), tie)
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_7_to_14_with_starts())
@@ -335,10 +450,11 @@ class TestLazyGreedy:
         n, rows, labels, starts = case
         rims: dict[int, bool] = {}
         for start in starts:
+            alive = (1 << n) - 1 if start is None else start
             for tie in (None, labels):
                 want = eager_greedy(n, rows, tie, start)
-                assert _pure._greedy(n, rows, tie, start) == want
-                assert _pure._greedy(n, rows, tie, start, rims) == want
+                assert _pure._greedy(rows, alive, tie) == want
+                assert _pure._greedy(rows, alive, tie, rims) == want
         for mask, verdict in rims.items():
             assert verdict == dense_oracle(rows, mask)
 
@@ -404,7 +520,7 @@ class TestTiers:
         for g in cases:
             prof = collapse_homology(g)
             point = prof.betti_q[0] == 1 and not any(prof.betti_q[1:]) and not any(prof.torsion)
-            assert _pure._acyclic(*masks(g)) == point, g.edges()
+            assert _pure._acyclic(*on_all(g)) == point, g.edges()
             if g.order <= 6:
                 assert point == (prof.betti_z2[0] == 1 and not any(prof.betti_z2[1:]))
 
@@ -514,7 +630,7 @@ class TestContractionOrder:
         real, passes = _pure._greedy, []
 
         def counting(*args, **kwargs):
-            passes.append(args[0])
+            passes.append(args[1])
             return real(*args, **kwargs)
 
         monkeypatch.setattr(_pure, "_greedy", counting)
@@ -522,7 +638,7 @@ class TestContractionOrder:
         kernels.clear_caches()
         verdict, trace = is_contractible(g, return_trace=True)
         assert verdict and len(trace) == g.order - 1
-        assert passes == [g.order]
+        assert passes == [(1 << g.order) - 1]
 
     def test_every_trace_up_to_6_replays_to_a_point(self):
         for n in range(7):
@@ -536,7 +652,7 @@ class TestContractionOrder:
 
 
 def clique_sizes(g, cap=9):
-    return [len(group) for group in _pure.cliques_by_size(*masks(g), cap)]
+    return [len(group) for group in _pure.cliques_by_size(*on_all(g), cap)]
 
 
 class TestCliqueCounts:
