@@ -11,17 +11,18 @@ clause, and the minimal 20-sphere, whose time is all rim walk), cold-cache
 their residues, tier 2 of contractibility on the dunce hat, a cold tier-3
 `decide` (the exact search, whose memo keeps refutations only) on the
 dunce hat, which has no simple point, so the search refutes its root at
-once, and on the dunce hat with pendant vertices at four of its vertices,
-whose search visits one node per set of deleted pendants (each row prints
-its search nodes, the calls of `_pure._greedy_order`), a cold traced
-`is_contractible` on a 160-vertex path with its number of greedy passes
-(`_pure._greedy`), and the cover operations on the
-brick-wall torus, each on a fresh cover
+once, and on the dunce hat with pendant vertices at every 12th (4
+pendants) and every 8th (6 pendants) of its vertices, whose search visits
+one node per set of deleted pendants (each row prints its search nodes,
+the calls of `_pure._greedy_order`, and its calls of `contractible_on`,
+nested rims included), a cold traced `homotopy.is_contractible` on a
+160-vertex path with its number of greedy passes (`_pure._greedy`), and
+the cover operations on the brick-wall torus, each on a fresh cover
 (a cover computes its nerve once and keeps it), alone and together as one
 `certify`-shaped cover task, plus validation and the cover task (validate,
 nerve, no trace) on the invalid aligned-grid torus; the macro row runs sphere
 recognition, a 3-D digitization and a cover validation once, after clearing
-every memo table. Each `is_contractible` row also prints the tier that
+every memo table. Each `contractible_on` row also prints the tier that
 decides it (`_pure.decide`), and each `classify` and `reduce` row the number
 of rim tests (calls of `_pure._simple`, the one rim test) in one cold run.
 
@@ -117,9 +118,9 @@ def micro():
     for gname, g in contract_graphs.items():
         spec.append(
             (
-                f"is_contractible {gname}",
+                f"contractible_on {gname}",
                 g,
-                lambda r, m: (kernels.clear_caches(), kernels.is_contractible(len(r), r)),
+                lambda r, m: (kernels.clear_caches(), kernels.contractible_on(r, m)),
                 f"{'tier':>10s} {kernels.decide(g._rows, (1 << g.order) - 1)[1]}",
             )
         )
@@ -172,7 +173,13 @@ def _calls(fn, name: str) -> int:
 
 def layers():
     import digitopo
-    from conftest import aligned_grid_torus_cover, brick_wall_torus_cover, dunce_hat, path_graph
+    from conftest import (
+        aligned_grid_torus_cover,
+        brick_wall_torus_cover,
+        dunce_hat,
+        path_graph,
+        pendant_dunce_hat,
+    )
     from digitopo.catalog import get
     from digitopo.classify import classify, minimal_sphere
     from digitopo.covers import BoxCell, boundary_trace_cover, nerve, validate_lcl
@@ -184,7 +191,6 @@ def layers():
         shape_circle,
         shape_sphere,
     )
-    from digitopo.graph import build_graph
     from digitopo.homotopy import is_contractible, reduce
     from digitopo.invariants import homology
 
@@ -241,14 +247,10 @@ def layers():
     hat = dunce_hat()
     t = _time(lambda: _pure._acyclic(hat._rows, (1 << hat.order) - 1))
     print(f"{'tier 2 (_acyclic) on the 49-vertex dunce hat':50s}{t * 1e3:>10.2f}ms")
-    pendants = [f"p{i}" for i in range(4)]
-    hung = build_graph(
-        hat.vertices + tuple(pendants),
-        hat.edges() + tuple(zip(pendants, hat.vertices[::12])),
-    )
     for label, g in (
         ("49-vertex dunce hat", hat),
-        ("dunce hat with 4 pendants", hung),
+        ("dunce hat with 4 pendants", pendant_dunce_hat(4, 12)),
+        ("dunce hat with 6 pendants", pendant_dunce_hat(6, 8)),
     ):
 
         def cold_decide():
@@ -257,9 +259,10 @@ def layers():
 
         t, tier = _time(cold_decide), cold_decide()[1]
         nodes = _calls(cold_decide, "_greedy_order")
+        asked = _calls(cold_decide, "contractible_on")
         print(
             f"{f'cold decide on the {label}':50s}{t * 1e3:>10.2f}ms"
-            f"{'tier':>10s} {tier}{nodes:>10d} search nodes"
+            f"{'tier':>10s} {tier}{nodes:>10d} search nodes{asked:>10d} contractible_on"
         )
     path = path_graph(160)
 

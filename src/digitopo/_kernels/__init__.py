@@ -6,15 +6,13 @@ and a mask of the vertices whose induced subgraph is asked about
 (``(1 << n) - 1`` for the whole graph). Answers name the caller's vertices:
 
     canon_bytes(rows, mask)     exact canonical form of the induced subgraph
-    decide(rows, alive)         the one contractibility decision:
-                                (verdict, tier 1-3, deletion order), the
-                                order a witness to one vertex for every
-                                True verdict but a cone's (empty)
-    is_contractible(n, rows)    `decide` on a whole graph of ``n`` vertices,
-                                memoized on its rows
+    decide(rows, alive)         the one contractibility decision, on one
+                                rim table: (verdict, tier 1-3, deletion
+                                order), the order a witness to one vertex
+                                for every True verdict but a cone's (empty)
     contractible_on(rows, mask) is the induced subgraph contractible? (a
-                                cone at once, else `is_contractible` on its
-                                dense rows, so the memo sees every copy)
+                                cone at once, else `decide` on its dense
+                                rows, which key the memo: it sees every copy)
     connected(rows, mask)       non-empty and connected
     clear_caches()              empty the contractibility memo
 
@@ -31,5 +29,4 @@ from ._pure import (  # noqa: F401
     connected,
     contractible_on,
     decide,
-    is_contractible,
 )

@@ -13,8 +13,8 @@ forms of the exact search's refuted nodes. A cached verdict is always safe
 to reuse. A True verdict of `decide` comes with a deletion order to one
 vertex, the first successful branch of the exact search (a cone's order
 is empty). Rim tests go through one function, `_simple`, which reads a
-table of rim verdicts keyed on the rim mask, one table per pass, in front
-of that memo.
+table of rim verdicts keyed on the rim mask, one table per decision, in
+front of that memo.
 """
 
 from __future__ import annotations
@@ -249,39 +249,35 @@ def canon_bytes(rows, mask: int) -> bytes:
 #    branch is the deletion order of a True verdict.
 #
 # `decide` runs the tiers on masks of fixed rows (the residue and every
-# search node are masks), and is the one decision: `is_contractible`
-# memoizes it on a whole graph's rows, and `contractible_on` asks it,
-# through that memo, about any induced subgraph.
+# search node are masks), and is the one decision: `contractible_on`, the
+# one memoized entry, asks it about any induced subgraph on dense rows.
 #
 # Every rim test is `_simple`. It looks the rim mask up in a table of rim
-# verdicts, exact while the rows stay fixed: one per greedy pass, one per
-# node of the exact search, or one the caller owns and shares between
-# passes on the same rows (the n deletion clauses of a sphere test, whose
-# table `classify` seeds with verdicts it already knows). A miss goes to
-# `contractible_on`, which answers a cone at once and otherwise decides the
-# rim densely reindexed, so the rows-keyed memo behind the table still hits
-# when a rim recurs under a different mask: translated copies of a rim in
-# `reduce`, equal rims of different search states in `homotopy_equivalent`.
-# Canonical forms key only the refuted nodes of the exact search.
-
-
-def is_contractible(n: int, rows) -> bool:
-    """Exact decision: do simple-point deletions reduce the graph to a point?"""
-    if n < 2:
-        return n == 1
-    key = (n, tuple(rows))
-    hit = _contractible.get(key)
-    if hit is None:
-        hit = decide(rows, (1 << n) - 1)[0]
-        _memo_put(_contractible, key, hit)
-    return hit
+# verdicts, exact while the rows stay fixed, whatever pass or search node
+# asks: one per `decide` call, shared by all its tiers, or one the caller
+# owns and shares between decisions on the same rows (the n deletion
+# clauses of a sphere test, whose table `classify` seeds with verdicts it
+# already knows). A miss goes to `contractible_on`, which answers a cone at
+# once and otherwise decides the rim densely reindexed, so the rows-keyed
+# memo behind the table still hits when a rim recurs under a different
+# mask: translated copies of a rim in `reduce`, equal rims of different
+# search states in `homotopy_equivalent`. Canonical forms key only the
+# refuted nodes of the exact search.
 
 
 def contractible_on(rows, mask: int) -> bool:
-    """Is the subgraph induced on the vertices of ``mask`` contractible? A
-    cone is answered at once, anything else on its dense rows through the
-    rows-keyed memo."""
-    return _cone(rows, mask) or is_contractible(*subgraph_rows(rows, mask))
+    """Exact decision: do simple-point deletions reduce the subgraph induced
+    on ``mask`` to a point? A cone is answered at once; anything else is
+    decided on its dense rows, which key the memo."""
+    if _cone(rows, mask):
+        return True
+    key = subgraph_rows(rows, mask)
+    hit = _contractible.get(key)
+    if hit is None:
+        n, dense = key
+        hit = n > 1 and decide(dense, (1 << n) - 1)[0]
+        _memo_put(_contractible, key, hit)
+    return hit
 
 
 def decide(rows, alive: int, rims: dict[int, bool] | None = None) -> tuple[bool, int, list[int]]:
@@ -297,19 +293,21 @@ def decide(rows, alive: int, rims: dict[int, bool] | None = None) -> tuple[bool,
     so greedy deletion always reaches a point. Skipping the pass keeps
     cliques from nesting one rim test per clique vertex. The empty and the
     disconnected graphs are refuted by tier 2 before the pass: their reduced
-    homology is nonzero in degree -1 or 0. All tiers run on ``rows``, the
-    pass with the rim table ``rims`` (see `_greedy`).
+    homology is nonzero in degree -1 or 0. All tiers run on ``rows`` and
+    share one rim table, ``rims`` or a fresh one (see `_simple`).
     """
     if _cone(rows, alive):
         return True, 1, []
     if not connected(rows, alive):
         return False, 2, []
+    if rims is None:
+        rims = {}
     rest, order = _greedy(rows, alive, rims=rims)
     if not rest & (rest - 1):
         return True, 1, order
     if not _acyclic(rows, rest):
         return False, 2, order
-    branch = _exact(rows, alive)
+    branch = _exact(rows, alive, rims)
     if branch is None:
         return False, 3, order
     return True, 3, branch
@@ -369,16 +367,17 @@ def _acyclic(rows, mask: int) -> bool:
     cases before `homology_of` runs.
     """
     by_size = cliques_by_size(rows, mask, mask.bit_count())
-    if sum(len(g) if k % 2 == 0 else -len(g) for k, g in enumerate(by_size)) != 1:
+    if alternating_sum(map(len, by_size)) != 1:
         return False
     betti_q, _, torsion = homology_of(by_size)
     return betti_q[0] == 1 and not any(betti_q[1:]) and not any(torsion)
 
 
-def _exact(rows, alive: int) -> list[int] | None:
+def _exact(rows, alive: int, rims: dict[int, bool]) -> list[int] | None:
     """Tier 3: backtracking over every simple point, on an explicit stack,
     from ``alive``. Returns the first successful branch as a deletion order
-    down to one vertex, or None.
+    down to one vertex, or None. Every rim test, at a node or in a child's
+    pass, reads ``rims``: a rim verdict on fixed rows is node-independent.
 
     A node is a mask of ``rows`` whose greedy pass stalls; its children
     delete its simple points in greedy order. A child that the greedy pass
@@ -393,20 +392,20 @@ def _exact(rows, alive: int) -> list[int] | None:
     key = canon_bytes(rows, alive)
     if key in _contractible:
         return None
-    # (canonical key, vertex deleted from the parent node, mask, candidates, rim table)
-    stack = [(key, -1, alive, iter(_greedy_order(rows, alive)), {})]
+    # (canonical key, vertex deleted from the parent node, mask, candidates)
+    stack = [(key, -1, alive, iter(_greedy_order(rows, alive)))]
     while stack:
-        key, _, node, candidates, rims = stack[-1]
+        key, _, node, candidates = stack[-1]
         for v in candidates:
             if not _simple(rows, v, node, rims):
                 continue
             child = node ^ (1 << v)
-            rest, order = _greedy(rows, child)
+            rest, order = _greedy(rows, child, rims=rims)
             if not rest & (rest - 1):
                 return [frame[1] for frame in stack[1:]] + [v] + order
             ckey = canon_bytes(rows, child)
             if ckey not in _contractible:
-                stack.append((ckey, v, child, iter(_greedy_order(rows, child)), {}))
+                stack.append((ckey, v, child, iter(_greedy_order(rows, child))))
                 break
         else:
             _memo_put(_contractible, key, False)
@@ -458,3 +457,7 @@ def cliques_by_size(rows, mask: int, cap: int) -> list[list[tuple[int, ...]]]:
         by_size[len(c) - 1].append(c)
     return by_size
 
+
+def alternating_sum(counts) -> int:
+    """``c0 - c1 + c2 - ...``; of clique counts, the Euler characteristic."""
+    return sum(c if k % 2 == 0 else -c for k, c in enumerate(counts))

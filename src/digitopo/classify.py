@@ -21,11 +21,12 @@ with ``alive = full ^ (1 << v)``, by one `_pure.decide` call: a cone at
 once, else a greedy pass on those rows and, when it stalls, the exact
 tiers on the same rows. All n clauses of one sphere test share one rim
 table, local to that test and keyed on rim masks, which are exact keys
-while the rows stay fixed. A rim the table does not hold is decided on
-its own dense rows (`_pure._simple`), under the kernel's rows-keyed memo;
-its nested rims stay out of the table. Three facts, each exact once
-every rim is a (d-1)-sphere, cut the passes (Ivashchenko, Discrete Math.
-126, 1994: simple-point deletions preserve homology):
+while the rows stay fixed, and every tier reads it, tier 3's nodes too.
+A rim the table does not hold is decided on its own dense rows
+(`_pure._simple`), under the kernel's rows-keyed memo; its nested rims
+stay out of the table. Three facts, each exact once every rim is a
+(d-1)-sphere, cut the passes (Ivashchenko, Discrete Math. 126, 1994:
+simple-point deletions preserve homology):
 
 - Seeded rims (`_seeded_rims`). A whole rim is a sphere, which is not
   contractible: its reduced homology is nonzero. A rim minus one vertex is

@@ -145,9 +145,10 @@ def is_contractible(g: Graph, return_trace: bool = False):
     one vertex. Otherwise the stuck residue's Euler characteristic and
     integer homology are checked: deletions preserve homology, so anything
     but the homology of a point answers False. Only what remains gets the full
-    backtracking search. Verdicts are memoized on the exact adjacency rows,
-    and refuted nodes of the backtracking search on canonical forms. The
-    empty graph is not contractible.
+    backtracking search. All tiers share one table of rim verdicts.
+    `contractible_on` memoizes verdicts on the exact adjacency rows, the
+    search its refuted nodes on canonical forms. The empty graph is not
+    contractible.
 
     With ``return_trace=True`` returns ``(bool, HomotopyTrace | None)`` where
     the trace replays the witnessing deletions: the greedy order when the
@@ -155,9 +156,9 @@ def is_contractible(g: Graph, return_trace: bool = False):
     That is one unmemoized `decide` call, which carries the order; only a
     cone, which `decide` answers without a pass, gets its greedy pass here.
     """
-    if not return_trace:
-        return kernels.is_contractible(g.order, g._rows)
     full = (1 << g.order) - 1
+    if not return_trace:
+        return kernels.contractible_on(g._rows, full)
     verdict, _, order = kernels.decide(g._rows, full)
     if not verdict:
         return False, None

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ._kernels._pure import cliques_by_size
+from ._kernels._pure import alternating_sum, cliques_by_size
 from ._smith import homology_of
 from .graph import Graph, GraphError
 
@@ -75,13 +75,9 @@ def clique_vector(g: Graph) -> tuple[int, ...]:
     return tuple(map(len, _cliques_by_size(g)))
 
 
-def _alternating_sum(counts) -> int:
-    return sum(c if k % 2 == 0 else -c for k, c in enumerate(counts))
-
-
 def euler_characteristic(g: Graph) -> int:
     """Alternating sum over the clique vector."""
-    return _alternating_sum(clique_vector(g))
+    return alternating_sum(clique_vector(g))
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +96,7 @@ def homology(g: Graph) -> HomologyProfile:
 def _euler_and_homology(g: Graph) -> tuple[int, HomologyProfile]:
     """The Euler characteristic and the homology, from one clique walk."""
     by_size = _cliques_by_size(g)
-    return _alternating_sum(map(len, by_size)), HomologyProfile(*homology_of(by_size))
+    return alternating_sum(map(len, by_size)), HomologyProfile(*homology_of(by_size))
 
 
 def invariant_report(g: Graph) -> dict[str, Any]:

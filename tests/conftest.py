@@ -74,6 +74,16 @@ def dunce_hat() -> Graph:
     return _glued_nine_gon(["1", "2", "3", "1", "2", "3", "1", "3", "2"])
 
 
+def pendant_dunce_hat(k: int, step: int) -> Graph:
+    """The dunce hat with ``k`` pendant vertices, hung at every ``step``-th
+    hat vertex. Each pendant is a simple point, so the exact search visits
+    one node per set of deleted pendants before it refutes the graph."""
+    hat = dunce_hat()
+    pendants = tuple(f"p{i}" for i in range(k))
+    hung = tuple(zip(pendants, hat.vertices[::step]))
+    return build_graph(hat.vertices + pendants, hat.edges() + hung)
+
+
 def mod3_moore_space() -> Graph:
     """The same 9-gon with its boundary read a a a: a disk glued to a circle
     by a map of degree 3, so H_1 = Z/3 and GF(2) sees nothing."""
@@ -170,7 +180,7 @@ def eager_greedy(n: int, rows, tie=None, start=None) -> tuple[int, list[int]]:
 
     def simple(v, alive):
         rim = rows[v] & alive
-        return _pure._cone(rows, rim) or _pure.is_contractible(*_pure.subgraph_rows(rows, rim))
+        return _pure.contractible_on(rows, rim)
 
     if tie is None:
         tie = range(n)

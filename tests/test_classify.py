@@ -355,7 +355,7 @@ def dense_failing_deletion(rows, order, d):
     it uses no fact about the rims, so it ignores the dimension ``d``."""
     full = (1 << len(rows)) - 1
     for i in order:
-        if not kernels.is_contractible(*subgraph_rows(rows, full ^ (1 << i))):
+        if not kernels.contractible_on(rows, full ^ (1 << i)):
             return i
     return None
 
@@ -446,7 +446,7 @@ def replay_rotations(rows, rims):
             replayed += 1
             left = full ^ (1 << s)
             for u in [v] + [u for u in seq if u != s]:
-                assert kernels.is_contractible(*subgraph_rows(rows, rows[u] & left)), (rows, v, s)
+                assert kernels.contractible_on(rows, rows[u] & left), (rows, v, s)
                 left ^= 1 << u
             assert left == rest, (rows, v, s)
     return replayed
@@ -459,7 +459,7 @@ def dense_sphere_1(n, rows):
     return (
         kernels.connected(rows, full)
         and all(r.bit_count() == 2 and not rows[(r & -r).bit_length() - 1] & r for r in rows)
-        and all(kernels.is_contractible(*subgraph_rows(rows, full ^ (1 << v))) for v in range(n))
+        and all(kernels.contractible_on(rows, full ^ (1 << v)) for v in range(n))
     )
 
 
@@ -470,7 +470,7 @@ class TestSphereClauseFacts:
             seeded = recognizers._seeded_rims(g._rows)
             assert len(seeded) > g.order
             for mask, verdict in seeded.items():
-                dense = kernels.is_contractible(*subgraph_rows(g._rows, mask))
+                dense = kernels.contractible_on(g._rows, mask)
                 assert dense is verdict, (g.edges(), mask)
 
     def test_rotated_orders_replay_on_dense_rows(self):

@@ -26,6 +26,7 @@ from conftest import (
     mod3_moore_space,
     octahedron,
     path_graph,
+    pendant_dunce_hat,
     random_graph,
     wheel,
 )
@@ -111,51 +112,51 @@ def graphs_7_to_10(draw):
 
 class TestContractibleKernel:
     def test_one_point(self):
-        assert kernels.is_contractible(*masks(build_graph(["a"]))) is True
+        assert kernels.contractible_on(*on_all(build_graph(["a"]))) is True
 
     def test_empty(self):
-        assert kernels.is_contractible(0, ()) is False
+        assert kernels.contractible_on((), 0) is False
 
     def test_c4_not_contractible(self):
-        assert kernels.is_contractible(*masks(cycle_graph(4))) is False
+        assert kernels.contractible_on(*on_all(cycle_graph(4))) is False
 
     def test_octahedron_not_contractible(self):
-        assert kernels.is_contractible(*masks(octahedron())) is False
+        assert kernels.contractible_on(*on_all(octahedron())) is False
 
     def test_wheel_contractible(self):
-        assert kernels.is_contractible(*masks(wheel(4))) is True
+        assert kernels.contractible_on(*on_all(wheel(4))) is True
 
     def test_trees_contract(self):
-        assert kernels.is_contractible(*masks(path_graph(6))) is True
+        assert kernels.contractible_on(*on_all(path_graph(6))) is True
 
     def test_complete_graphs_contract(self):
         for k in range(1, 6):
-            assert kernels.is_contractible(*masks(complete_graph(k))) is True
+            assert kernels.contractible_on(*on_all(complete_graph(k))) is True
 
     def test_exhaustive_against_brute_force_up_to_5(self):
         for n in range(1, 6):
             for g in all_labeled_graphs(n):
-                assert kernels.is_contractible(*masks(g)) == brute_contractible(g), g.edges()
+                assert kernels.contractible_on(*on_all(g)) == brute_contractible(g), g.edges()
 
     def test_exhaustive_against_brute_force_on_6(self):
         for g in all_labeled_graphs(6):
-            assert kernels.is_contractible(*masks(g)) == brute_contractible(g), g.edges()
+            assert kernels.contractible_on(*on_all(g)) == brute_contractible(g), g.edges()
 
     def test_random_6_and_7_vertex_against_brute_force(self):
         rng = random.Random(3)
         for _ in range(40):
             g = random_graph(rng, rng.randint(6, 7), rng.random())
-            assert kernels.is_contractible(*masks(g)) == brute_contractible(g), g.edges()
+            assert kernels.contractible_on(*on_all(g)) == brute_contractible(g), g.edges()
 
     @settings(max_examples=150, deadline=None)
     @given(graphs_7_to_10())
     def test_agrees_with_exact_search(self, graph):
         n, rows = graph
         verdict = exact_search(n, rows)
-        assert _pure.is_contractible(n, rows) == verdict
+        assert _pure.contractible_on(rows, (1 << n) - 1) == verdict
         assert contraction_order(n, rows) == exact_search_order(n, rows)
         # tier 3 alone, run on any input
-        assert _pure._exact(rows, (1 << n) - 1) == exact_search_order(n, rows)
+        assert _pure._exact(rows, (1 << n) - 1, {}) == exact_search_order(n, rows)
 
     def test_nested_frames_name_the_callers_vertices(self, monkeypatch):
         """With a greedy pass that deletes nothing, every node of the exact
@@ -178,7 +179,7 @@ class TestContractibleKernel:
                         verts = _pure._bits(mask)
                         dense = exact_search_order(*_pure.subgraph_rows(g._rows, mask))
                         want = None if dense is None else [verts[u] for u in dense]
-                        assert _pure._exact(g._rows, mask) == want, (g.edges(), mask)
+                        assert _pure._exact(g._rows, mask, {}) == want, (g.edges(), mask)
                         deep += want is not None
         finally:
             kernels.clear_caches()
@@ -190,7 +191,7 @@ class TestContractibleKernel:
 
 
 def dense_oracle(rows, alive):
-    return _pure.is_contractible(*_pure.subgraph_rows(rows, alive))
+    return _pure.contractible_on(rows, alive)
 
 
 def within(rows, alive, rims):
@@ -245,6 +246,27 @@ class TestDecide:
                             assert oracle(g, rows[v] & left)[0], (g.edges(), alive, order)
                             left ^= 1 << v
                         assert left.bit_count() == 1, (g.edges(), alive, order)
+
+    def test_one_rim_table_per_decision(self, monkeypatch):
+        """A cold decision on the dunce hat with 4 pendants reaches tier 3,
+        whose nodes and child passes read the decision's one rim table: no
+        rim mask of the graph's own rows is asked of `contractible_on` twice
+        (nested rims are asked on their own dense rows)."""
+        g = pendant_dunce_hat(4, 12)
+        real, asked = _pure.contractible_on, []
+
+        def counting(rows, mask):
+            if rows is g._rows:
+                asked.append(mask)
+            return real(rows, mask)
+
+        monkeypatch.setattr(_pure, "contractible_on", counting)
+        kernels.clear_caches()
+        try:
+            assert _pure.decide(*on_all(g))[:2] == (False, 3)
+        finally:
+            kernels.clear_caches()
+        assert asked and len(asked) == len(set(asked))
 
 
 class TestContractibleWithin:
@@ -528,11 +550,11 @@ class TestTiers:
         g = dunce_hat()
         n, rows = masks(g)
         # stalls at once with the homology of a point
-        assert not any(_pure.is_contractible(*_pure.subgraph_rows(rows, r)) for r in rows)
+        assert not any(_pure.contractible_on(rows, r) for r in rows)
         assert euler_characteristic(g) == 1
         assert homology(g).betti_z2 == (1, 0, 0)
         assert _pure.decide(rows, (1 << n) - 1) == (False, 3, [])
-        assert kernels.is_contractible(n, rows) is False
+        assert kernels.contractible_on(rows, (1 << n) - 1) is False
         assert contraction_order(n, rows) is None
 
 
@@ -542,17 +564,17 @@ class TestRobustness:
         start = time.perf_counter()
         residue, trace = reduce(g)
         assert residue.order == 1 and len(trace) == 26
-        assert kernels.is_contractible(*masks(g)) is True
+        assert kernels.contractible_on(*on_all(g)) is True
         assert time.perf_counter() - start < 10
 
     def test_long_path_is_cheap(self):
         start = time.perf_counter()
-        assert kernels.is_contractible(*masks(path_graph(160))) is True
+        assert kernels.contractible_on(*on_all(path_graph(160))) is True
         # the exact search alone took about ten seconds
         assert time.perf_counter() - start < 2
 
     def test_large_clique_does_not_nest_rim_tests(self):
-        assert kernels.is_contractible(*masks(complete_graph(400))) is True
+        assert kernels.contractible_on(*on_all(complete_graph(400))) is True
 
     def test_large_clique_reduces_in_quadratic_time(self):
         # every rim of a clique is a cone; building the rims' rows after
@@ -575,7 +597,7 @@ class TestRobustness:
         assert g.order == k * k - 1
         kernels.clear_caches()
         start = time.perf_counter()
-        assert kernels.is_contractible(*masks(g)) is False
+        assert kernels.contractible_on(*on_all(g)) is False
         assert contraction_order(*masks(g)) is None
         assert time.perf_counter() - start < 2
 
@@ -598,15 +620,14 @@ class TestContractionOrder:
             g = random_graph(rng, rng.randint(1, 8), rng.random())
             n, rows = masks(g)
             order = contraction_order(n, rows)
-            if kernels.is_contractible(n, rows):
+            if kernels.contractible_on(rows, (1 << n) - 1):
                 assert order is not None and len(order) == n - 1
                 # replay: each deleted vertex has a contractible rim at its moment
                 alive = (1 << n) - 1
                 cur = list(rows)
                 for v in order:
                     rmask = cur[v] & alive
-                    rn, rrows = _pure.subgraph_rows(cur, rmask)
-                    assert kernels.is_contractible(rn, rrows), "deleted vertex was not simple"
+                    assert kernels.contractible_on(cur, rmask), "deleted vertex was not simple"
                     alive ^= 1 << v
                     cur = [r & ~(1 << v) for r in cur]
                 assert alive.bit_count() == 1
@@ -644,7 +665,7 @@ class TestContractionOrder:
         for n in range(7):
             for g in all_labeled_graphs(n):
                 verdict, trace = is_contractible(g, return_trace=True)
-                assert verdict == kernels.is_contractible(*masks(g)), g.edges()
+                assert verdict == kernels.contractible_on(*on_all(g)), g.edges()
                 if verdict:
                     assert apply_trace(g, trace).order == 1, g.edges()
                 else:
