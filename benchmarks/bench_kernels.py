@@ -2,7 +2,8 @@
 """Benchmark the kernels, the package layers above them, and one workload.
 
 Micro rows call the kernel functions directly on graphs shaped like the
-package's real call sites; layer rows time `cubical_model` (a 2-D region,
+package's real call sites (`canon_bytes` and `contractible_on` after
+clearing their memo tables); layer rows time `cubical_model` (a 2-D region,
 a 2-D hypersurface, a polyline and a 3-D sphere), `model_graph` (the
 sphere's and the region's models), cold-cache
 `classify` (grown spheres, a grown torus as a negative for the sphere
@@ -14,9 +15,13 @@ dunce hat, which has no simple point, so the search refutes its root at
 once, and on the dunce hat with pendant vertices at every 12th (4
 pendants) and every 8th (6 pendants) of its vertices, whose search visits
 one node per set of deleted pendants (each row prints its search nodes,
-the calls of `_pure._greedy_order`, and its calls of `contractible_on`,
-nested rims included), a cold traced `homotopy.is_contractible` on a
-160-vertex path with its number of greedy passes (`_pure._greedy`), and
+the calls of `_pure._greedy_order`, its calls of `contractible_on`,
+nested rims included, and the canonical forms it computed, the calls of
+`_pure._canon_dense`), a cold `homotopy_equivalent` of `torus16` against
+a seeded 17-vertex copy, the heaviest `certify` equivalence kind, with
+the canonical forms it asked for (`canon_bytes`) and computed, a cold
+traced `homotopy.is_contractible` on a 160-vertex path with its number
+of greedy passes (`_pure._greedy`), and
 the cover operations on the brick-wall torus, each on a fresh cover
 (a cover computes its nerve once and keeps it), alone and together as one
 `certify`-shaped cover task, plus validation and the cover task (validate,
@@ -114,7 +119,9 @@ def micro():
     canon_graphs, contract_graphs = _inputs()
     spec = []
     for gname, g in canon_graphs.items():
-        spec.append((f"canon_bytes {gname}", g, kernels.canon_bytes))
+        spec.append(
+            (f"canon_bytes {gname}", g, lambda r, m: (kernels.clear_caches(), kernels.canon_bytes(r, m)))
+        )
     for gname, g in contract_graphs.items():
         spec.append(
             (
@@ -149,18 +156,18 @@ def _grown(g, order: int, seed: int):
 
 def _calls(fn, name: str) -> int:
     """Calls of ``_pure.<name>`` in one run of ``fn``: the wrapper replaces
-    it in `_pure` and under the name `classify` or `homotopy` imported,
-    then is removed."""
-    import digitopo.classify
-    import digitopo.homotopy
-
+    it in every loaded `digitopo` module that holds it, then is removed."""
     real, count = getattr(_pure, name), [0]
 
     def counting(*args, **kwargs):
         count[0] += 1
         return real(*args, **kwargs)
 
-    holders = [m for m in (_pure, digitopo.classify, digitopo.homotopy) if getattr(m, name, None) is real]
+    holders = [
+        m
+        for key, m in list(sys.modules.items())
+        if key.split(".")[0] == "digitopo" and getattr(m, name, None) is real
+    ]
     for m in holders:
         setattr(m, name, counting)
     try:
@@ -191,7 +198,7 @@ def layers():
         shape_circle,
         shape_sphere,
     )
-    from digitopo.homotopy import is_contractible, reduce
+    from digitopo.homotopy import homotopy_equivalent, is_contractible, reduce
     from digitopo.invariants import homology
 
     print(f"\n{'layer':50s}{'time':>12s}")
@@ -260,10 +267,27 @@ def layers():
         t, tier = _time(cold_decide), cold_decide()[1]
         nodes = _calls(cold_decide, "_greedy_order")
         asked = _calls(cold_decide, "contractible_on")
+        forms = _calls(cold_decide, "_canon_dense")
         print(
             f"{f'cold decide on the {label}':50s}{t * 1e3:>10.2f}ms"
             f"{'tier':>10s} {tier}{nodes:>10d} search nodes{asked:>10d} contractible_on"
+            f"{forms:>10d} forms computed"
         )
+    # the heaviest `certify` equivalence kind: torus16 against a seeded
+    # 17-vertex copy; the search canonicalizes every residue it reaches
+    torus = get("torus16").graph
+    grown = _grown(torus, 17, 12)
+
+    def cold_equivalent():
+        kernels.clear_caches()
+        assert homotopy_equivalent(torus, grown).status == "Equivalent"
+
+    t = _time(cold_equivalent)
+    asked, forms = _calls(cold_equivalent, "canon_bytes"), _calls(cold_equivalent, "_canon_dense")
+    print(
+        f"{'cold homotopy_equivalent torus16 vs grown to 17':50s}{t * 1e3:>10.2f}ms"
+        f"{asked:>10d} forms asked{forms:>10d} forms computed"
+    )
     path = path_graph(160)
 
     def cold_trace():

@@ -5,7 +5,9 @@ whose bit ``j`` is set exactly when vertices ``i`` and ``j`` are adjacent,
 and a mask of the vertices whose induced subgraph is asked about
 (``(1 << n) - 1`` for the whole graph). Answers name the caller's vertices:
 
-    canon_bytes(rows, mask)     exact canonical form of the induced subgraph
+    canon_bytes(rows, mask)     exact canonical form of the induced subgraph,
+                                memoized on its dense rows (the key of the
+                                contractibility memo too)
     decide(rows, alive)         the one contractibility decision, on one
                                 rim table: (verdict, tier 1-3, deletion
                                 order), the order a witness to one vertex
@@ -14,7 +16,8 @@ and a mask of the vertices whose induced subgraph is asked about
                                 cone at once, else `decide` on its dense
                                 rows, which key the memo: it sees every copy)
     connected(rows, mask)       non-empty and connected
-    clear_caches()              empty the contractibility memo
+    clear_caches()              empty the contractibility and canonical-form
+                                memos
 
 The one implementation is `_pure`, whose `BACKEND` is always ``"pure"``.
 Its clique walk, `_pure.cliques` and the grouped `_pure.cliques_by_size`,

@@ -14,7 +14,9 @@ to reuse. A True verdict of `decide` comes with a deletion order to one
 vertex, the first successful branch of the exact search (a cone's order
 is empty). Rim tests go through one function, `_simple`, which reads a
 table of rim verdicts keyed on the rim mask, one table per decision, in
-front of that memo.
+front of that memo. Canonical forms are memoized in a second table, on
+the same dense-rows keys, so no graph is canonicalized twice while the
+tables last.
 """
 
 from __future__ import annotations
@@ -32,14 +34,17 @@ _EMPTY_KEY = (0).to_bytes(2, "big") + b"\x00"
 # Contractibility memo. Keys are exact: ``(n, tuple(rows))`` for every
 # decided graph (label-dependent, but far cheaper than a canonical form), and
 # canonical bytes for the refuted nodes of the exact search (a contractible
-# node is searched again for its branch). The cap guards unbounded growth on
-# adversarial workloads; clearing is always sound.
+# node is searched again for its branch). The canonical-form memo beside it
+# maps the same ``(n, tuple(rows))`` keys to their canonical bytes. The cap
+# guards unbounded growth on adversarial workloads; clearing is always sound.
 _MEMO_CAP = 1_000_000
 _contractible: dict[object, bool] = {}
+_canon: dict[tuple[int, tuple[int, ...]], bytes] = {}
 
 
 def clear_caches() -> None:
     _contractible.clear()
+    _canon.clear()
 
 
 def _memo_put(table: dict, key, value) -> None:
@@ -119,6 +124,13 @@ def _cone(rows, mask: int) -> bool:
 # of the refinement tree. Branch choices depend only on isomorphism-invariant
 # data (degree groups, neighbor-count buckets), so the minimum is invariant.
 # Exactness matters: these bytes key every memo table in the package.
+#
+# `canon_bytes` is the one entry: it reindexes the mask densely and looks
+# the dense rows up in `_canon`, so a graph reached again under another
+# mask or in another `Graph` (the same residue from different moves of an
+# equivalence search, the same node on different paths of the exact search)
+# costs a reindex. Only a miss runs the refinement tree, `_canon_dense`, and
+# the components of a disconnected graph go back through the entry.
 
 
 def _refine(rows, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -171,7 +183,18 @@ def _component_masks(rows, mask: int) -> list[int]:
 
 def canon_bytes(rows, mask: int) -> bytes:
     """Exact canonical form within ``mask``: equal bytes if and only if
-    isomorphic.
+    isomorphic. Memoized on the dense rows of the induced subgraph; a miss
+    runs `_canon_dense`."""
+    key = subgraph_rows(rows, mask)
+    hit = _canon.get(key)
+    if hit is None:
+        hit = _canon_dense(*key)
+        _memo_put(_canon, key, hit)
+    return hit
+
+
+def _canon_dense(n: int, rows) -> bytes:
+    """The canonical form of the graph on dense ``rows``, unmemoized.
 
     A disconnected graph is keyed by the sorted multiset of its component
     keys; a connected one by the minimum packed adjacency over the leaves of
@@ -179,23 +202,19 @@ def canon_bytes(rows, mask: int) -> bytes:
     with or without a mutual edge) are branch-pruned: swapping twins is an
     automorphism, so their subtrees yield the same minimum.
     """
-    n = mask.bit_count()
     if n == 0:
         return _EMPTY_KEY
     header = n.to_bytes(2, "big")
     if n == 1:
         return header + b"\x00"
+    mask = (1 << n) - 1
     comps = _component_masks(rows, mask)
     if len(comps) > 1:
         return header + b"\x01" + b"".join(sorted(canon_bytes(rows, c) for c in comps))
 
-    # the rows cut to the mask, in a list indexed like ``rows``
-    cut = [0] * len(rows)
     buckets: dict[int, list[int]] = {}
-    for v in _bits(mask):
-        cut[v] = rows[v] & mask
-        buckets.setdefault(cut[v].bit_count(), []).append(v)
-    rows = cut
+    for v in range(n):
+        buckets.setdefault(rows[v].bit_count(), []).append(v)
     cells = _refine(rows, [tuple(buckets[d]) for d in sorted(buckets)])
 
     # depth-first over the refinement tree on an explicit stack: the tree is
@@ -262,7 +281,8 @@ def canon_bytes(rows, mask: int) -> bytes:
 # memo behind the table still hits when a rim recurs under a different
 # mask: translated copies of a rim in `reduce`, equal rims of different
 # search states in `homotopy_equivalent`. Canonical forms key only the
-# refuted nodes of the exact search.
+# refuted nodes of the exact search; a node reached on several paths reads
+# its form from `_canon`.
 
 
 def contractible_on(rows, mask: int) -> bool:

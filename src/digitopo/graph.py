@@ -28,13 +28,12 @@ class Graph:
     are immutable; transformations elsewhere return new graphs.
     """
 
-    __slots__ = ("_labels", "_index", "_rows", "_key")
+    __slots__ = ("_labels", "_index", "_rows")
 
     def __init__(self, labels: tuple[str, ...], rows: tuple[int, ...]):
         self._labels = labels
         self._index = {lab: i for i, lab in enumerate(labels)}
         self._rows = rows
-        self._key: bytes | None = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -258,10 +257,10 @@ def join(g: Graph, h: Graph) -> Graph:
 
 
 def canonical_key(g: Graph) -> bytes:
-    """Deterministic canonical form: equal keys exactly for isomorphic graphs."""
-    if g._key is None:
-        g._key = kernels.canon_bytes(g._rows, (1 << g.order) - 1)
-    return g._key
+    """Deterministic canonical form: equal keys exactly for isomorphic graphs.
+    The kernel memoizes it on the rows: graphs with equal rows, whatever
+    their labels, share one computation until `kernels.clear_caches`."""
+    return kernels.canon_bytes(g._rows, (1 << g.order) - 1)
 
 
 # ---------------------------------------------------------------------------

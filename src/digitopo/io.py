@@ -71,7 +71,8 @@ def parse_edge_list(text: str) -> Graph:
         parts = [p.strip().strip('"') for p in line.split("--")] if "--" in line else line.split()
         parts = [p for p in parts if p]
         if len(parts) == 1:
-            add_vertex(parts[0])
+            # a DOT vertex statement, ``"v";``, as `to_dot` writes one
+            add_vertex(parts[0].strip('"'))
         elif len(parts) == 2:
             u, v = parts
             add_vertex(u)

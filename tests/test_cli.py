@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from digitopo.classify import minimal_sphere
 from digitopo.cli import main
-from digitopo.graph import canonical_key
 from digitopo.io import graph_from_obj, graph_to_obj, parse_edge_list
 
 
@@ -407,11 +406,27 @@ class TestDeterminismAndDot:
         assert out1 == out2
 
     def test_export_dot_round_trip(self, files, capsys):
-        code, out, _ = run(capsys, "export-dot", str(files / "c4.json"))
+        """Labels survive, an isolated vertex's included: a DOT vertex
+        statement ``"c";`` re-imports as ``c``."""
+        (files / "isolated.json").write_text(
+            json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"]]})
+        )
+        for name in ("c4.json", "isolated.json"):
+            code, out, _ = run(capsys, "export-dot", str(files / name))
+            assert code == 0
+            reimported = parse_edge_list(out)
+            original = graph_from_obj(json.loads((files / name).read_text()))
+            assert sorted(reimported.vertices) == sorted(original.vertices), name
+            assert reimported.edges() == original.edges(), name
+
+    def test_reduce_of_an_exported_dot_names_the_isolated_vertex(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b"]]}))
+        _, dot, _ = run(capsys, "export-dot", str(path))
+        (tmp_path / "g.dot").write_text(dot)
+        code, out, _ = run(capsys, "reduce", str(tmp_path / "g.dot"))
         assert code == 0
-        reimported = parse_edge_list(out)
-        original = graph_from_obj(json.loads((files / "c4.json").read_text()))
-        assert canonical_key(reimported) == canonical_key(original)
+        assert json.loads(out)["residue"] == {"edges": [], "vertices": ["b", "c"]}
 
     def test_seed_flag_accepted_and_ignored(self, files, capsys):
         code, out, _ = run(capsys, "--seed", "7", "invariants", str(files / "c4.json"))

@@ -429,6 +429,112 @@ class TestEmbeddingInvariance:
 
 
 # ---------------------------------------------------------------------------
+# the canonical-form memo against the unmemoized form it replaced
+
+
+def canon_oracle(rows, mask):
+    """`canon_bytes` as it was before its memo: the refinement tree on the
+    caller's rows cut to ``mask``, each component of a disconnected graph
+    recomputed."""
+    n = mask.bit_count()
+    if n == 0:
+        return _pure._EMPTY_KEY
+    header = n.to_bytes(2, "big")
+    if n == 1:
+        return header + b"\x00"
+    comps = _pure._component_masks(rows, mask)
+    if len(comps) > 1:
+        return header + b"\x01" + b"".join(sorted(canon_oracle(rows, c) for c in comps))
+    cut = [0] * len(rows)
+    buckets: dict[int, list[int]] = {}
+    for v in _pure._bits(mask):
+        cut[v] = rows[v] & mask
+        buckets.setdefault(cut[v].bit_count(), []).append(v)
+    rows = cut
+    best = None
+    stack = [_pure._refine(rows, [tuple(buckets[d]) for d in sorted(buckets)])]
+    while stack:
+        cells = stack.pop()
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), None)
+        if target is None:
+            cand = _pure._pack(rows, [cell[0] for cell in cells])
+            if best is None or cand < best:
+                best = cand
+            continue
+        cell = cells[target]
+        branched: list[int] = []
+        for v in cell:
+            if any(rows[u] == rows[v] or rows[u] ^ rows[v] == (1 << u) | (1 << v) for u in branched):
+                continue
+            branched.append(v)
+            rest = tuple(w for w in cell if w != v)
+            stack.append(_pure._refine(rows, cells[:target] + [(v,), rest] + cells[target + 1 :]))
+    return header + b"\x00" + best
+
+
+@pytest.fixture
+def cold():
+    kernels.clear_caches()
+    yield
+    kernels.clear_caches()
+
+
+class TestCanonMemo:
+    """`canon_bytes` is memoized on dense rows; its bytes must be the
+    unmemoized form's, whether the table is cold or warm."""
+
+    def test_every_mask_of_every_graph_up_to_5(self, cold):
+        for n in range(6):
+            for g in all_labeled_graphs(n):
+                for mask in range(1 << n):
+                    assert _pure.canon_bytes(g._rows, mask) == canon_oracle(g._rows, mask), (g.edges(), mask)
+
+    def test_every_graph_on_6(self, cold):
+        for g in all_labeled_graphs(6):
+            assert _pure.canon_bytes(*on_all(g)) == canon_oracle(*on_all(g)), g.edges()
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_7_to_20_with_masks())
+    def test_larger_graphs_cold_and_warm(self, case):
+        g, alive_masks = case
+        asked = [(1 << g.order) - 1] + alive_masks
+        want = [canon_oracle(g._rows, mask) for mask in asked]
+        kernels.clear_caches()
+        try:
+            assert [_pure.canon_bytes(g._rows, mask) for mask in asked] == want
+            assert [_pure.canon_bytes(g._rows, mask) for mask in asked] == want
+        finally:
+            kernels.clear_caches()
+
+    def test_clear_caches_empties_the_table(self, cold):
+        _pure.canon_bytes(*on_all(octahedron()))
+        assert _pure._canon
+        kernels.clear_caches()
+        assert not _pure._canon
+
+    def test_cap_holds(self, cold, monkeypatch):
+        monkeypatch.setattr(_pure, "_MEMO_CAP", 3)
+        rng = random.Random(11)
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(0, 9), rng.random())
+            assert _pure.canon_bytes(*on_all(g)) == canon_oracle(*on_all(g)), g.edges()
+            assert len(_pure._canon) <= 3
+
+    def test_cold_decide_canonicalizes_no_dense_graph_twice(self, cold, monkeypatch):
+        """The exact search on the dunce hat with 4 pendants reaches its 16
+        nodes on several paths each: without the memo it computes 33 forms."""
+        real, computed = _pure._canon_dense, []
+
+        def counting(n, rows):
+            computed.append((n, rows))
+            return real(n, rows)
+
+        monkeypatch.setattr(_pure, "_canon_dense", counting)
+        assert _pure.decide(*on_all(pendant_dunce_hat(4, 12)))[:2] == (False, 3)
+        assert len(computed) == len(set(computed)) == 16
+
+
+# ---------------------------------------------------------------------------
 # the lazy greedy pass against the eager one
 
 
