@@ -9,7 +9,11 @@ sphere's and the region's models), cold-cache
 `classify` (grown spheres, a grown torus as a negative for the sphere
 clause, and the minimal 20-sphere, whose time is all rim walk), cold-cache
 `reduce` of 3-D sphere shells (the `digitize` hot path) and `homology` of
-their residues, tier 2 of contractibility on the dunce hat, a cold tier-3
+their residues, `homology` of a seeded random 20-vertex graph and
+`smith_diagonal` on the largest matrix its coreduction leaves (39 rows,
+79 columns), a cold `reduce` of the minimal 12-sphere, every residue and
+rim of which tier 2 refutes by its Euler characteristic, with its
+tracemalloc peak, tier 2 of contractibility on the dunce hat, a cold tier-3
 `decide` (the exact search, whose memo keeps refutations only) on the
 dunce hat, which has no simple point, so the search refutes its root at
 once, and on the dunce hat with pendant vertices at every 12th (4
@@ -39,12 +43,14 @@ from __future__ import annotations
 import os
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from digitopo import _kernels as kernels  # noqa: E402
+from digitopo import _smith  # noqa: E402
 from digitopo._kernels import _pure  # noqa: E402
 from digitopo.invariants import CLIQUE_CAP  # noqa: E402
 
@@ -178,7 +184,26 @@ def _calls(fn, name: str) -> int:
     return count[0]
 
 
+def _largest_matrix(fn) -> list[dict[int, int]]:
+    """The matrix with the most nonzeros that one run of ``fn`` passes to
+    `smith_diagonal`, which reads its argument without changing it."""
+    real, seen = _smith.smith_diagonal, []
+
+    def keeping(columns):
+        seen.append(columns)
+        return real(columns)
+
+    _smith.smith_diagonal = keeping
+    try:
+        fn()
+    finally:
+        _smith.smith_diagonal = real
+    return max(seen, key=lambda cols: sum(map(len, cols)))
+
+
 def layers():
+    import random
+
     import digitopo
     from conftest import (
         aligned_grid_torus_cover,
@@ -186,6 +211,7 @@ def layers():
         dunce_hat,
         path_graph,
         pendant_dunce_hat,
+        random_graph,
     )
     from digitopo.catalog import get
     from digitopo.classify import classify, minimal_sphere
@@ -251,6 +277,26 @@ def layers():
         t = _time(lambda: homology(residue))
         label = f"homology r={r} shell residue ({residue.order} vertices)"
         print(f"{label:50s}{t * 1e3:>10.2f}ms")
+    g = random_graph(random.Random(2), 20, 0.5)
+    t, matrix = _time(lambda: homology(g)), _largest_matrix(lambda: homology(g))
+    print(f"{'homology random 20-vertex graph (p 1/2, seed 2)':50s}{t * 1e3:>10.2f}ms")
+    t = _time(lambda: _smith.smith_diagonal(matrix))
+    rows = len({i for col in matrix for i in col})
+    label = f"smith_diagonal its {rows}x{len(matrix)} matrix"
+    print(f"{label:50s}{t * 1e3:>10.2f}ms")
+    sphere12 = minimal_sphere(12)
+
+    def cold_reduce_sphere():
+        kernels.clear_caches()
+        return reduce(sphere12)
+
+    t = _time(cold_reduce_sphere)
+    tracemalloc.start()
+    cold_reduce_sphere()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    label = "cold reduce minimal 12-sphere (26 vertices)"
+    print(f"{label:50s}{t * 1e3:>10.2f}ms{peak / 2**20:>10.3f} MiB tracemalloc peak")
     hat = dunce_hat()
     t = _time(lambda: _pure._acyclic(hat._rows, (1 << hat.order) - 1))
     print(f"{'tier 2 (_acyclic) on the 49-vertex dunce hat':50s}{t * 1e3:>10.2f}ms")

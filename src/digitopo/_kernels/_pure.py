@@ -261,7 +261,9 @@ def _canon_dense(n: int, rows) -> bytes:
 #    Discrete Math. 126, 1994) and a contractible graph has the homology of
 #    a point, so a stuck residue whose Euler characteristic is not 1, or
 #    whose reduced integer homology is nonzero, refutes contractibility.
-#    The homology comes from the package's one engine, `homology_of`.
+#    The characteristic is summed over the clique stream; only a residue
+#    where it is 1 lists its cliques for the package's one homology engine,
+#    `homology_of`.
 # 3. Exact search: greedy deletion can stall on contractible inputs
 #    (Benedetti & Lutz, Exp. Math. 23, 2014), so what survives tier 2 gets
 #    the backtracking search over every simple point. Its first successful
@@ -295,7 +297,7 @@ def contractible_on(rows, mask: int) -> bool:
     hit = _contractible.get(key)
     if hit is None:
         n, dense = key
-        hit = n > 1 and decide(dense, (1 << n) - 1)[0]
+        hit = decide(dense, (1 << n) - 1)[0]
         _memo_put(_contractible, key, hit)
     return hit
 
@@ -383,13 +385,15 @@ def _acyclic(rows, mask: int) -> bool:
     """Tier 2: does the clique complex within ``mask`` have the integer
     homology of a point?
 
-    The Euler characteristic, read off the clique counts, answers most
-    cases before `homology_of` runs.
+    The Euler characteristic is summed over the clique stream, so a residue
+    whose characteristic is not 1 is refuted without holding its cliques.
+    Only a characteristic of 1 walks the cliques again, to list them for
+    `homology_of`.
     """
-    by_size = cliques_by_size(rows, mask, mask.bit_count())
-    if alternating_sum(map(len, by_size)) != 1:
+    cap = mask.bit_count()
+    if sum(1 if len(c) % 2 else -1 for c in cliques(rows, mask, cap)) != 1:
         return False
-    betti_q, _, torsion = homology_of(by_size)
+    betti_q, _, torsion = homology_of(cliques_by_size(rows, mask, cap))
     return betti_q[0] == 1 and not any(betti_q[1:]) and not any(torsion)
 
 

@@ -3,7 +3,9 @@
 Arbitrary-precision integers throughout; no floating point. `homology_of`
 shrinks the chain complex by coreduction, then diagonalizes what is left
 with `smith_diagonal`, whose matrices arrive as a list of columns, each a
-dict mapping row index to a nonzero integer.
+dict mapping a row key (`homology_of` uses cell ids) to an integer.
+Coreduction leaves small matrices, so the elimination is the textbook one,
+on the columns alone.
 """
 
 from __future__ import annotations
@@ -83,12 +85,9 @@ def homology_of(
     betti_q = [h0] + [len(group) for group in left[1:]]
     torsion = [()] * top
     for k in range(1, top):
-        rank_of = {c: i for i, c in enumerate(left[k - 1])}
-        columns = [
-            {rank_of[f]: -1 if i % 2 else 1 for i, f in enumerate(faces[c]) if alive[f]}
-            for c in left[k]
-        ]
-        diag = smith_diagonal(columns)
+        diag = smith_diagonal(
+            [{f: -1 if i % 2 else 1 for i, f in enumerate(faces[c]) if alive[f]} for c in left[k]]
+        )
         betti_q[k] -= len(diag)
         betti_q[k - 1] -= len(diag)
         torsion[k - 1] = tuple(d for d in diag if d > 1)
@@ -98,98 +97,47 @@ def homology_of(
 
 
 def smith_diagonal(columns: list[dict[int, int]]) -> list[int]:
-    """Diagonal of an integer diagonalization of the sparse matrix.
+    """Diagonal of an integer diagonalization of the sparse matrix whose
+    columns map a row key to an entry (zeros allowed).
 
-    Row and column operations are unimodular, so the cokernel of the matrix
-    is the direct sum of Z/d over the returned entries (plus free summands).
-    The list is normalized to a divisibility chain; its length is the rank.
+    Textbook Euclidean elimination: an entry of least absolute value is the
+    pivot; column operations clear its row and row operations its column,
+    and a nonzero remainder, being smaller, becomes the pivot instead. A
+    pivot alone in its row and column is recorded and its column dropped.
+    Every step is unimodular, so the cokernel of the matrix is the direct
+    sum of Z/d over the returned entries (plus free summands). The list is
+    normalized to a divisibility chain, the invariant factors; its length
+    is the rank.
     """
-    # row-major working copy with a column index
-    rows: dict[int, dict[int, int]] = {}
-    col_rows: dict[int, set[int]] = {}
-    for j, col in enumerate(columns):
-        for i, v in col.items():
-            if v:
-                rows.setdefault(i, {})[j] = v
-                col_rows.setdefault(j, set()).add(i)
-
+    cols = [{i: v for i, v in col.items() if v} for col in columns]
     diag: list[int] = []
-
-    def drop_entry(i: int, j: int) -> None:
-        del rows[i][j]
-        if not rows[i]:
-            del rows[i]
-        col_rows[j].discard(i)
-        if not col_rows[j]:
-            del col_rows[j]
-
-    def set_entry(i: int, j: int, v: int) -> None:
-        if v:
-            rows.setdefault(i, {})[j] = v
-            col_rows.setdefault(j, set()).add(i)
-        elif i in rows and j in rows[i]:
-            drop_entry(i, j)
-
-    def add_row(src: int, dst: int, mult: int) -> None:
-        # row[dst] += mult * row[src]
-        for j, v in list(rows.get(src, {}).items()):
-            set_entry(dst, j, rows.get(dst, {}).get(j, 0) + mult * v)
-
-    def add_col(src: int, dst: int, mult: int) -> None:
-        for i in list(col_rows.get(src, set())):
-            v = rows[i][src]
-            set_entry(i, dst, rows.get(i, {}).get(dst, 0) + mult * v)
-
-    while rows:
-        # pivot choice: unit entries first, smallest fill, then magnitude
-        best = None
-        for i, row in rows.items():
-            for j, v in row.items():
-                av = abs(v)
-                fill = (len(row) - 1) * (len(col_rows[j]) - 1)
-                key = (av != 1, av, fill, i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        _, pi, pj = best
-
+    while cols := [col for col in cols if col]:
+        _, j, i = min((abs(v), j, i) for j, col in enumerate(cols) for i, v in col.items())
+        pivot = cols[j]
         while True:
-            piv = rows[pi][pj]
-            # clear the pivot column with exact or Euclidean steps
-            touched = False
-            for i in list(col_rows.get(pj, set())):
-                if i == pi:
-                    continue
-                v = rows[i][pj]
-                q = v // piv
-                if q:
-                    add_row(pi, i, -q)
-                if rows.get(i, {}).get(pj):
-                    # remainder is a strictly smaller pivot; swap roles
-                    pi = i
-                    touched = True
-                    break
-            if touched:
+            p = pivot[i]
+            other = next((col for col in cols if i in col and col is not pivot), None)
+            if other is not None:
+                # column operation: other -= q * pivot
+                q = other[i] // p
+                for r, v in pivot.items():
+                    other[r] = other.get(r, 0) - q * v
+                    if not other[r]:
+                        del other[r]
+                if i in other:
+                    pivot = other
                 continue
-            piv = rows[pi][pj]
-            # clear the pivot row
-            touched = False
-            for j in list(rows.get(pi, {}).keys()):
-                if j == pj:
-                    continue
-                v = rows[pi][j]
-                q = v // piv
-                if q:
-                    add_col(pj, j, -q)
-                if rows.get(pi, {}).get(j):
-                    pj = j
-                    touched = True
-                    break
-            if touched:
-                continue
-            break
-
-        diag.append(abs(rows[pi][pj]))
-        drop_entry(pi, pj)
+            # row operations: row r -= q * row i. Only the pivot column
+            # holds row i now, so nothing else changes.
+            for r in [r for r in pivot if r != i]:
+                pivot[r] %= p
+                if not pivot[r]:
+                    del pivot[r]
+            if len(pivot) == 1:
+                break
+            i = next(r for r in pivot if r != i)
+        diag.append(abs(p))
+        pivot.clear()
 
     # normalize to a divisibility chain (group-preserving gcd/lcm swaps)
     changed = True

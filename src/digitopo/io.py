@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 from .graph import Graph, GraphError, build_graph
@@ -46,9 +47,14 @@ def graph_from_obj(obj: Any) -> Graph:
 # plain-text edge lists
 #
 # One "u v" pair per line; lines with a single token declare isolated
-# vertices; "#" starts a comment. The parser also tolerates the DOT syntax
-# emitted by to_dot (quotes, "--" separators, braces, semicolons), which
-# makes export-dot output re-importable.
+# vertices; "#" starts a comment. The parser also reads the DOT syntax
+# emitted by to_dot (quoted labels, "--" separators, braces, semicolons),
+# which makes export-dot output re-importable. A quoted label is read
+# whole, with "\\" and "\"" escapes; only outside quotes does "#" start a
+# comment and "--" separate.
+
+_QUOTED_OR_COMMENT = re.compile(r'"((?:[^"\\]|\\.)*)"|#.*')
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -62,17 +68,29 @@ def parse_edge_list(text: str) -> Graph:
             vertices.append(v)
 
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
+        # each quoted label becomes one '"' in the line, to be put back
+        # after the split; a comment is cut
+        quoted: list[str] = []
+
+        def take(m: re.Match) -> str:
+            if m.group(1) is None:
+                return ""
+            quoted.append(_ESCAPE.sub(r"\1", m.group(1)))
+            return '"'
+
+        line = _QUOTED_OR_COMMENT.sub(take, raw).strip()
+        if line.count('"') != len(quoted):
+            raise GraphError(f"unterminated quote in edge-list line: {raw!r}")
         if not line or line.startswith(("graph", "}")):
             continue
         line = line.rstrip(";").strip()
         if not line:
             continue
-        parts = [p.strip().strip('"') for p in line.split("--")] if "--" in line else line.split()
-        parts = [p for p in parts if p]
+        parts = [p.strip() for p in line.split("--")] if "--" in line else line.split()
+        labels = iter(quoted)
+        parts = [re.sub('"', lambda _: next(labels), p) for p in parts if p]
         if len(parts) == 1:
-            # a DOT vertex statement, ``"v";``, as `to_dot` writes one
-            add_vertex(parts[0].strip('"'))
+            add_vertex(parts[0])
         elif len(parts) == 2:
             u, v = parts
             add_vertex(u)
@@ -83,15 +101,19 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(vertices, edges)
 
 
+def _dot_label(v: str) -> str:
+    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
     covered = set()
     for u, v in g.edges():
-        lines.append(f'  "{u}" -- "{v}";')
+        lines.append(f"  {_dot_label(u)} -- {_dot_label(v)};")
         covered.add(u)
         covered.add(v)
     for v in sorted(g.vertices):
         if v not in covered:
-            lines.append(f'  "{v}";')
+            lines.append(f"  {_dot_label(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from digitopo.classify import minimal_sphere
 from digitopo.cli import main
+from digitopo.graph import GraphError
 from digitopo.io import graph_from_obj, graph_to_obj, parse_edge_list
 
 
@@ -427,6 +428,36 @@ class TestDeterminismAndDot:
         code, out, _ = run(capsys, "reduce", str(tmp_path / "g.dot"))
         assert code == 0
         assert json.loads(out)["residue"] == {"edges": [], "vertices": ["b", "c"]}
+
+    def test_dot_labels_with_quotes_escapes_comments_and_dashes(self, tmp_path, capsys):
+        """A label holding a space, ``#``, ``--``, ``"`` or a backslash
+        survives `export-dot` and a re-import: `reduce` of the DOT file
+        prints what `reduce` of the JSON file prints."""
+        path = tmp_path / "g.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "vertices": ["a b", "c#d", "e--f", 'g"h', "i", "j\\k"],
+                    "edges": [["a b", "c#d"], ["c#d", "e--f"], ["i", "j\\k"]],
+                }
+            )
+        )
+        _, dot, _ = run(capsys, "export-dot", str(path))
+        (tmp_path / "g.dot").write_text(dot)
+        want = run(capsys, "reduce", str(path))
+        assert run(capsys, "reduce", str(tmp_path / "g.dot")) == want
+        assert json.loads(want[1])["residue"]["vertices"] == ["e--f", 'g"h', "j\\k"]
+
+    def test_edge_list_lines_without_quotes(self):
+        g = parse_edge_list("a b\nb -- c d # note\n# whole line\ngraph G {\n e;\n}\n")
+        assert sorted(g.vertices) == ["a", "b", "c d", "e"]
+        assert sorted(g.edges()) == [("a", "b"), ("b", "c d")]
+
+    def test_edge_list_quoted_labels(self):
+        g = parse_edge_list('"x y" "#z" # "w"\n"p--q" -- "r\\"s";\n"t\\\\";\n')
+        assert sorted(g.vertices) == ["#z", "p--q", 'r"s', "t\\", "x y"]
+        with pytest.raises(GraphError, match="unterminated quote"):
+            parse_edge_list('"a -- b\n')
 
     def test_seed_flag_accepted_and_ignored(self, files, capsys):
         code, out, _ = run(capsys, "--seed", "7", "invariants", str(files / "c4.json"))

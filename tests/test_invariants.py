@@ -472,6 +472,29 @@ class TestSmith:
             got = smith_diagonal(columns)
             assert got == want, mat
 
+    def test_every_small_2x2(self):
+        for a, b, c, d in itertools.product(range(-3, 4), repeat=4):
+            mat = [[a, b], [c, d]]
+            assert smith_diagonal([{0: a, 1: c}, {0: b, 1: d}]) == minors_gcd_divisors(mat), mat
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda rows: st.lists(
+                st.lists(st.integers(-9, 9), min_size=rows, max_size=rows), min_size=1, max_size=5
+            )
+        )
+    )
+    def test_against_minors_gcd_up_to_5x5(self, cols):
+        # columns as drawn, explicit zeros included
+        mat = [list(row) for row in zip(*cols)]
+        assert smith_diagonal([dict(enumerate(col)) for col in cols]) == minors_gcd_divisors(mat)
+
+    def test_empty_columns_and_explicit_zeros(self):
+        assert smith_diagonal([{}, {0: 0}, {1: 2}]) == [2]
+        assert smith_diagonal([{}, {}]) == []
+        assert smith_diagonal([]) == []
+
     def test_gf2_rank_matches_dense(self):
         rng = random.Random(43)
         for _ in range(40):

@@ -10,6 +10,7 @@ import itertools
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from conftest import (
 )
 from digitopo import _kernels as kernels
 from digitopo._kernels import _pure
+from digitopo.classify import minimal_sphere
 from digitopo.graph import build_graph, canonical_key, components, induced_subgraph, relabeled, rim
 from digitopo.homotopy import DeletePoint, HomotopyTrace, apply_trace, is_contractible, reduce
 from digitopo.invariants import clique_vector, euler_characteristic, homology
@@ -651,6 +653,22 @@ class TestTiers:
             assert _pure._acyclic(*on_all(g)) == point, g.edges()
             if g.order <= 6:
                 assert point == (prof.betti_z2[0] == 1 and not any(prof.betti_z2[1:]))
+
+    def test_tier_2_streams_the_euler_characteristic(self):
+        """A residue whose Euler characteristic is not 1 is refuted without
+        its cliques being held: a cold `reduce` of the minimal 10-sphere
+        (177,146 cliques; its rims, smaller minimal spheres, reach tier 2
+        too) peaks under 1 MiB of Python allocations."""
+        g = minimal_sphere(10)
+        kernels.clear_caches()
+        tracemalloc.start()
+        try:
+            residue, _ = reduce(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residue.order == g.order
+        assert peak < 1 << 20, peak
 
     def test_exact_search_decides_the_dunce_hat(self):
         g = dunce_hat()
