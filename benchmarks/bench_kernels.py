@@ -25,7 +25,9 @@ nested rims included, and the canonical forms it computed, the calls of
 a seeded 17-vertex copy, the heaviest `certify` equivalence kind, with
 the canonical forms it asked for (`canon_bytes`) and computed, a cold
 traced `homotopy.is_contractible` on a 160-vertex path with its number
-of greedy passes (`_pure._greedy`), and
+of greedy passes (`_pure._greedy`), two warm rows whose every call is a
+memo hit (`graph.canonical_key` of the 2-sphere grown to 120 vertices,
+untraced `is_contractible` of the 160-vertex path), and
 the cover operations on the brick-wall torus, each on a fresh cover
 (a cover computes its nerve once and keeps it), alone and together as one
 `certify`-shaped cover task, plus validation and the cover task (validate,
@@ -224,6 +226,7 @@ def layers():
         shape_circle,
         shape_sphere,
     )
+    from digitopo.graph import canonical_key
     from digitopo.homotopy import homotopy_equivalent, is_contractible, reduce
     from digitopo.invariants import homology
 
@@ -343,6 +346,15 @@ def layers():
     t, passes = _time(cold_trace), _calls(cold_trace, "_greedy")
     label = "cold traced is_contractible path (160 vertices)"
     print(f"{label:50s}{t * 1e3:>10.2f}ms{passes:>10d} greedy passes")
+    # warm: every call hits a memo table, so the time is the key alone
+    sphere2 = _grown(minimal_sphere(2), 120, 12)
+    for label, call in (
+        ("warm canonical_key 2-sphere grown to 120", lambda: canonical_key(sphere2)),
+        ("warm is_contractible path (160 vertices)", lambda: is_contractible(path)),
+    ):
+        call()
+        t = _time(lambda: [call() for _ in range(1000)]) / 1000
+        print(f"{f'{label}, per call':50s}{t * 1e3:>10.4f}ms")
     for name, call in (
         ("validate_lcl", validate_lcl),
         ("nerve", nerve),

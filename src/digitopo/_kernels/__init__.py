@@ -6,8 +6,9 @@ and a mask of the vertices whose induced subgraph is asked about
 (``(1 << n) - 1`` for the whole graph). Answers name the caller's vertices:
 
     canon_bytes(rows, mask)     exact canonical form of the induced subgraph,
-                                memoized on its dense rows (the key of the
-                                contractibility memo too)
+                                memoized on its dense rows tuple (the key of
+                                the contractibility memo too; for the whole
+                                graph, ``rows`` as they are)
     decide(rows, alive)         the one contractibility decision, on one
                                 rim table: (verdict, tier 1-3, deletion
                                 order), the order a witness to one vertex

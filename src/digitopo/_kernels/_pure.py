@@ -15,8 +15,8 @@ vertex, the first successful branch of the exact search (a cone's order
 is empty). Rim tests go through one function, `_simple`, which reads a
 table of rim verdicts keyed on the rim mask, one table per decision, in
 front of that memo. Canonical forms are memoized in a second table, on
-the same dense-rows keys, so no graph is canonicalized twice while the
-tables last.
+the same keys (a graph's dense rows tuple, its length the vertex count),
+so no graph is canonicalized twice while the tables last.
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ BACKEND = "pure"
 # adjacency; 1 = disconnected, sorted multiset of component keys), payload.
 _EMPTY_KEY = (0).to_bytes(2, "big") + b"\x00"
 
-# Contractibility memo. Keys are exact: ``(n, tuple(rows))`` for every
+# Contractibility memo. Keys are exact: the dense rows tuple of every
 # decided graph (label-dependent, but far cheaper than a canonical form), and
 # canonical bytes for the refuted nodes of the exact search (a contractible
 # node is searched again for its branch). The canonical-form memo beside it
-# maps the same ``(n, tuple(rows))`` keys to their canonical bytes. The cap
-# guards unbounded growth on adversarial workloads; clearing is always sound.
+# maps the same rows tuples to their canonical bytes. The cap guards
+# unbounded growth on adversarial workloads; clearing is always sound.
 _MEMO_CAP = 1_000_000
 _contractible: dict[object, bool] = {}
-_canon: dict[tuple[int, tuple[int, ...]], bytes] = {}
+_canon: dict[tuple[int, ...], bytes] = {}
 
 
 def clear_caches() -> None:
@@ -85,11 +85,14 @@ def connected(rows, mask: int) -> bool:
     return mask != 0 and _component(rows, mask) == mask
 
 
-def subgraph_rows(rows, mask: int) -> tuple[int, tuple[int, ...]]:
-    """Induced subgraph on the set bits of ``mask``, reindexed densely: a
-    vertex's new index is its rank in ``mask``, the number of set bits below
-    it. The rows come back as a tuple, so they can key a memo table as they
-    are."""
+def subgraph_rows(rows, mask: int) -> tuple[int, ...]:
+    """Rows of the induced subgraph on the set bits of ``mask``, reindexed
+    densely: a vertex's new index is its rank in ``mask``, the number of set
+    bits below it. The rows come back as a tuple, so they can key a memo
+    table as they are. A mask of every row returns ``rows`` themselves (as a
+    tuple): dense rows reindex to themselves."""
+    if mask == (1 << len(rows)) - 1:
+        return tuple(rows)
     out = []
     rest = mask
     while rest:
@@ -102,7 +105,7 @@ def subgraph_rows(rows, mask: int) -> tuple[int, tuple[int, ...]]:
             r ^= c
         out.append(nr)
         rest ^= b
-    return len(out), tuple(out)
+    return tuple(out)
 
 
 def _cone(rows, mask: int) -> bool:
@@ -129,8 +132,9 @@ def _cone(rows, mask: int) -> bool:
 # the dense rows up in `_canon`, so a graph reached again under another
 # mask or in another `Graph` (the same residue from different moves of an
 # equivalence search, the same node on different paths of the exact search)
-# costs a reindex. Only a miss runs the refinement tree, `_canon_dense`, and
-# the components of a disconnected graph go back through the entry.
+# costs a reindex (none for a whole graph). A miss runs the refinement
+# tree, `_canon_dense`; the components of a disconnected graph go back
+# through the entry.
 
 
 def _refine(rows, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -188,12 +192,12 @@ def canon_bytes(rows, mask: int) -> bytes:
     key = subgraph_rows(rows, mask)
     hit = _canon.get(key)
     if hit is None:
-        hit = _canon_dense(*key)
+        hit = _canon_dense(key)
         _memo_put(_canon, key, hit)
     return hit
 
 
-def _canon_dense(n: int, rows) -> bytes:
+def _canon_dense(rows: tuple[int, ...]) -> bytes:
     """The canonical form of the graph on dense ``rows``, unmemoized.
 
     A disconnected graph is keyed by the sorted multiset of its component
@@ -202,6 +206,7 @@ def _canon_dense(n: int, rows) -> bytes:
     with or without a mutual edge) are branch-pruned: swapping twins is an
     automorphism, so their subtrees yield the same minimum.
     """
+    n = len(rows)
     if n == 0:
         return _EMPTY_KEY
     header = n.to_bytes(2, "big")
@@ -293,12 +298,11 @@ def contractible_on(rows, mask: int) -> bool:
     decided on its dense rows, which key the memo."""
     if _cone(rows, mask):
         return True
-    key = subgraph_rows(rows, mask)
-    hit = _contractible.get(key)
+    dense = subgraph_rows(rows, mask)
+    hit = _contractible.get(dense)
     if hit is None:
-        n, dense = key
-        hit = decide(dense, (1 << n) - 1)[0]
-        _memo_put(_contractible, key, hit)
+        hit = decide(dense, (1 << len(dense)) - 1)[0]
+        _memo_put(_contractible, dense, hit)
     return hit
 
 

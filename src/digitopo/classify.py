@@ -5,7 +5,8 @@ n-sphere is a connected graph where every rim is an (n-1)-sphere and every
 one-point deletion leaves a contractible graph; an n-manifold only needs the
 rim condition. It is one memoized walk, `_dimension`, on adjacency rows (see
 `_kernels`), each rim reindexed densely by `subgraph_rows`. For each
-connected graph, keyed on its exact rows under the kernel's cap
+connected graph, keyed on its rows tuple (the key of the kernel's memo
+tables; its length is the vertex count) under the kernel's cap
 (`_pure._MEMO_CAP`, one million entries; cleared when full), the memo keeps
 its surface dimension, its rims as far as the walk built them, and its
 sphere verdict at that dimension once asked. The walk stops at once at a
@@ -57,10 +58,9 @@ from .graph import Graph, GraphError, _mask_of
 KIND_SPHERE = "Sphere"
 KIND_MANIFOLD = "Manifold"
 KIND_SURFACE = "Surface"
-KIND_DISK = "Disk"
 KIND_NONE = "None"
 
-# rows -> [surface dimension or None, rims read as (n, rows), sphere verdict or None]
+# rows -> [surface dimension or None, rims' dense rows, sphere verdict or None]
 _memo: dict[tuple[int, ...], list] = {}
 
 
@@ -96,19 +96,19 @@ def _label_order(g: Graph) -> list[int]:
     return sorted(range(g.order), key=g._labels.__getitem__)
 
 
-def _dimension(n: int, rows: tuple[int, ...]) -> Optional[int]:
+def _dimension(rows: tuple[int, ...]) -> Optional[int]:
     if rows not in _memo:
-        if n == 2 and not rows[0]:
+        if len(rows) == 2 and not rows[0]:
             return 0
-        full = (1 << n) - 1
+        full = (1 << len(rows)) - 1
         if not connected(rows, full):
             return None
-        rims: list[tuple[int, tuple[int, ...]]] = []
+        rims: list[tuple[int, ...]] = []
         dims: set[Optional[int]] = set()
         if not _cone(rows, full):
             for r in rows:
                 rims.append(subgraph_rows(rows, r))
-                dims.add(_dimension(*rims[-1]))
+                dims.add(_dimension(rims[-1]))
                 if None in dims or len(dims) > 1:
                     break
         dim = dims.pop() + 1 if len(dims) == 1 and None not in dims else None
@@ -117,12 +117,12 @@ def _dimension(n: int, rows: tuple[int, ...]) -> Optional[int]:
 
 
 def _failing_rim(g: Graph, holds) -> Optional[int]:
-    """First vertex in label order whose rim fails ``holds(n, rows)``, or None;
+    """First vertex in label order whose rim fails ``holds(rows)``, or None;
     a rim the walk of ``g`` did not build is built alone, when reached."""
     rows = g._rows
     rims = _memo[rows][1] if rows in _memo else []
     for i in _label_order(g):
-        if not holds(*(rims[i] if i < len(rims) else subgraph_rows(rows, rows[i]))):
+        if not holds(rims[i] if i < len(rims) else subgraph_rows(rows, rows[i])):
             return i
     return None
 
@@ -133,7 +133,7 @@ def surface_dimension(g: Graph) -> Optional[int]:
     Zero for exactly two non-adjacent points; n > 0 when the graph is
     connected and every rim is an (n-1)-surface.
     """
-    return _dimension(g.order, g._rows)
+    return _dimension(g._rows)
 
 
 # ---------------------------------------------------------------------------
@@ -210,17 +210,17 @@ def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
     return None
 
 
-def _is_sphere(n: int, rows: tuple[int, ...], d: int) -> bool:
+def _is_sphere(rows: tuple[int, ...], d: int) -> bool:
     """Is ``rows`` a d-sphere? Its dimension comes first (see the module)."""
     if d <= 0:
-        return d == 0 and n == 2 and not rows[0]
-    if _dimension(n, rows) != d:
+        return d == 0 and len(rows) == 2 and not rows[0]
+    if _dimension(rows) != d:
         return False
     entry = _memo[rows]
     if entry[2] is None:
         entry[2] = (
-            all(_is_sphere(*rim, d - 1) for rim in entry[1])
-            and _failing_deletion(rows, range(n), d) is None
+            all(_is_sphere(rim, d - 1) for rim in entry[1])
+            and _failing_deletion(rows, range(len(rows)), d) is None
         )
     return entry[2]
 
@@ -231,14 +231,14 @@ def is_n_sphere(g: Graph, n: int) -> ClassificationVerdict:
     if n < 0:
         raise GraphError("sphere dimension must be >= 0")
     if n == 0 or g.order == 0:
-        if _is_sphere(g.order, g._rows, n):
+        if _is_sphere(g._rows, n):
             return ClassificationVerdict(KIND_SPHERE, n)
         return ClassificationVerdict(KIND_NONE, None, min(g._labels, default=None))
     rows = g._rows
     # a verdict is kept only at the graph's own dimension
-    entry = _memo[rows] if _dimension(g.order, rows) == n else [None, [], False]
+    entry = _memo[rows] if _dimension(rows) == n else [None, [], False]
     if not entry[2]:
-        i = _failing_rim(g, lambda m, r: _is_sphere(m, r, n - 1))
+        i = _failing_rim(g, lambda r: _is_sphere(r, n - 1))
         if i is None:
             i = _failing_deletion(rows, _label_order(g), n)
         entry[2] = i is None
@@ -253,7 +253,7 @@ def is_n_manifold(g: Graph, n: int) -> ClassificationVerdict:
         raise GraphError("manifold dimension must be >= 1")
     if not connected(g._rows, (1 << g.order) - 1):
         return ClassificationVerdict(KIND_NONE, None, min(g.vertices, default=None))
-    i = _failing_rim(g, lambda m, r: _is_sphere(m, r, n - 1))
+    i = _failing_rim(g, lambda r: _is_sphere(r, n - 1))
     if i is not None:
         return ClassificationVerdict(KIND_NONE, None, g._labels[i])
     return ClassificationVerdict(KIND_MANIFOLD, n)
@@ -274,7 +274,7 @@ def is_n_disk(g: Graph, boundary, n: int) -> bool:
         return False
     mask, apex = _mask_of(g, boundary), 1 << g.order
     rows = tuple(r | apex if mask >> i & 1 else r for i, r in enumerate(g._rows))
-    return _is_sphere(g.order + 1, rows + (mask,), n)
+    return _is_sphere(rows + (mask,), n)
 
 
 def minimal_sphere(n: int) -> Graph:
@@ -300,7 +300,7 @@ def classify(g: Graph, dimension: Optional[int] = None) -> ClassificationVerdict
     if d is None:
         # every rim a surface: the graph is disconnected (adjacent vertices
         # then have rims of one dimension), named by its smallest label
-        i = _failing_rim(g, lambda m, r: _dimension(m, r) is not None)
+        i = _failing_rim(g, lambda r: _dimension(r) is not None)
         witness = min(g._labels, default=None) if i is None else g._labels[i]
         return ClassificationVerdict(KIND_NONE, None, witness)
     sphere = is_n_sphere(g, d)

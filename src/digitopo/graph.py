@@ -178,7 +178,7 @@ def _mask_of(g: Graph, labels: Iterable[str]) -> int:
 
 def _induced_mask(g: Graph, mask: int) -> Graph:
     labels = tuple(g._labels[i] for i in _bits(mask))
-    return Graph(labels, subgraph_rows(g._rows, mask)[1])
+    return Graph(labels, subgraph_rows(g._rows, mask))
 
 
 # ---------------------------------------------------------------------------

@@ -301,12 +301,11 @@ def _search_moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
     order = sorted(range(g.order), key=labels.__getitem__)
     for k, i in enumerate(order):
         for j in order[k + 1 :]:
+            # an empty common rim is never contractible
             common = rows[i] & rows[j]
-            if (rows[i] >> j) & 1:
-                if kernels.contractible_on(rows, common):
-                    yield DeleteEdge(labels[i], labels[j]), _flip_edge(g, i, j)
-            elif common and kernels.contractible_on(rows, common):
-                yield AttachEdge(labels[i], labels[j]), _flip_edge(g, i, j)
+            if common and kernels.contractible_on(rows, common):
+                step = DeleteEdge if rows[i] >> j & 1 else AttachEdge
+                yield step(labels[i], labels[j]), _flip_edge(g, i, j)
 
 
 def _bidirectional_connect(

@@ -50,11 +50,17 @@ def graph_from_obj(obj: Any) -> Graph:
 # vertices; "#" starts a comment. The parser also reads the DOT syntax
 # emitted by to_dot (quoted labels, "--" separators, braces, semicolons),
 # which makes export-dot output re-importable. A quoted label is read
-# whole, with "\\" and "\"" escapes; only outside quotes does "#" start a
-# comment and "--" separate.
+# whole, with "\\", "\"", "\n", "\r" and "\uXXXX" escapes (not of a
+# surrogate, which no output could encode); only outside quotes does "#"
+# start a comment and "--" separate. to_dot writes every character that
+# str.splitlines breaks on as an escape, so one statement stays one line.
 
 _QUOTED_OR_COMMENT = re.compile(r'"((?:[^"\\]|\\.)*)"|#.*')
-_ESCAPE = re.compile(r'\\(["\\])')
+_ESCAPE = re.compile(r'\\(["\\nr]|u(?![dD][89a-fA-F])[0-9a-fA-F]{4})')
+_DOT_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"}
+    | {c: f"\\u{ord(c):04x}" for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+)
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -75,7 +81,7 @@ def parse_edge_list(text: str) -> Graph:
         def take(m: re.Match) -> str:
             if m.group(1) is None:
                 return ""
-            quoted.append(_ESCAPE.sub(r"\1", m.group(1)))
+            quoted.append(_ESCAPE.sub(_unescape, m.group(1)))
             return '"'
 
         line = _QUOTED_OR_COMMENT.sub(take, raw).strip()
@@ -101,8 +107,13 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(vertices, edges)
 
 
+def _unescape(m: re.Match) -> str:
+    e = m.group(1)
+    return chr(int(e[1:], 16)) if len(e) == 5 else {"n": "\n", "r": "\r"}.get(e, e)
+
+
 def _dot_label(v: str) -> str:
-    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + v.translate(_DOT_ESCAPES) + '"'
 
 
 def to_dot(g: Graph, name: str = "G") -> str:

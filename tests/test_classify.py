@@ -494,10 +494,10 @@ class TestSphereClauseFacts:
         recognizers.clear_caches()
         for n in range(7):
             for rows in all_rows(n):
-                assert recognizers._is_sphere(n, rows, 1) == dense_sphere_1(n, rows), rows
+                assert recognizers._is_sphere(rows, 1) == dense_sphere_1(n, rows), rows
         for k in range(4, 41):
             c = cycle_graph(k)
-            assert recognizers._is_sphere(k, c._rows, 1) and dense_sphere_1(k, c._rows)
+            assert recognizers._is_sphere(c._rows, 1) and dense_sphere_1(k, c._rows)
 
     def test_cones_and_small_graphs_keep_their_verdicts(self):
         """Every graph on at most five vertices: manifold verdicts, and the

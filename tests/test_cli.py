@@ -448,6 +448,25 @@ class TestDeterminismAndDot:
         assert run(capsys, "reduce", str(tmp_path / "g.dot")) == want
         assert json.loads(want[1])["residue"]["vertices"] == ["e--f", 'g"h', "j\\k"]
 
+    def test_dot_labels_with_line_breaks(self, tmp_path, capsys):
+        """A label holding a character that `str.splitlines` breaks on, or
+        a backslash before ``n``, survives `export-dot` and a re-import."""
+        labels = ["a\nb", "c\r\nd", "e\x0bf", "g\u2028h", "i\\nj"]
+        path = tmp_path / "g.json"
+        path.write_text(
+            json.dumps({"vertices": labels, "edges": [list(p) for p in zip(labels, labels[1:])]})
+        )
+        _, dot, _ = run(capsys, "export-dot", str(path))
+        assert len(dot.splitlines()) == 6
+        (tmp_path / "g.dot").write_text(dot)
+        want = run(capsys, "reduce", str(path))
+        assert want[0] == 0
+        assert run(capsys, "reduce", str(tmp_path / "g.dot")) == want
+
+    def test_dot_escapes_inside_quotes_only_and_never_a_surrogate(self):
+        g = parse_edge_list('"a\\u0041\\ud800" -- b\\n\n"c\\u2028"\n')
+        assert sorted(g.vertices) == ["aA\\ud800", "b\\n", "c\u2028"]
+
     def test_edge_list_lines_without_quotes(self):
         g = parse_edge_list("a b\nb -- c d # note\n# whole line\ngraph G {\n e;\n}\n")
         assert sorted(g.vertices) == ["a", "b", "c d", "e"]

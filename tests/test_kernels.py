@@ -90,11 +90,12 @@ def exact_search_order(n, rows):
     if n == 1:
         return []
     for v in sorted(range(n), key=lambda v: (rows[v].bit_count(), v)):
-        if not exact_search(*_pure.subgraph_rows(rows, rows[v])):
+        rim = _pure.subgraph_rows(rows, rows[v])
+        if not exact_search(len(rim), rim):
             continue
-        dn, drows = _pure.subgraph_rows(rows, ((1 << n) - 1) ^ (1 << v))
-        if exact_search(dn, drows):
-            rest = exact_search_order(dn, drows)
+        drows = _pure.subgraph_rows(rows, ((1 << n) - 1) ^ (1 << v))
+        if exact_search(n - 1, drows):
+            rest = exact_search_order(n - 1, drows)
             return [v] + [u + (u >= v) for u in rest]
     return None
 
@@ -179,7 +180,7 @@ class TestContractibleKernel:
                     for v in range(n):
                         mask = ((1 << n) - 1) ^ (1 << v)
                         verts = _pure._bits(mask)
-                        dense = exact_search_order(*_pure.subgraph_rows(g._rows, mask))
+                        dense = exact_search_order(n - 1, _pure.subgraph_rows(g._rows, mask))
                         want = None if dense is None else [verts[u] for u in dense]
                         assert _pure._exact(g._rows, mask, {}) == want, (g.edges(), mask)
                         deep += want is not None
@@ -271,6 +272,12 @@ class TestDecide:
         assert asked and len(asked) == len(set(asked))
 
 
+def rank_oracle(rows, mask):
+    """The induced rows on ``mask``, each vertex renamed to its rank."""
+    verts = [v for v in range(len(rows)) if mask >> v & 1]
+    return tuple(sum(1 << i for i, u in enumerate(verts) if rows[v] >> u & 1) for v in verts)
+
+
 class TestContractibleWithin:
     """`within` decides the subgraph on a mask of fixed rows, sharing one
     rim table between calls; every verdict, and every verdict it leaves in
@@ -323,11 +330,17 @@ class TestContractibleWithin:
         for _ in range(200):
             g = random_graph(rng, rng.randint(0, 12), rng.random())
             mask = rng.getrandbits(g.order)
-            verts = [v for v in range(g.order) if mask >> v & 1]
-            want = tuple(
-                sum(1 << i for i, u in enumerate(verts) if g._rows[v] >> u & 1) for v in verts
-            )
-            assert _pure.subgraph_rows(g._rows, mask) == (len(verts), want)
+            assert _pure.subgraph_rows(g._rows, mask) == rank_oracle(g._rows, mask)
+
+    def test_subgraph_rows_on_every_mask_up_to_5(self):
+        for n in range(6):
+            for g in all_labeled_graphs(n):
+                for mask in range(1 << n):
+                    assert _pure.subgraph_rows(g._rows, mask) == rank_oracle(g._rows, mask)
+
+    def test_subgraph_rows_of_a_full_mask_is_the_callers_tuple(self):
+        for g in (build_graph([]), build_graph(["a"]), octahedron(), path_graph(70)):
+            assert _pure.subgraph_rows(*on_all(g)) is g._rows
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +540,9 @@ class TestCanonMemo:
         nodes on several paths each: without the memo it computes 33 forms."""
         real, computed = _pure._canon_dense, []
 
-        def counting(n, rows):
-            computed.append((n, rows))
-            return real(n, rows)
+        def counting(rows):
+            computed.append(rows)
+            return real(rows)
 
         monkeypatch.setattr(_pure, "_canon_dense", counting)
         assert _pure.decide(*on_all(pendant_dunce_hat(4, 12)))[:2] == (False, 3)
