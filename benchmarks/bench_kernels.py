@@ -23,7 +23,8 @@ the calls of `_pure._greedy_order`, its calls of `contractible_on`,
 nested rims included, and the canonical forms it computed, the calls of
 `_pure._canon_dense`), a cold `homotopy_equivalent` of `torus16` against
 a seeded 17-vertex copy, the heaviest `certify` equivalence kind, with
-the canonical forms it asked for (`canon_bytes`) and computed, a cold
+the canonical forms it asked for (`canon_bytes`) and computed and its rim
+tests, a cold
 traced `homotopy.is_contractible` on a 160-vertex path with its number
 of greedy passes (`_pure._greedy`), two warm rows whose every call is a
 memo hit (`graph.canonical_key` of the 2-sphere grown to 120 vertices,
@@ -34,8 +35,9 @@ the cover operations on the brick-wall torus, each on a fresh cover
 nerve, no trace) on the invalid aligned-grid torus; the macro row runs sphere
 recognition, a 3-D digitization and a cover validation once, after clearing
 every memo table. Each `contractible_on` row also prints the tier that
-decides it (`_pure.decide`), and each `classify` and `reduce` row the number
-of rim tests (calls of `_pure._simple`, the one rim test) in one cold run.
+decides it (`_pure.decide`), and each `classify`, `reduce` and
+`homotopy_equivalent` row the number of rim tests (calls of
+`_pure._simple`, the one rim test) in one cold run.
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -333,9 +335,10 @@ def layers():
 
     t = _time(cold_equivalent)
     asked, forms = _calls(cold_equivalent, "canon_bytes"), _calls(cold_equivalent, "_canon_dense")
+    tests = _calls(cold_equivalent, "_simple")
     print(
         f"{'cold homotopy_equivalent torus16 vs grown to 17':50s}{t * 1e3:>10.2f}ms"
-        f"{asked:>10d} forms asked{forms:>10d} forms computed"
+        f"{asked:>10d} forms asked{forms:>10d} forms computed{tests:>10d} rim tests"
     )
     path = path_graph(160)
 

@@ -12,7 +12,10 @@ and a mask of the vertices whose induced subgraph is asked about
     decide(rows, alive)         the one contractibility decision, on one
                                 rim table: (verdict, tier 1-3, deletion
                                 order), the order a witness to one vertex
-                                for every True verdict but a cone's (empty)
+                                for every True verdict but a cone's (empty);
+                                an optional start mask names the only
+                                vertices whose rims may be contractible,
+                                where the greedy pass begins
     contractible_on(rows, mask) is the induced subgraph contractible? (a
                                 cone at once, else `decide` on its dense
                                 rows, which key the memo: it sees every copy)

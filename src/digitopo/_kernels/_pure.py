@@ -90,9 +90,16 @@ def subgraph_rows(rows, mask: int) -> tuple[int, ...]:
     densely: a vertex's new index is its rank in ``mask``, the number of set
     bits below it. The rows come back as a tuple, so they can key a memo
     table as they are. A mask of every row returns ``rows`` themselves (as a
-    tuple): dense rows reindex to themselves."""
+    tuple): dense rows reindex to themselves. A mask of one or two vertices
+    (the rims of a cycle) is answered without the bit loop."""
     if mask == (1 << len(rows)) - 1:
         return tuple(rows)
+    low = mask & -mask
+    high = mask ^ low
+    if not high & (high - 1):
+        if not high:
+            return (0,) if mask else ()
+        return (2, 1) if rows[low.bit_length() - 1] & high else (0, 0)
     out = []
     rest = mask
     while rest:
@@ -261,7 +268,11 @@ def _canon_dense(rows: tuple[int, ...]) -> bytes:
 # 1. Greedy: delete simple points in (degree, index) order, testing a
 #    vertex's rim only when its heap entry comes first. Reaching one vertex
 #    proves contractibility, and the deletion order is the first branch of
-#    the exact search. A cone needs no pass (see `decide`).
+#    the exact search. A cone needs no pass (see `decide`). A caller that
+#    knows which rims are not contractible passes a start mask of the other
+#    vertices (the equivalence search, the sphere deletion clause): the
+#    pass then tests only rims that may be contractible, and deletes the
+#    same vertices in the same order.
 # 2. Invariants: simple-point deletions preserve homology (Ivashchenko,
 #    Discrete Math. 126, 1994) and a contractible graph has the homology of
 #    a point, so a stuck residue whose Euler characteristic is not 1, or
@@ -306,7 +317,9 @@ def contractible_on(rows, mask: int) -> bool:
     return hit
 
 
-def decide(rows, alive: int, rims: dict[int, bool] | None = None) -> tuple[bool, int, list[int]]:
+def decide(
+    rows, alive: int, rims: dict[int, bool] | None = None, start: int | None = None
+) -> tuple[bool, int, list[int]]:
     """The verdict for the subgraph induced on ``alive`` of ``rows``,
     unmemoized at the top, the tier (1-3) that reached it, and a deletion
     order of vertices of ``alive``. A True verdict's order, except a
@@ -321,6 +334,11 @@ def decide(rows, alive: int, rims: dict[int, bool] | None = None) -> tuple[bool,
     disconnected graphs are refuted by tier 2 before the pass: their reduced
     homology is nonzero in degree -1 or 0. All tiers run on ``rows`` and
     share one rim table, ``rims`` or a fresh one (see `_simple`).
+
+    ``start`` goes to tier 1's pass alone (see `_greedy`): the caller
+    vouches that the rim among ``alive`` of every other vertex of ``alive``
+    is not contractible. The verdict, tier and order are the same as
+    without it; tier 3 searches every vertex whatever ``start`` holds.
     """
     if _cone(rows, alive):
         return True, 1, []
@@ -328,7 +346,7 @@ def decide(rows, alive: int, rims: dict[int, bool] | None = None) -> tuple[bool,
         return False, 2, []
     if rims is None:
         rims = {}
-    rest, order = _greedy(rows, alive, rims=rims)
+    rest, order = _greedy(rows, alive, rims=rims, start=start)
     if not rest & (rest - 1):
         return True, 1, order
     if not _acyclic(rows, rest):
@@ -350,7 +368,7 @@ def _simple(rows, v: int, alive: int, rims: dict[int, bool]) -> bool:
 
 
 def _greedy(
-    rows, alive: int, tie=None, rims: dict[int, bool] | None = None
+    rows, alive: int, tie=None, rims: dict[int, bool] | None = None, start: int | None = None
 ) -> tuple[int, list[int]]:
     """Tier 1: the mask of vertices left when greedy deletion from
     ``alive`` stalls, and the deletion order.
@@ -363,12 +381,20 @@ def _greedy(
     ``rims`` is a fresh table when None) only when the entry pops. A vertex
     that is not simple gets a new entry only when a neighbor's deletion
     changes its rim, so every smaller key was found not simple.
+
+    The heap starts with the vertices of ``start`` (all of ``alive`` when
+    None). The caller vouches that every other vertex of ``alive`` has a
+    rim that is not contractible, so its first entry would pop only to
+    fail its test, or go stale when a neighbor's deletion pushed a new one;
+    leaving it out changes neither the order nor the residue, only the rim
+    tests run.
     """
     if tie is None:
         tie = range(len(rows))
     if rims is None:
         rims = {}
-    heap = [((rows[v] & alive).bit_count(), tie[v], v) for v in _bits(alive)]
+    begin = alive if start is None else start
+    heap = [((rows[v] & alive).bit_count(), tie[v], v) for v in _bits(begin)]
     heapify(heap)
     order: list[int] = []
     while heap:

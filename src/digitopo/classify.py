@@ -25,7 +25,7 @@ table, local to that test and keyed on rim masks, which are exact keys
 while the rows stay fixed, and every tier reads it, tier 3's nodes too.
 A rim the table does not hold is decided on its own dense rows
 (`_pure._simple`), under the kernel's rows-keyed memo; its nested rims
-stay out of the table. Three facts, each exact once every rim is a
+stay out of the table. Four facts, each exact once every rim is a
 (d-1)-sphere, cut the passes (Ivashchenko, Discrete Math. 126, 1994:
 simple-point deletions preserve homology):
 
@@ -37,6 +37,11 @@ simple-point deletions preserve homology):
 - Dimension 1. A connected graph whose rims are 0-spheres is a cycle of at
   least four vertices, and each ``C - v`` is a path, which is contractible:
   no pass runs.
+- Start mask. In ``G - v`` only the neighbors of ``v`` have lost a rim
+  vertex; every other vertex keeps its whole rim, a sphere, which is not
+  contractible. So the greedy pass starts from ``rows[v]`` alone
+  (`_pure.decide`'s ``start``) and deletes what a pass from every vertex
+  deletes, in the same order.
 - Rotation (`_rotated`). When greedy deletion reduces ``G - v`` to a point
   by the order ``s1..sk``, then ``v, s1..sk without sj`` reduces
   ``G - sj`` to the same point whenever ``v`` is simple in ``G - sj``
@@ -188,8 +193,9 @@ def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
     graph, or None. Every rim of ``rows`` must be a (d-1)-sphere.
 
     Every deletion is decided on the parent rows, and all of them share one
-    rim table, seeded by `_seeded_rims`; the module docstring gives the
-    three facts used here. The cycle shortcut for d = 1 tests connectivity
+    rim table, seeded by `_seeded_rims`, and each greedy pass starts from
+    the neighbors of the deleted vertex; the module docstring gives the
+    four facts used here. The cycle shortcut for d = 1 tests connectivity
     because `is_n_sphere` comes here without testing it.
     """
     full = (1 << len(rows)) - 1
@@ -202,7 +208,7 @@ def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
             continue
         pending ^= 1 << v
         alive = full ^ (1 << v)
-        verdict, tier, seq = decide(rows, alive, rims)
+        verdict, tier, seq = decide(rows, alive, rims, rows[v])
         if not verdict:
             return v
         if tier == 1:

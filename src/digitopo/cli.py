@@ -181,6 +181,12 @@ def _cmd_replay(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     g = _load_graph(args.graph)
+    # DOT is UTF-8 text; JSON escapes admit labels with a lone surrogate
+    for v in g.vertices:
+        try:
+            v.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError(f"{args.graph}: label {v!r} has no UTF-8 encoding") from None
     sys.stdout.write(to_dot(g))
     return 0
 

@@ -266,7 +266,14 @@ def reduce(g: Graph) -> tuple[Graph, HomotopyTrace]:
     to the input by construction. This is the kernel's greedy pass
     (`_pure._greedy`) on the input's rows, with labels as the tie-break.
     """
-    alive, order = _greedy(g._rows, (1 << g.order) - 1, g._labels)
+    return _reduce(g, None)
+
+
+def _reduce(g: Graph, start: Optional[int]) -> tuple[Graph, HomotopyTrace]:
+    """`reduce`, with the pass's start mask (see `_pure._greedy`): the
+    caller vouches that every vertex outside ``start`` has a rim that is
+    not contractible. None starts from every vertex."""
+    alive, order = _greedy(g._rows, (1 << g.order) - 1, g._labels, start=start)
     steps = tuple(DeletePoint(g._labels[i]) for i in order)
     return _induced_mask(g, alive), HomotopyTrace(steps)
 
@@ -290,12 +297,18 @@ class EquivalenceVerdict:
     values: Optional[tuple] = None
 
 
-def _search_moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
+def _search_moves(g: Graph) -> Iterator[tuple[Step, Graph, int]]:
     """Neighbor states for the bounded search, which expands only residues
     of `reduce`: deletions and attachments of simple edges. A residue has
     no simple point to delete. Point attachments are excluded: their
     rim-set choice is unbounded, and the edge moves already connect the
     graphs this search is used on.
+
+    Each move comes with the mask of the vertices whose rims it changed:
+    flipping (i, j) changes the rims of i, j and their common neighbors
+    only. Every other vertex keeps the rim it had in the residue ``g``,
+    where the pass that stalled found it not contractible, so the pass
+    that reduces the new state may start from that mask (`_reduce`).
     """
     rows, labels = g._rows, g._labels
     order = sorted(range(g.order), key=labels.__getitem__)
@@ -305,7 +318,7 @@ def _search_moves(g: Graph) -> Iterator[tuple[Step, Graph]]:
             common = rows[i] & rows[j]
             if common and kernels.contractible_on(rows, common):
                 step = DeleteEdge if rows[i] >> j & 1 else AttachEdge
-                yield step(labels[i], labels[j]), _flip_edge(g, i, j)
+                yield step(labels[i], labels[j]), _flip_edge(g, i, j), common | 1 << i | 1 << j
 
 
 def _bidirectional_connect(
@@ -317,6 +330,12 @@ def _bidirectional_connect(
     which collapses whole families of intermediate states onto their
     residues; the reduction steps become part of the witness path, so the
     restriction costs completeness only, never soundness.
+
+    ``a`` and ``b`` must be residues of `reduce`, so every expanded state
+    is one. Its stalled pass found every rim not contractible, so the pass
+    on a move's result starts from the vertices whose rims the move
+    changed (see `_search_moves`); it deletes what a pass from every
+    vertex deletes, in the same order, and the witness is the same.
     """
     sides = [
         {canonical_key(a): (a, [])},
@@ -331,8 +350,8 @@ def _bidirectional_connect(
             if spent >= budget:
                 break
             spent += 1
-            for step, nxt in _search_moves(graph):
-                nxt_res, red = reduce(nxt)
+            for step, nxt, changed in _search_moves(graph):
+                nxt_res, red = _reduce(nxt, changed)
                 nkey = canonical_key(nxt_res)
                 if nkey in sides[side]:
                     continue

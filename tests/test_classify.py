@@ -473,6 +473,24 @@ class TestSphereClauseFacts:
                 dense = kernels.contractible_on(g._rows, mask)
                 assert dense is verdict, (g.edges(), mask)
 
+    def test_deletion_passes_start_from_the_neighbors(self):
+        """Every ``G - v`` of a grown sphere gets the same decision (verdict,
+        tier and order) when its pass starts from the neighbors of ``v``, as
+        `_failing_deletion` runs it, as when it starts from every vertex."""
+        rng = random.Random(13)
+        decisions = 0
+        for dim in (1, 2, 3):
+            for order in (30, 45, 60):
+                g = grown(minimal_sphere(dim), order, rng.getrandbits(32))
+                rows, full = g._rows, (1 << g.order) - 1
+                rims, started = recognizers._seeded_rims(rows), recognizers._seeded_rims(rows)
+                for v in range(g.order):
+                    alive = full ^ (1 << v)
+                    want = kernels.decide(rows, alive, rims)
+                    assert kernels.decide(rows, alive, started, rows[v]) == want, (dim, v)
+                    decisions += 1
+        assert decisions == 3 * (30 + 45 + 60)
+
     def test_rotated_orders_replay_on_dense_rows(self):
         rng = random.Random(8)
         bigger = [grown(minimal_sphere(d), o, rng.getrandbits(32)) for d, o in ((2, 120), (3, 60))]

@@ -463,6 +463,19 @@ class TestDeterminismAndDot:
         assert want[0] == 0
         assert run(capsys, "reduce", str(tmp_path / "g.dot")) == want
 
+    def test_export_dot_refuses_a_label_with_a_lone_surrogate(self, tmp_path, capsys):
+        """DOT is UTF-8 text, which cannot hold a lone surrogate: the label
+        is named in an input error and nothing goes to stdout, while
+        `reduce` of the same file still answers."""
+        path = tmp_path / "g.json"
+        path.write_text('{"vertices":["a\\ud800","b"],"edges":[["a\\ud800","b"]]}')
+        code, out, err = run(capsys, "export-dot", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {path}: label 'a\\ud800' has no UTF-8 encoding\n"
+        code, out, _ = run(capsys, "reduce", str(path))
+        assert code == 0
+        assert json.loads(out)["residue"] == {"edges": [], "vertices": ["b"]}
+
     def test_dot_escapes_inside_quotes_only_and_never_a_surrogate(self):
         g = parse_edge_list('"a\\u0041\\ud800" -- b\\n\n"c\\u2028"\n')
         assert sorted(g.vertices) == ["aA\\ud800", "b\\n", "c\u2028"]

@@ -353,6 +353,29 @@ class TestHomotopyEquivalent:
         assert verdict.invariant == "betti_q[1]"
         assert verdict.values == (2, 1)
 
+    def test_moves_reduce_from_the_rims_they_changed(self):
+        """The search reduces each move of a residue from the vertices whose
+        rims the move changed; the residue and trace are those of `reduce`."""
+        from digitopo._kernels._pure import subgraph_rows
+        from digitopo.catalog import get, names
+        from digitopo.homotopy import _reduce, _search_moves
+
+        def rims(g):
+            return [(r, subgraph_rows(g._rows, r)) for r in g._rows]
+
+        moves = 0
+        for name in names():
+            residue, _ = reduce(get(name).graph)
+            for _, nxt, changed in _search_moves(residue):
+                differ = [a != b for a, b in zip(rims(residue), rims(nxt))]
+                assert changed == sum(1 << w for w, d in enumerate(differ) if d), name
+                want_graph, want_trace = reduce(nxt)
+                got_graph, got_trace = _reduce(nxt, changed)
+                assert got_trace == want_trace, name
+                assert (got_graph._labels, got_graph._rows) == (want_graph._labels, want_graph._rows)
+                moves += 1
+        assert moves > 50
+
     def test_reduce_traces_bit_identical(self):
         rng = random.Random(61)
         for _ in range(10):

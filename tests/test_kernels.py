@@ -34,7 +34,15 @@ from conftest import (
 from digitopo import _kernels as kernels
 from digitopo._kernels import _pure
 from digitopo.classify import minimal_sphere
-from digitopo.graph import build_graph, canonical_key, components, induced_subgraph, relabeled, rim
+from digitopo.graph import (
+    Graph,
+    build_graph,
+    canonical_key,
+    components,
+    induced_subgraph,
+    relabeled,
+    rim,
+)
 from digitopo.homotopy import DeletePoint, HomotopyTrace, apply_trace, is_contractible, reduce
 from digitopo.invariants import clique_vector, euler_characteristic, homology
 from test_invariants import collapse_homology
@@ -430,7 +438,9 @@ class TestEmbeddingInvariance:
     def test_tier_3_orders_replay_on_every_mask_up_to_5(self, monkeypatch):
         """With a greedy pass that deletes nothing, every contractible mask
         but a cone's reaches tier 3, and its order replays to one vertex."""
-        monkeypatch.setattr(_pure, "_greedy", lambda rows, alive, tie=None, rims=None: (alive, []))
+        monkeypatch.setattr(
+            _pure, "_greedy", lambda rows, alive, tie=None, rims=None, start=None: (alive, [])
+        )
         kernels.clear_caches()
         tier_3 = 0
         try:
@@ -613,6 +623,69 @@ class TestLazyGreedy:
             residue, trace = reduce(g)
             assert [s.v for s in trace.steps] == [g._labels[v] for v in order]
             assert residue.order == alive.bit_count()
+
+
+def flipped_residues(graphs):
+    """``(rows, labels, start)`` for every vertex-pair flip of the `reduce`
+    residue of each graph: the start mask holds the pair and its common
+    neighbors, the only vertices whose rims the flip changed."""
+    for g in graphs:
+        residue, _ = reduce(g)
+        for i, j in itertools.combinations(range(residue.order), 2):
+            rows = list(residue._rows)
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+            yield tuple(rows), residue._labels, rows[i] & rows[j] | 1 << i | 1 << j
+
+
+def catalog_graphs():
+    from digitopo.catalog import get, names
+
+    return [get(name).graph for name in names()]
+
+
+class TestStartMask:
+    """A pass that starts where the rims changed deletes what a pass from
+    every vertex deletes, in the same order, when the other rims are not
+    contractible: on a flipped residue of `reduce`."""
+
+    def test_every_flip_of_every_catalog_residue(self):
+        flips = 0
+        for rows, labels, start in flipped_residues(catalog_graphs()):
+            full = (1 << len(rows)) - 1
+            for tie in (None, labels):
+                want = _pure._greedy(rows, full, tie)
+                assert _pure._greedy(rows, full, tie, start=start) == want, (rows, start)
+            flips += 1
+        assert flips == 462
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_7_to_14_with_starts())
+    def test_every_flip_of_random_residues(self, case):
+        n, rows, labels, _ = case
+        for rows, labels, start in flipped_residues([Graph(tuple(labels), tuple(rows))]):
+            full = (1 << len(rows)) - 1
+            want = _pure._greedy(rows, full, labels)
+            assert _pure._greedy(rows, full, labels, start=start) == want, (rows, start)
+
+    def test_a_stuck_flip_tests_the_start_vertices_alone(self, monkeypatch):
+        """When the flip makes no vertex simple, the pass tests the rim of
+        every start vertex once and no other rim."""
+        real, tested = _pure._simple, []
+
+        def recording(rows, v, alive, rims):
+            tested.append(v)
+            return real(rows, v, alive, rims)
+
+        monkeypatch.setattr(_pure, "_simple", recording)
+        stuck = 0
+        for rows, labels, start in flipped_residues(catalog_graphs()):
+            tested.clear()
+            if _pure._greedy(rows, (1 << len(rows)) - 1, labels, start=start)[1]:
+                continue
+            stuck += 1
+            assert sorted(tested) == _pure._bits(start), (rows, start)
+        assert stuck > 100
 
 
 class TestTiers:
