@@ -17,15 +17,16 @@ witnesses: the first vertex in label order whose rim (or, in a sphere test,
 whose deletion) fails, with the rims read off the same walk.
 
 The deletion clause runs only after the rim clause has held, and is not
-reindexed: each ``G - v`` is decided on the sphere candidate's own rows
-with ``alive = full ^ (1 << v)``, by one `_pure.decide` call: a cone at
-once, else a greedy pass on those rows and, when it stalls, the exact
-tiers on the same rows. All n clauses of one sphere test share one rim
+reindexed: each ``G - v`` that no fact below answers (at d >= 3) is
+decided on the sphere candidate's own rows with
+``alive = full ^ (1 << v)``, by one `_pure.decide` call: a cone at once,
+else a greedy pass on those rows and, when it stalls, the exact tiers on
+the same rows. All n clauses of one sphere test share one rim
 table, local to that test and keyed on rim masks, which are exact keys
 while the rows stay fixed, and every tier reads it, tier 3's nodes too.
 A rim the table does not hold is decided on its own dense rows
 (`_pure._simple`), under the kernel's rows-keyed memo; its nested rims
-stay out of the table. Four facts, each exact once every rim is a
+stay out of the table. Five facts, each exact once every rim is a
 (d-1)-sphere, cut the passes (Ivashchenko, Discrete Math. 126, 1994:
 simple-point deletions preserve homology):
 
@@ -37,6 +38,25 @@ simple-point deletions preserve homology):
 - Dimension 1. A connected graph whose rims are 0-spheres is a cycle of at
   least four vertices, and each ``C - v`` is a path, which is contractible:
   no pass runs.
+- Dimension 2 (Euler's formula). When every rim is a cycle of at least
+  four vertices, the clique complex has no K4 and each edge lies in
+  exactly two triangles: it is a closed surface, with 3F = 2E and
+  chi = V - E + F = V - E/3. Deleting ``v`` removes its star, a cone glued
+  along its rim, a circle, so chi(G - v) = chi(G) - 1 (Mayer-Vietoris). If
+  ``3V - E != 6``, chi(G) != 2, so no ``G - v`` has the chi = 1 of a
+  contractible graph, and the witness is the first vertex tried. If G is
+  disconnected, each ``G - v`` is too (a component holds at least five
+  vertices), so every deletion fails again; a 2-sphere beside a torus has
+  chi = 2, so connectivity is tested, not implied. If G is connected with
+  chi = 2, it is a 2-sphere (classification of surfaces), and each
+  ``G - v`` a flag 2-disk. A contractible full subcomplex of a flag
+  2-sphere with two or more vertices has a vertex whose rim in it is one
+  path; that vertex is simple, and deleting it keeps the subcomplex
+  contractible (Ivashchenko 1994), so by induction ``G - v`` reduces to a
+  point. So d = 2 needs ``3V - E == 6`` and connectivity, and no pass
+  runs. Nothing like this holds for d >= 3: some triangulated 3-balls are
+  not collapsible (Benedetti & Lutz, Exp. Math. 23, 2014), so there the
+  passes below stay.
 - Start mask. In ``G - v`` only the neighbors of ``v`` have lost a rim
   vertex; every other vertex keeps its whole rim, a sphere, which is not
   contractible. So the greedy pass starts from ``rows[v]`` alone
@@ -192,15 +212,22 @@ def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
     """First vertex in ``order`` whose deletion leaves a non-contractible
     graph, or None. Every rim of ``rows`` must be a (d-1)-sphere.
 
-    Every deletion is decided on the parent rows, and all of them share one
-    rim table, seeded by `_seeded_rims`, and each greedy pass starts from
-    the neighbors of the deleted vertex; the module docstring gives the
-    four facts used here. The cycle shortcut for d = 1 tests connectivity
-    because `is_n_sphere` comes here without testing it.
+    For d = 1 the graph is a cycle when connected, and every deletion
+    holds. For d = 2 every deletion holds when the graph is connected and
+    ``3V - E == 6`` (chi = 2), and none does otherwise, so the first vertex
+    of ``order`` is the witness. Both shortcuts test connectivity because
+    `is_n_sphere` comes here without testing it. For d >= 3 every deletion
+    is decided on the parent rows, all of them share one rim table, seeded
+    by `_seeded_rims`, and each greedy pass starts from the neighbors of
+    the deleted vertex. The module docstring gives the five facts used
+    here, and why the d = 2 formula does not extend to d >= 3.
     """
     full = (1 << len(rows)) - 1
     if d == 1 and connected(rows, full):
         return None
+    if d == 2:
+        edges = sum(r.bit_count() for r in rows) // 2
+        return None if 3 * len(rows) - edges == 6 and connected(rows, full) else order[0]
     rims = _seeded_rims(rows)
     pending = full
     for v in order:

@@ -4,8 +4,9 @@ JSON goes to stdout, diagnostics to stderr. Exit codes: 0 when the request
 succeeded, 1 when it computed cleanly but the property failed (invalid
 cover, non-recognized graph, failed replay), 2 on malformed or unsupported
 input (a clique above the cap, rims nested too deep for the recursion
-limit). Output is deterministic: everything upstream uses fixed
-tie-breaking, and objects are serialized with sorted keys.
+limit, an input too large for the available memory). Output is
+deterministic: everything upstream uses fixed tie-breaking, and objects
+are serialized with sorted keys.
 """
 
 from __future__ import annotations
@@ -252,6 +253,9 @@ def main(argv=None) -> int:
         return 2
     except RecursionError:
         print("input error: input too deep for the recursion limit", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("input error: input too large for the available memory", file=sys.stderr)
         return 2
 
 

@@ -20,7 +20,7 @@ from conftest import (
 )
 from digitopo import _kernels as kernels
 from digitopo import classify as recognizers
-from digitopo._kernels._pure import subgraph_rows
+from digitopo._kernels._pure import _bits, subgraph_rows
 from digitopo.classify import (
     ClassificationVerdict,
     classify,
@@ -31,6 +31,7 @@ from digitopo.classify import (
     surface_dimension,
 )
 from digitopo.graph import (
+    Graph,
     GraphError,
     build_graph,
     canonical_key,
@@ -537,6 +538,120 @@ class TestSphereClauseFacts:
                     and is_connected(g)
                     and all(rim_sphere(rim(g, v), n - 1) for v in g.vertices)
                 ), (n, g.edges())
+
+
+# ---------------------------------------------------------------------------
+# at d = 2 the deletion clause is Euler's formula (3V - E = 6 on a connected
+# graph); a pass-based decision of every G - v is the oracle
+
+
+def oracle_failing_deletion(rows, order):
+    """First vertex of ``order`` whose ``G - v`` `_pure.decide` refutes."""
+    full = (1 << len(rows)) - 1
+    return next((v for v in order if not kernels.decide(rows, full ^ (1 << v))[0]), None)
+
+
+def rims_are_long_cycles(rows):
+    """Is every rim a cycle of at least four vertices? Then the clique
+    complex is a closed flag surface."""
+    return all(
+        r.bit_count() >= 4
+        and all((rows[b] & r).bit_count() == 2 for b in _bits(r))
+        and kernels.connected(rows, r)
+        for r in rows
+    )
+
+
+def flipped_surfaces(g, flips, seed):
+    """The rows of ``flips`` flag surfaces, each one seeded edge flip away
+    from the one before, starting from ``g``: the edge uv of the triangles
+    uvw and uvx becomes wx, when w !~ x and every rim stays a cycle of at
+    least four vertices."""
+    rng = random.Random(seed)
+    rows, out = list(g._rows), []
+    while len(out) < flips:
+        u = rng.randrange(len(rows))
+        v = rng.choice(_bits(rows[u]))
+        w, x = _bits(rows[u] & rows[v])
+        if rows[w] >> x & 1:
+            continue
+        new = rows[:]
+        new[u] ^= 1 << v
+        new[v] ^= 1 << u
+        new[w] |= 1 << x
+        new[x] |= 1 << w
+        if rims_are_long_cycles(new):
+            rows = new
+            out.append(tuple(rows))
+    return out
+
+
+def disjoint_union(a, b):
+    return a + tuple(r << len(a) for r in b)
+
+
+def euler_corpus():
+    """Rows of flag 2-spheres and of flag tori, Klein bottles and projective
+    planes, all made by edge flips from grown surfaces, and disjoint unions
+    of two spheres and of a sphere and a torus (chi = 2, but no sphere)."""
+    from digitopo.catalog import get
+
+    rng = random.Random(26)
+
+    def flipped(g, order, flips):
+        return flipped_surfaces(grown(g, order, rng.getrandbits(32)), flips, rng.getrandbits(32))
+
+    spheres = [rows for order in (8, 10, 12, 14, 16, 20, 24) for rows in flipped(minimal_sphere(2), order, 150)]
+    others = {}
+    for name in ("torus16", "klein16", "rp11"):
+        g = get(name).graph
+        others[name] = [rows for extra in (0, 3, 8) for rows in flipped(g, g.order + extra, 120)]
+    unions = [disjoint_union(rng.choice(spheres), rng.choice(spheres)) for _ in range(40)]
+    unions += [disjoint_union(rng.choice(spheres), rng.choice(others["torus16"])) for _ in range(40)]
+    unions += [disjoint_union(rng.choice(others["torus16"]), rng.choice(spheres)) for _ in range(40)]
+    return spheres, [rows for group in others.values() for rows in group], unions
+
+
+class TestEulerFormula:
+    def test_formula_matches_a_decision_of_every_deletion(self):
+        rng = random.Random(7)
+        spheres, others, unions = euler_corpus()
+        kinds = [0, 0]
+        for rows in spheres + others + unions:
+            assert rims_are_long_cycles(rows)
+            order = rng.sample(range(len(rows)), len(rows))
+            want = oracle_failing_deletion(rows, order)
+            assert recognizers._failing_deletion(rows, order, 2) == want, rows
+            kinds[want is None] += 1
+            labels = tuple(f"v{i}" for i in rng.sample(range(len(rows)), len(rows)))
+            by_label = sorted(range(len(rows)), key=labels.__getitem__)
+            witness = oracle_failing_deletion(rows, by_label)
+            got = is_n_sphere(Graph(labels, rows), 2)
+            assert got.failing_witness == (None if witness is None else labels[witness]), rows
+        # every flipped sphere passes, every other surface and union fails
+        assert kinds == [len(others) + len(unions), len(spheres)]
+        assert len(spheres) >= 1000 and len(others) >= 1000
+
+    @pytest.mark.parametrize(
+        "dim, base, order, passes", [(2, None, 120, False), (2, "torus16", 100, False), (3, None, 40, True)]
+    )
+    def test_no_pass_runs_at_dimension_2(self, monkeypatch, dim, base, order, passes):
+        """``classify`` of a grown 2-sphere or a grown torus decides no
+        ``G - v`` and no rim by a pass; a grown 3-sphere still does, since
+        the formula holds at d = 2 alone."""
+        from digitopo.catalog import get
+
+        g = grown(minimal_sphere(dim) if base is None else get(base).graph, order, 26)
+        decided = []
+
+        def counted(*args):
+            decided.append(args)
+            return kernels.decide(*args)
+
+        monkeypatch.setattr(recognizers, "decide", counted)
+        cold()
+        assert classify(g).kind == ("Manifold" if base else "Sphere")
+        assert bool(decided) is passes, len(decided)
 
 
 class TestLargeInputs:

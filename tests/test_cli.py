@@ -399,6 +399,23 @@ class TestDeepNesting:
         assert code == 2 and not out
         assert err == "input error: input too deep for the recursion limit\n"
 
+    @pytest.mark.parametrize(
+        "command, target",
+        [("classify", "classify"), ("reduce", "reduce_graph"), ("invariants", "invariant_report")],
+    )
+    def test_memory_error_exits_2(self, files, capsys, monkeypatch, command, target):
+        """Running out of memory is an input too large, not a failed
+        property: one input error line, exit 2, nothing on stdout."""
+        from digitopo import cli
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, target, exhausted)
+        code, out, err = run(capsys, command, str(files / "oct.json"))
+        assert code == 2 and not out
+        assert err == "input error: input too large for the available memory\n"
+
 
 class TestDeterminismAndDot:
     def test_byte_identical_runs(self, files, capsys):
