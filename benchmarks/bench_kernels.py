@@ -37,7 +37,9 @@ recognition, a 3-D digitization and a cover validation once, after clearing
 every memo table. Each `contractible_on` row also prints the tier that
 decides it (`_pure.decide`), and each `classify`, `reduce` and
 `homotopy_equivalent` row the number of rim tests (calls of
-`_pure._simple`, the one rim test) in one cold run.
+`_pure._simple`, the one rim test) in one cold run; each `classify` row
+also prints its reindexes (calls of `_pure.subgraph_rows`, from the walk
+and from the rim tests).
 
 Usage: python benchmarks/bench_kernels.py
 """
@@ -267,7 +269,8 @@ def layers():
             assert classify(g).kind == kind
 
         t, tests = _time(cold_classify), _calls(cold_classify, "_simple")
-        print(f"{f'classify {label}':50s}{t * 1e3:>10.2f}ms{tests:>10d} rim tests")
+        reindexed = _calls(cold_classify, "subgraph_rows")
+        print(f"{f'classify {label}':50s}{t * 1e3:>10.2f}ms{tests:>10d} rim tests{reindexed:>10d} reindexes")
     for r, w in (("3/2", "2"), ("2", "5/2")):
         shell = model_graph(cubical_model(shape_sphere(r), BoxCell.make([f"-{w}"] * 3, [w] * 3), "1/4"))
 

@@ -4,9 +4,21 @@ The recursion follows the rims: a 0-sphere is two non-adjacent points; an
 n-sphere is a connected graph where every rim is an (n-1)-sphere and every
 one-point deletion leaves a contractible graph; an n-manifold only needs the
 rim condition. It is one memoized walk, `_dimension`, on adjacency rows (see
-`_kernels`), each rim reindexed densely by `subgraph_rows`. For each
-connected graph, keyed on its rows tuple (the key of the kernel's memo
-tables; its length is the vertex count) under the kernel's cap
+`_kernels`). Each rim is first read on the caller's rows as a vertex mask
+(`_rim_rows`). Two non-adjacent vertices are a 0-sphere. A mask is a
+1-sphere exactly when it has at least four vertices, each with exactly two
+neighbors in it, and is connected; one walk around the cycle checks all
+three. It is a 2-sphere exactly when the rim of each of its vertices within
+it is a 1-sphere, it is connected and ``3V - E == 6`` (the Euler fact
+below; it stops at d = 2 for the reason given there). Such a rim is kept as
+the rows of the minimal sphere of its dimension, which answer every
+question the recognizers ask of a rim (its dimension, and whether it is a
+sphere of a given dimension) as the rim does. Any other rim is reindexed
+densely, by `subgraph_rows`, so the walk reindexes no rim of a 2- or
+3-manifold.
+
+For each connected graph, keyed on its rows tuple (the key of the kernel's
+memo tables; its length is the vertex count) under the kernel's cap
 (`_pure._MEMO_CAP`, one million entries; cleared when full), the memo keeps
 its surface dimension, its rims as far as the walk built them, and its
 sphere verdict at that dimension once asked. The walk stops at once at a
@@ -85,7 +97,8 @@ KIND_MANIFOLD = "Manifold"
 KIND_SURFACE = "Surface"
 KIND_NONE = "None"
 
-# rows -> [surface dimension or None, rims' dense rows, sphere verdict or None]
+# rows -> [surface dimension or None, rims' rows (see `_rim_rows`), sphere
+# verdict or None]
 _memo: dict[tuple[int, ...], list] = {}
 
 
@@ -95,7 +108,9 @@ def clear_caches() -> None:
 
 @dataclass(frozen=True)
 class ClassificationVerdict:
-    """Recognition outcome. ``failing_witness`` is set exactly for kind None."""
+    """Recognition outcome. ``failing_witness`` is None for every kind but
+    None; for kind None it names a failing vertex, and is None only when the
+    graph has no vertex."""
 
     kind: str
     dimension: Optional[int] = None
@@ -121,6 +136,52 @@ def _label_order(g: Graph) -> list[int]:
     return sorted(range(g.order), key=g._labels.__getitem__)
 
 
+def _cycle(rows: tuple[int, ...], r: int) -> bool:
+    """Is the mask ``r`` a 1-sphere: at least four vertices, each with
+    exactly two neighbors in ``r``, and connected? One walk from the lowest
+    vertex must come back to it after meeting all of them."""
+    n = r.bit_count()
+    if n < 4:
+        return False
+    start = cur = r & -r
+    prev = rows[start.bit_length() - 1] & r
+    prev &= -prev
+    for step in range(1, n + 1):
+        nbrs = rows[cur.bit_length() - 1] & r
+        if nbrs.bit_count() != 2:
+            return False
+        prev, cur = cur, nbrs ^ prev
+        if cur == start:
+            break
+    return step == n
+
+
+def _sphere_2(rows: tuple[int, ...], r: int) -> bool:
+    """Is the mask ``r`` a 2-sphere: the rim of each of its vertices within
+    ``r`` a 1-sphere, ``r`` connected, and ``3V - E == 6`` (the Euler fact
+    of the module)?"""
+    twice_edges = 0
+    for w in _bits(r):
+        ring = rows[w] & r
+        if not _cycle(rows, ring):
+            return False
+        twice_edges += ring.bit_count()
+    return 6 * r.bit_count() - twice_edges == 12 and connected(rows, r)
+
+
+def _rim_rows(rows: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Rows that answer for the rim mask ``r`` in the walk: those of the
+    minimal 0-, 1- or 2-sphere when ``r`` is one by the mask facts (see the
+    module), else ``r`` reindexed densely."""
+    if r.bit_count() == 2 and not rows[(r & -r).bit_length() - 1] & r:
+        return _SPHERE_ROWS[0]
+    if _cycle(rows, r):
+        return _SPHERE_ROWS[1]
+    if _sphere_2(rows, r):
+        return _SPHERE_ROWS[2]
+    return subgraph_rows(rows, r)
+
+
 def _dimension(rows: tuple[int, ...]) -> Optional[int]:
     if rows not in _memo:
         if len(rows) == 2 and not rows[0]:
@@ -132,7 +193,7 @@ def _dimension(rows: tuple[int, ...]) -> Optional[int]:
         dims: set[Optional[int]] = set()
         if not _cone(rows, full):
             for r in rows:
-                rims.append(subgraph_rows(rows, r))
+                rims.append(_rim_rows(rows, r))
                 dims.add(_dimension(rims[-1]))
                 if None in dims or len(dims) > 1:
                     break
@@ -143,11 +204,12 @@ def _dimension(rows: tuple[int, ...]) -> Optional[int]:
 
 def _failing_rim(g: Graph, holds) -> Optional[int]:
     """First vertex in label order whose rim fails ``holds(rows)``, or None;
-    a rim the walk of ``g`` did not build is built alone, when reached."""
+    a rim the walk of ``g`` did not build is built alone by `_rim_rows`,
+    when reached."""
     rows = g._rows
     rims = _memo[rows][1] if rows in _memo else []
     for i in _label_order(g):
-        if not holds(rims[i] if i < len(rims) else subgraph_rows(rows, rows[i])):
+        if not holds(rims[i] if i < len(rims) else _rim_rows(rows, rows[i])):
             return i
     return None
 
@@ -321,6 +383,10 @@ def minimal_sphere(n: int) -> Graph:
     # each vertex meets every other but itself and its partner
     full = (1 << len(labels)) - 1
     return Graph(labels, tuple(full ^ 3 << (k & ~1) for k in range(len(labels))))
+
+
+# the stand-ins of `_rim_rows`, by dimension
+_SPHERE_ROWS = {d: minimal_sphere(d)._rows for d in (0, 1, 2)}
 
 
 def classify(g: Graph, dimension: Optional[int] = None) -> ClassificationVerdict:

@@ -42,8 +42,8 @@ class ShapeError(ValueError):
 
 _VAR_NAMES = {"x": 0, "y": 1, "z": 2, "x0": 0, "x1": 1, "x2": 2}
 
-# Operations nest at most this deep, so parsing, `eval_expr` and `_compile`
-# recurse far below the interpreter's limit, and the iterators of a stream
+# Operations nest at most this deep, so parsing and `_compile` recurse far
+# below the interpreter's limit, and the iterators of a stream
 # from `_compile` nest at most three per operation, never one per operand.
 MAX_EXPR_DEPTH = 100
 
@@ -100,36 +100,6 @@ def _rational(x: Any, what: str) -> Fraction:
         return _frac(x)
     except CoverError:
         raise ShapeError(f"{what} {x!r} is not a valid rational") from None
-
-
-def eval_expr(expr, point: Sequence[Fraction]) -> Fraction:
-    op = expr[0]
-    if op == "const":
-        return expr[1]
-    if op == "var":
-        idx = expr[1]
-        if idx >= len(point):
-            raise ShapeError(f"expression uses axis {idx}, point has {len(point)}")
-        return point[idx]
-    args = [eval_expr(a, point) for a in expr[1:]]
-    if op == "+":
-        return sum(args, Fraction(0))
-    if op == "*":
-        out = Fraction(1)
-        for a in args:
-            out *= a
-        return out
-    if op == "-":
-        return -args[0] if len(args) == 1 else args[0] - args[1]
-    if op == "abs":
-        return abs(args[0])
-    if op == "min":
-        return min(args)
-    if op == "max":
-        return max(args)
-    if op == "square":
-        return args[0] * args[0]
-    raise ShapeError(f"unknown operation {op!r}")
 
 
 @dataclass(frozen=True)

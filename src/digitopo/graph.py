@@ -47,7 +47,7 @@ class Graph:
 
     @property
     def size(self) -> int:
-        return sum(r.bit_count() for r in self._rows) // 2
+        return sum(map(int.bit_count, self._rows)) >> 1
 
     def has_vertex(self, v: str) -> bool:
         return v in self._index

@@ -61,6 +61,6 @@ def r_transform(m: Graph, u: str, v: str, x: str) -> tuple[Graph, RStep]:
 def fresh_label(g: Graph, stem: str = "x") -> str:
     """First label of the form stem1, stem2, ... not used by the graph."""
     k = 1
-    while g.has_vertex(f"{stem}{k}"):
+    while f"{stem}{k}" in g._index:
         k += 1
     return f"{stem}{k}"

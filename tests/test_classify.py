@@ -724,6 +724,23 @@ class TestOneRimWalk:
                 built.append(len(calls))
             assert built[1] <= built[0], (g.order, built)
 
+    @pytest.mark.parametrize("dim, order", [(2, 120), (3, 40)])
+    def test_sphere_rims_are_read_on_masks(self, monkeypatch, dim, order):
+        """Every rim of a grown 2- or 3-sphere is a 1- or 2-sphere by the
+        mask facts, and every rim of those is one too, so the walk reindexes
+        nothing."""
+        g = grown(minimal_sphere(dim), order, 12)
+        calls = []
+
+        def counted(rows, mask):
+            calls.append(mask)
+            return subgraph_rows(rows, mask)
+
+        monkeypatch.setattr(recognizers, "subgraph_rows", counted)
+        cold()
+        assert classify(g) == ClassificationVerdict("Sphere", dim)
+        assert calls == []
+
     @pytest.mark.parametrize("name", ["torus16", "klein16", "rp11"])
     def test_top_level_deletion_clause_runs_once(self, monkeypatch, name):
         from digitopo.catalog import get
@@ -765,3 +782,91 @@ class TestOneRimWalk:
                 call(g)
             finally:
                 sys.setrecursionlimit(old)
+
+
+# ---------------------------------------------------------------------------
+# the walk reads rims that are 1- and 2-spheres on the caller's rows; each
+# mask fact must agree with the walk on the rim's dense rows
+
+
+def dense_sphere(rows, mask, d):
+    return recognizers._is_sphere(subgraph_rows(rows, mask), d)
+
+
+def toggled(rows, a, b):
+    """``rows`` with the adjacency of ``a`` and ``b`` flipped."""
+    out = list(rows)
+    out[a] ^= 1 << b
+    out[b] ^= 1 << a
+    return tuple(out)
+
+
+def planted_cycle(rnd, rows, k):
+    """``rows`` with the subgraph on ``k`` random vertices replaced by a
+    cycle through them in random order, and the mask of those vertices."""
+    ring = rnd.sample(range(len(rows)), k)
+    mask = sum(1 << v for v in ring)
+    out = [r & ~mask if mask >> v & 1 else r for v, r in enumerate(rows)]
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        out[a] |= 1 << b
+        out[b] |= 1 << a
+    return tuple(out), mask
+
+
+class TestRimMaskFacts:
+    def test_cycle_fact_on_every_small_graph(self):
+        cold()
+        spheres = 0
+        for n in range(6):
+            for rows in all_rows(n):
+                for mask in range(1 << n):
+                    want = dense_sphere(rows, mask, 1)
+                    assert recognizers._cycle(rows, mask) == want, (rows, mask)
+                    spheres += want
+        assert spheres > 100
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(6, 12), st.floats(0.1, 0.9), st.randoms(use_true_random=False), st.integers(0, 12))
+    def test_cycle_fact_on_random_graphs(self, n, p, rnd, k):
+        """Random masks, every rim, and a planted induced cycle of ``k``
+        vertices with one vertex or one adjacency changed or not."""
+        rows = random_graph(rnd, n, p)._rows
+        cases = [(rows, rnd.getrandbits(n))] + [(rows, r) for r in rows]
+        if 3 <= k <= n:
+            planted, ring = planted_cycle(rnd, rows, k)
+            a, b = rnd.sample(range(n), 2)
+            cases += [(planted, ring), (planted, ring ^ 1 << rnd.randrange(n)), (toggled(planted, a, b), ring)]
+        for case_rows, mask in cases:
+            assert recognizers._cycle(case_rows, mask) == dense_sphere(case_rows, mask, 1), (case_rows, mask)
+
+    def test_sphere_2_fact_on_rims(self):
+        """Every rim of grown 3-spheres, each with one adjacency inside it
+        toggled, every rim of the suspensions of surfaces other than the
+        sphere (an apex rim is the surface, each other rim a suspended
+        cycle), random masks, and a 2-sphere beside a torus (chi = 2, but
+        disconnected)."""
+        from digitopo.catalog import get
+
+        rng = random.Random(27)
+        sphere, torus = grown(minimal_sphere(2), 12, 27)._rows, get("torus16").graph._rows
+        for rows in (disjoint_union(sphere, torus), disjoint_union(torus, sphere)):
+            full = (1 << len(rows)) - 1
+            assert not recognizers._sphere_2(rows, full) and not dense_sphere(rows, full, 2)
+        graphs = [grown(minimal_sphere(3), order, rng.getrandbits(32)) for order in (8, 12, 20, 30, 40)]
+        graphs += [join(get(name).graph, minimal_sphere(0)) for name in ("torus16", "klein16", "rp11")]
+        kinds = [0, 0]
+        for g in graphs:
+            rows = g._rows
+            cases = [(rows, r) for r in rows]
+            for r in rows:
+                a, b = rng.sample(_bits(r), 2)
+                cases.append((toggled(rows, a, b), r))
+            cases += [(rows, rng.getrandbits(g.order)) for _ in range(g.order)]
+            for case_rows, mask in cases:
+                want = dense_sphere(case_rows, mask, 2)
+                assert recognizers._sphere_2(case_rows, mask) == want, (case_rows, mask)
+                kinds[want] += 1
+        assert min(kinds) > 100, kinds
+        for name in ("torus16", "klein16", "rp11"):
+            rows = join(get(name).graph, minimal_sphere(0))._rows
+            assert [recognizers._sphere_2(rows, r) for r in rows[-2:]] == [False, False]

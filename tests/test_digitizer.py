@@ -22,7 +22,6 @@ from digitopo.digitizer import (
     _const_denominators,
     cubical_model,
     digitize_reduce,
-    eval_expr,
     load_shape,
     mask_csv,
     model_graph,
@@ -35,6 +34,31 @@ from digitopo.digitizer import (
 )
 from digitopo.homotopy import homotopy_equivalent
 from digitopo.invariants import euler_characteristic, same_profile
+
+
+def eval_expr(expr, point):
+    """A parsed expression's value at ``point``, in `Fraction` arithmetic:
+    the reference evaluator for `_compile`'s integer streams."""
+    op = expr[0]
+    if op == "const":
+        return expr[1]
+    if op == "var":
+        return point[expr[1]]
+    args = [eval_expr(a, point) for a in expr[1:]]
+    if op == "+":
+        return sum(args, Fraction(0))
+    if op == "*":
+        return math.prod(args, start=Fraction(1))
+    if op == "-":
+        return -args[0] if len(args) == 1 else args[0] - args[1]
+    if op == "abs":
+        return abs(args[0])
+    if op == "min":
+        return min(args)
+    if op == "max":
+        return max(args)
+    assert op == "square", op
+    return args[0] * args[0]
 
 
 WINDOW2 = BoxCell.make([-2, -2], [2, 2])
