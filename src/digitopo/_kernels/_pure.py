@@ -368,19 +368,19 @@ def _simple(rows, v: int, alive: int, rims: dict[int, bool]) -> bool:
 
 
 def _greedy(
-    rows, alive: int, tie=None, rims: dict[int, bool] | None = None, start: int | None = None
+    rows, alive: int, rims: dict[int, bool] | None = None, start: int | None = None
 ) -> tuple[int, list[int]]:
     """Tier 1: the mask of vertices left when greedy deletion from
     ``alive`` stalls, and the deletion order.
 
     Each deleted vertex is the simple one of minimum degree among the
-    surviving vertices; equal degrees go to the smaller ``tie[i]`` (the
-    index ``i`` itself when ``tie`` is None; `homotopy.reduce` passes the
-    vertex labels). That vertex is found lazily: each vertex has a heap
-    entry keyed ``(degree, tie, v)``, and its rim is tested (see `_simple`;
-    ``rims`` is a fresh table when None) only when the entry pops. A vertex
-    that is not simple gets a new entry only when a neighbor's deletion
-    changes its rim, so every smaller key was found not simple.
+    surviving vertices; equal degrees go to the smaller index (on the rows
+    of a `Graph`, the smaller label). That vertex is found lazily: each
+    vertex has a heap entry keyed ``(degree, v)``, and its rim is tested
+    (see `_simple`; ``rims`` is a fresh table when None) only when the
+    entry pops. A vertex that is not simple gets a new entry only when a
+    neighbor's deletion changes its rim, so every smaller key was found
+    not simple.
 
     The heap starts with the vertices of ``start`` (all of ``alive`` when
     None). The caller vouches that every other vertex of ``alive`` has a
@@ -389,16 +389,14 @@ def _greedy(
     leaving it out changes neither the order nor the residue, only the rim
     tests run.
     """
-    if tie is None:
-        tie = range(len(rows))
     if rims is None:
         rims = {}
     begin = alive if start is None else start
-    heap = [((rows[v] & alive).bit_count(), tie[v], v) for v in _bits(begin)]
+    heap = [((rows[v] & alive).bit_count(), v) for v in _bits(begin)]
     heapify(heap)
     order: list[int] = []
     while heap:
-        degree, _, v = heappop(heap)
+        degree, v = heappop(heap)
         # stale: v is gone, or a newer entry holds its lower degree
         if not alive >> v & 1 or (rows[v] & alive).bit_count() != degree:
             continue
@@ -407,7 +405,7 @@ def _greedy(
         order.append(v)
         alive ^= 1 << v
         for u in _bits(rows[v] & alive):
-            heappush(heap, ((rows[u] & alive).bit_count(), tie[u], u))
+            heappush(heap, ((rows[u] & alive).bit_count(), u))
     return alive, order
 
 

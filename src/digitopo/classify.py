@@ -25,8 +25,10 @@ sphere verdict at that dimension once asked. The walk stops at once at a
 cone (a vertex adjacent to all others), which is no surface: some rim of a
 cone is a cone again, down to one vertex, whose rim is empty. A d-sphere is
 a d-surface, so a sphere query asks the dimension first. Labels only name
-witnesses: the first vertex in label order whose rim (or, in a sphere test,
-whose deletion) fails, with the rims read off the same walk.
+witnesses: the first vertex in index order, which on a `Graph` is label
+order, whose rim (or, in a sphere test, whose deletion) fails, with the
+rims read off the same walk. The memo keeps a sphere verdict as that
+witness (None for a sphere): one computation, `_sphere_witness`.
 
 The deletion clause runs only after the rim clause has held, and is not
 reindexed: each ``G - v`` that no fact below answers (at d >= 3) is
@@ -98,8 +100,9 @@ KIND_SURFACE = "Surface"
 KIND_NONE = "None"
 
 # rows -> [surface dimension or None, rims' rows (see `_rim_rows`), sphere
-# verdict or None]
+# witness at that dimension (see `_sphere_witness`), or _UNASKED]
 _memo: dict[tuple[int, ...], list] = {}
+_UNASKED = -1
 
 
 def clear_caches() -> None:
@@ -130,10 +133,6 @@ class ClassificationVerdict:
 
 # ---------------------------------------------------------------------------
 # surfaces
-
-
-def _label_order(g: Graph) -> list[int]:
-    return sorted(range(g.order), key=g._labels.__getitem__)
 
 
 def _cycle(rows: tuple[int, ...], r: int) -> bool:
@@ -198,20 +197,16 @@ def _dimension(rows: tuple[int, ...]) -> Optional[int]:
                 if None in dims or len(dims) > 1:
                     break
         dim = dims.pop() + 1 if len(dims) == 1 and None not in dims else None
-        _memo_put(_memo, rows, [dim, rims, None])
+        _memo_put(_memo, rows, [dim, rims, _UNASKED])
     return _memo[rows][0]
 
 
-def _failing_rim(g: Graph, holds) -> Optional[int]:
-    """First vertex in label order whose rim fails ``holds(rows)``, or None;
-    a rim the walk of ``g`` did not build is built alone by `_rim_rows`,
-    when reached."""
-    rows = g._rows
-    rims = _memo[rows][1] if rows in _memo else []
-    for i in _label_order(g):
-        if not holds(rims[i] if i < len(rims) else _rim_rows(rows, rows[i])):
-            return i
-    return None
+def _rims(rows: tuple[int, ...]):
+    """Each vertex's rim rows, in index order: as the walk of ``rows`` built
+    them, or built alone by `_rim_rows` when reached."""
+    built = _memo[rows][1] if rows in _memo else []
+    for i, r in enumerate(rows):
+        yield built[i] if i < len(built) else _rim_rows(rows, r)
 
 
 def surface_dimension(g: Graph) -> Optional[int]:
@@ -270,15 +265,15 @@ def _rotated(
     return out
 
 
-def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
-    """First vertex in ``order`` whose deletion leaves a non-contractible
-    graph, or None. Every rim of ``rows`` must be a (d-1)-sphere.
+def _failing_deletion(rows: tuple[int, ...], d: int) -> Optional[int]:
+    """First vertex whose deletion leaves a non-contractible graph, or
+    None. Every rim of ``rows`` must be a (d-1)-sphere.
 
     For d = 1 the graph is a cycle when connected, and every deletion
     holds. For d = 2 every deletion holds when the graph is connected and
-    ``3V - E == 6`` (chi = 2), and none does otherwise, so the first vertex
-    of ``order`` is the witness. Both shortcuts test connectivity because
-    `is_n_sphere` comes here without testing it. For d >= 3 every deletion
+    ``3V - E == 6`` (chi = 2), and none does otherwise, so vertex 0 is the
+    witness. Both shortcuts test connectivity because `_sphere_witness`
+    comes here without testing it. For d >= 3 every deletion
     is decided on the parent rows, all of them share one rim table, seeded
     by `_seeded_rims`, and each greedy pass starts from the neighbors of
     the deleted vertex. The module docstring gives the five facts used
@@ -289,10 +284,10 @@ def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
         return None
     if d == 2:
         edges = sum(r.bit_count() for r in rows) // 2
-        return None if 3 * len(rows) - edges == 6 and connected(rows, full) else order[0]
+        return None if 3 * len(rows) - edges == 6 and connected(rows, full) else 0
     rims = _seeded_rims(rows)
     pending = full
-    for v in order:
+    for v in range(len(rows)):
         if not pending >> v & 1:
             continue
         pending ^= 1 << v
@@ -305,40 +300,40 @@ def _failing_deletion(rows: tuple[int, ...], order, d: int) -> Optional[int]:
     return None
 
 
-def _is_sphere(rows: tuple[int, ...], d: int) -> bool:
-    """Is ``rows`` a d-sphere? Its dimension comes first (see the module)."""
-    if d <= 0:
-        return d == 0 and len(rows) == 2 and not rows[0]
-    if _dimension(rows) != d:
-        return False
-    entry = _memo[rows]
-    if entry[2] is None:
-        entry[2] = (
-            all(_is_sphere(rim, d - 1) for rim in entry[1])
-            and _failing_deletion(rows, range(len(rows)), d) is None
-        )
+def _sphere_witness(rows: tuple[int, ...], d: int) -> Optional[int]:
+    """None when the non-empty ``rows`` are a d-sphere, else the first
+    vertex ``v`` whose rim is not a (d-1)-sphere or, every rim being one,
+    with ``G - v`` not contractible (vertex 0 at d = 0). The memo keeps the
+    answer at the graph's own dimension; any other is computed afresh."""
+    if d == 0:
+        return None if len(rows) == 2 and not rows[0] else 0
+    entry = _memo[rows] if _dimension(rows) == d else [None, [], _UNASKED]
+    if entry[2] == _UNASKED:
+        # a loop, not a generator expression: one frame less per dimension
+        for i, rim in enumerate(_rims(rows)):
+            if not _is_sphere(rim, d - 1):
+                break
+        else:
+            i = _failing_deletion(rows, d)
+        entry[2] = i
     return entry[2]
 
 
+def _is_sphere(rows: tuple[int, ...], d: int) -> bool:
+    """Is ``rows`` a d-sphere? Its dimension comes first (see the module)."""
+    return _dimension(rows) == d and _sphere_witness(rows, d) is None
+
+
 def is_n_sphere(g: Graph, n: int) -> ClassificationVerdict:
-    """Recognize a digital n-sphere: one pass in label order checks the rim
-    clause, then the deletion clause for every vertex, and names the witness."""
+    """Recognize a digital n-sphere, naming as the witness the first vertex
+    in label order whose rim or else whose deletion fails."""
     if n < 0:
         raise GraphError("sphere dimension must be >= 0")
-    if n == 0 or g.order == 0:
-        if _is_sphere(g._rows, n):
-            return ClassificationVerdict(KIND_SPHERE, n)
-        return ClassificationVerdict(KIND_NONE, None, min(g._labels, default=None))
-    rows = g._rows
-    # a verdict is kept only at the graph's own dimension
-    entry = _memo[rows] if _dimension(rows) == n else [None, [], False]
-    if not entry[2]:
-        i = _failing_rim(g, lambda r: _is_sphere(r, n - 1))
-        if i is None:
-            i = _failing_deletion(rows, _label_order(g), n)
-        entry[2] = i is None
-        if i is not None:
-            return ClassificationVerdict(KIND_NONE, None, g._labels[i])
+    if g.order == 0:
+        return ClassificationVerdict(KIND_NONE)
+    i = _sphere_witness(g._rows, n)
+    if i is not None:
+        return ClassificationVerdict(KIND_NONE, None, g._labels[i])
     return ClassificationVerdict(KIND_SPHERE, n)
 
 
@@ -347,8 +342,8 @@ def is_n_manifold(g: Graph, n: int) -> ClassificationVerdict:
     if n < 1:
         raise GraphError("manifold dimension must be >= 1")
     if not connected(g._rows, (1 << g.order) - 1):
-        return ClassificationVerdict(KIND_NONE, None, min(g.vertices, default=None))
-    i = _failing_rim(g, lambda r: _is_sphere(r, n - 1))
+        return ClassificationVerdict(KIND_NONE, None, g._labels[0] if g.order else None)
+    i = next((i for i, r in enumerate(_rims(g._rows)) if not _is_sphere(r, n - 1)), None)
     if i is not None:
         return ClassificationVerdict(KIND_NONE, None, g._labels[i])
     return ClassificationVerdict(KIND_MANIFOLD, n)
@@ -399,9 +394,8 @@ def classify(g: Graph, dimension: Optional[int] = None) -> ClassificationVerdict
     if d is None:
         # every rim a surface: the graph is disconnected (adjacent vertices
         # then have rims of one dimension), named by its smallest label
-        i = _failing_rim(g, lambda r: _dimension(r) is not None)
-        witness = min(g._labels, default=None) if i is None else g._labels[i]
-        return ClassificationVerdict(KIND_NONE, None, witness)
+        i = next((i for i, r in enumerate(_rims(g._rows)) if _dimension(r) is None), 0)
+        return ClassificationVerdict(KIND_NONE, None, g._labels[i] if g.order else None)
     sphere = is_n_sphere(g, d)
     if d == 0 or sphere.ok:
         return sphere

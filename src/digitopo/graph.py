@@ -7,10 +7,16 @@ set exactly when vertices ``i`` and ``j`` are adjacent, and an integer mask
 of the vertices in play. A labelled :class:`Graph` is built only at the API
 boundary, from a final mask or a single row edit. Graphs are values: no
 operation mutates its input, so shared graphs are safe under concurrency.
+
+A :class:`Graph` has one vertex order, whatever order its vertices were
+listed in: vertex ``i`` is the ``i``-th smallest label. So every tie-break
+by index is one by label, equal graphs have equal rows, and vertices,
+edges, neighbors and components come out in label order with no sort.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernels as kernels
@@ -25,14 +31,22 @@ class Graph:
     """A finite simple undirected graph over string labels.
 
     Construct through :func:`build_graph`, which validates input. Instances
-    are immutable; transformations elsewhere return new graphs.
+    are immutable; transformations elsewhere return new graphs. Labels in
+    another order than sorted are sorted, and ``rows`` permuted to match.
     """
 
     __slots__ = ("_labels", "_index", "_rows")
 
     def __init__(self, labels: tuple[str, ...], rows: tuple[int, ...]):
-        self._labels = labels
-        self._index = {lab: i for i, lab in enumerate(labels)}
+        order = tuple(sorted(labels))
+        self._index = {lab: i for i, lab in enumerate(order)}
+        if order != labels:
+            new = [self._index[lab] for lab in labels]
+            moved = [0] * len(rows)
+            for i, r in enumerate(rows):
+                moved[new[i]] = sum(1 << new[j] for j in _bits(r))
+            rows = tuple(moved)
+        self._labels = order
         self._rows = rows
 
     # -- basic queries ------------------------------------------------------
@@ -61,19 +75,18 @@ class Graph:
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         i = self._require(v)
-        return tuple(sorted(self._labels[j] for j in _bits(self._rows[i])))
+        return tuple(self._labels[j] for j in _bits(self._rows[i]))
 
     def degree(self, v: str) -> int:
         return self._rows[self._require(v)].bit_count()
 
     def edges(self) -> tuple[tuple[str, str], ...]:
-        labels, out = self._labels, []
-        for i, r in enumerate(self._rows):
-            a = labels[i]
-            for j in _bits(r >> (i + 1) << (i + 1)):
-                b = labels[j]
-                out.append((a, b) if a < b else (b, a))
-        return tuple(sorted(out))
+        labels = self._labels
+        return tuple(
+            (labels[i], labels[j])
+            for i, r in enumerate(self._rows)
+            for j in _bits(r >> (i + 1) << (i + 1))
+        )
 
     def _require(self, v: str) -> int:
         i = self._index.get(v)
@@ -86,10 +99,10 @@ class Graph:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return set(self._labels) == set(other._labels) and set(self.edges()) == set(other.edges())
+        return (self._labels, self._rows) == (other._labels, other._rows)
 
     def __hash__(self) -> int:
-        return hash((frozenset(self._labels), frozenset(self.edges())))
+        return hash((self._labels, self._rows))
 
     def __repr__(self) -> str:
         return f"Graph({self.order} vertices, {self.size} edges)"
@@ -184,10 +197,9 @@ def _induced_mask(g: Graph, mask: int) -> Graph:
 # ---------------------------------------------------------------------------
 # row edits
 #
-# The one-row or two-bit edits behind the contractible transformations. Each
-# keeps the existing vertex order and appends a new vertex last: the
-# witness orders of `_pure.decide` name vertices by index, so that order is
-# part of the contract.
+# The one-row or two-bit edits behind the contractible transformations. A
+# new vertex goes in at its label's rank, and the vertices above it move up
+# one index.
 
 
 def _without_vertex(g: Graph, i: int) -> Graph:
@@ -195,14 +207,14 @@ def _without_vertex(g: Graph, i: int) -> Graph:
 
 
 def _with_vertex(g: Graph, v: str, rim_mask: int) -> Graph:
-    """Append the fresh label ``v`` adjacent to the vertices of ``rim_mask``."""
+    """Insert the fresh label ``v``, adjacent to the vertices of
+    ``rim_mask``, at its rank in label order."""
     _check_label(v)
-    bit = 1 << g.order
-    rows = list(g._rows)
-    for i in _bits(rim_mask):
-        rows[i] |= bit
-    rows.append(rim_mask)
-    return Graph(g._labels + (v,), tuple(rows))
+    k = bisect_left(g._labels, v)
+    low = (1 << k) - 1
+    rows = [r & low | r >> k << (k + 1) | (rim_mask >> i & 1) << k for i, r in enumerate(g._rows)]
+    rows.insert(k, rim_mask & low | rim_mask >> k << (k + 1))
+    return Graph(g._labels[:k] + (v,) + g._labels[k:], tuple(rows))
 
 
 def _flip_edge(g: Graph, i: int, j: int) -> Graph:
@@ -216,6 +228,8 @@ def _flip_edge(g: Graph, i: int, j: int) -> Graph:
 def relabeled(g: Graph, mapping: Mapping[str, str]) -> Graph:
     """Rename vertices; labels missing from the map keep their names."""
     labels = tuple(mapping.get(lab, lab) for lab in g._labels)
+    for lab in labels:
+        _check_label(lab)
     if len(set(labels)) != len(labels):
         raise GraphError("relabeling collides")
     return Graph(labels, g._rows)
@@ -272,10 +286,8 @@ def is_connected(g: Graph) -> bool:
 
 
 def components(g: Graph) -> tuple[tuple[str, ...], ...]:
-    """Connected components as sorted label tuples, sorted by first label."""
+    """Connected components as label tuples, each and all in label order."""
     return tuple(
-        sorted(
-            tuple(sorted(g._labels[i] for i in _bits(mask)))
-            for mask in _component_masks(g._rows, (1 << g.order) - 1)
-        )
+        tuple(g._labels[i] for i in _bits(mask))
+        for mask in _component_masks(g._rows, (1 << g.order) - 1)
     )

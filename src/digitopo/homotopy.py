@@ -8,7 +8,7 @@ the Euler characteristic and homology of the graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 from typing import Any, Iterator, Optional, Union
 
 from . import _kernels as kernels
@@ -141,7 +141,7 @@ def is_contractible(g: Graph, return_trace: bool = False):
     """Exact decision: can simple-point deletions reduce ``g`` to one point?
 
     The kernel decides in three exact tiers. A greedy pass deletes simple
-    points in (degree, vertex order) order and answers True if it reaches
+    points in (degree, label) order and answers True if it reaches
     one vertex. Otherwise the stuck residue's Euler characteristic and
     integer homology are checked: deletions preserve homology, so anything
     but the homology of a point answers False. Only what remains gets the full
@@ -264,7 +264,7 @@ def reduce(g: Graph) -> tuple[Graph, HomotopyTrace]:
     Deterministic: each round removes the simple vertex with the smallest
     degree, ties broken by label order. The residue is homotopy equivalent
     to the input by construction. This is the kernel's greedy pass
-    (`_pure._greedy`) on the input's rows, with labels as the tie-break.
+    (`_pure._greedy`) on the input's rows, whose index order is label order.
     """
     return _reduce(g, None)
 
@@ -273,7 +273,7 @@ def _reduce(g: Graph, start: Optional[int]) -> tuple[Graph, HomotopyTrace]:
     """`reduce`, with the pass's start mask (see `_pure._greedy`): the
     caller vouches that every vertex outside ``start`` has a rim that is
     not contractible. None starts from every vertex."""
-    alive, order = _greedy(g._rows, (1 << g.order) - 1, g._labels, start=start)
+    alive, order = _greedy(g._rows, (1 << g.order) - 1, start=start)
     steps = tuple(DeletePoint(g._labels[i]) for i in order)
     return _induced_mask(g, alive), HomotopyTrace(steps)
 
@@ -311,14 +311,12 @@ def _search_moves(g: Graph) -> Iterator[tuple[Step, Graph, int]]:
     that reduces the new state may start from that mask (`_reduce`).
     """
     rows, labels = g._rows, g._labels
-    order = sorted(range(g.order), key=labels.__getitem__)
-    for k, i in enumerate(order):
-        for j in order[k + 1 :]:
-            # an empty common rim is never contractible
-            common = rows[i] & rows[j]
-            if common and kernels.contractible_on(rows, common):
-                step = DeleteEdge if rows[i] >> j & 1 else AttachEdge
-                yield step(labels[i], labels[j]), _flip_edge(g, i, j), common | 1 << i | 1 << j
+    for i, j in combinations(range(g.order), 2):
+        # an empty common rim is never contractible
+        common = rows[i] & rows[j]
+        if common and kernels.contractible_on(rows, common):
+            step = DeleteEdge if rows[i] >> j & 1 else AttachEdge
+            yield step(labels[i], labels[j]), _flip_edge(g, i, j), common | 1 << i | 1 << j
 
 
 def _bidirectional_connect(

@@ -9,9 +9,9 @@ from .graph import Graph, GraphError, build_graph
 
 
 def graph_to_obj(g: Graph) -> dict[str, Any]:
-    """JSON-ready object with sorted vertices and sorted edge pairs."""
+    """JSON-ready object with vertices and edge pairs in label order."""
     return {
-        "vertices": sorted(g.vertices),
+        "vertices": list(g.vertices),
         "edges": [list(e) for e in g.edges()],
     }
 
@@ -118,13 +118,10 @@ def _dot_label(v: str) -> str:
 
 def to_dot(g: Graph, name: str = "G") -> str:
     lines = [f"graph {name} {{"]
-    covered = set()
     for u, v in g.edges():
         lines.append(f"  {_dot_label(u)} -- {_dot_label(v)};")
-        covered.add(u)
-        covered.add(v)
-    for v in sorted(g.vertices):
-        if v not in covered:
+    for v in g.vertices:
+        if not g.degree(v):
             lines.append(f"  {_dot_label(v)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -51,8 +51,9 @@ def r_transform(m: Graph, u: str, v: str, x: str) -> tuple[Graph, RStep]:
     iu, iv = m._index[u], m._index[v]
     shared = m._rows[iu] & m._rows[iv]
     rim_mask = shared | (1 << iu) | (1 << iv)
-    rim_labels = tuple(sorted(m._labels[i] for i in _bits(rim_mask)))
-    out = _flip_edge(_with_vertex(m, x, rim_mask), iu, iv)
+    rim_labels = tuple(m._labels[i] for i in _bits(rim_mask))
+    # the edge goes first: inserting x may move u and v up one index
+    out = _with_vertex(_flip_edge(m, iu, iv), x, rim_mask)
     if out.order != m.order + 1 or out.size != m.size + shared.bit_count() + 1:
         raise AssertionError("edge-to-point replacement produced inconsistent counts")
     return out, RStep((u, v), x, rim_labels)

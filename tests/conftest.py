@@ -231,8 +231,9 @@ def all_labeled_graphs(n: int, prefix: str = "v"):
 
 
 def small_graphs_out_of_label_order(max_n: int = 5):
-    """Every labeled graph on at most max_n vertices, its vertex order the
-    reverse of label order, so index and label tie-breaks cannot coincide."""
+    """Every labeled graph on at most max_n vertices, built from a vertex
+    list in the reverse of label order, which `Graph` puts back in label
+    order: a tie-break that followed the list instead would show."""
     for n in range(max_n + 1):
         reverse = {f"v{i}": f"v{n - 1 - i}" for i in range(n)}
         for g in all_labeled_graphs(n):

@@ -1,5 +1,6 @@
 """Graph primitives: construction, rim/ball/edge-rim/join, canonical keys."""
 
+import itertools
 import random
 
 import pytest
@@ -28,8 +29,10 @@ from digitopo.graph import (
     is_connected,
     join,
     join_with_map,
+    relabeled,
     rim,
 )
+from digitopo.homotopy import is_contractible, reduce
 
 
 class TestBuildGraph:
@@ -58,6 +61,49 @@ class TestBuildGraph:
     def test_duplicate_edges_collapse(self):
         g = build_graph(["a", "b"], [("a", "b"), ("b", "a"), ("a", "b")])
         assert g.size == 1
+
+
+class TestOneVertexOrder:
+    """A graph holds its vertices in label order, whatever order they were
+    listed in, so its rows, its hash and its witnesses are the same."""
+
+    def test_relabeling_to_a_non_string_rejected(self):
+        g = build_graph(["a", "b"], [("a", "b")])
+        with pytest.raises(GraphError, match="strings"):
+            relabeled(g, {"a": 5})
+
+    def test_reversed_path(self):
+        edges = [("a", "b"), ("b", "c")]
+        g, h = build_graph(["c", "b", "a"], edges), build_graph(["a", "b", "c"], edges)
+        assert g.vertices == h.vertices == ("a", "b", "c")
+        assert g._rows == h._rows and hash(g) == hash(h)
+        assert is_contractible(g, return_trace=True) == is_contractible(h, return_trace=True)
+        assert is_contractible(g, return_trace=True) == (True, reduce(g)[1])
+
+    def test_shuffled_vertex_lists_build_one_graph(self):
+        rng = random.Random(28)
+        to_a_point = 0
+        for k in range(300):
+            n = 1 + k % 11
+            labels = [f"v{i}" for i in rng.sample(range(40), n)]
+            p = rng.choice((0.3, 0.5, 0.7))
+            edges = [e for e in itertools.combinations(labels, 2) if rng.random() < p]
+            builds = []
+            for _ in range(3):
+                rng.shuffle(labels)
+                rng.shuffle(edges)
+                builds.append(build_graph(labels, [e[::-1] if rng.random() < 0.5 else e for e in edges]))
+            g = builds[0]
+            assert g.vertices == tuple(sorted(labels))
+            traced = is_contractible(g, return_trace=True)
+            for h in builds[1:]:
+                assert h._rows == g._rows and hash(h) == hash(g) and h == g
+                assert is_contractible(h, return_trace=True) == traced
+            residue, trace = reduce(g)
+            if residue.order == 1:
+                assert traced == (True, trace)
+                to_a_point += 1
+        assert to_a_point > 50
 
 
 class TestRimBall:

@@ -160,7 +160,9 @@ class TestApplyTransformation:
 class TestStepResultsExhaustive:
     """Each step kind on every graph of at most 5 vertices yields exactly the
     graph build_graph makes from the expected lists, vertex order included:
-    witness traces name vertices by index, so the order is part of the contract."""
+    witness traces name vertices by index, so every graph, however made,
+    must hold its vertices in label order. An attached point's label
+    ("v1a") falls among the others."""
 
     @staticmethod
     def same(out, vertices, edges):
@@ -187,15 +189,15 @@ class TestStepResultsExhaustive:
                 seen.add("delete-point")
             for size in range(1, len(vs) + 1):
                 for rim_set in itertools.combinations(vs, size):
-                    step = AttachPoint("x", frozenset(rim_set))
+                    step = AttachPoint("v1a", frozenset(rim_set))
                     if not is_contractible(induced_subgraph(g, rim_set)):
                         with pytest.raises(TransformationError):
                             apply_transformation(g, step)
                         continue
                     self.same(
                         apply_transformation(g, step),
-                        vs + ["x"],
-                        es + [("x", w) for w in rim_set],
+                        vs + ["v1a"],
+                        es + [("v1a", w) for w in rim_set],
                     )
                     seen.add("attach-point")
             for u, v in itertools.combinations(vs, 2):

@@ -176,7 +176,7 @@ class TestContractibleKernel:
         proper mask the branch must name the caller's vertices: the dense
         search's branch mapped back through the mask's vertices."""
 
-        def stalled(rows, alive, tie=None, rims=None):
+        def stalled(rows, alive, rims=None):
             return alive, []
 
         kernels.clear_caches()
@@ -439,7 +439,7 @@ class TestEmbeddingInvariance:
         """With a greedy pass that deletes nothing, every contractible mask
         but a cone's reaches tier 3, and its order replays to one vertex."""
         monkeypatch.setattr(
-            _pure, "_greedy", lambda rows, alive, tie=None, rims=None, start=None: (alive, [])
+            _pure, "_greedy", lambda rows, alive, rims=None, start=None: (alive, [])
         )
         kernels.clear_caches()
         tier_3 = 0
@@ -573,17 +573,30 @@ def graphs_7_to_14_with_starts(draw):
             if draw(st.integers(0, 9)) < density:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    # string ties as `homotopy.reduce` passes them: labels whose order is
-    # not the index order ("v10" < "v2")
+    # labels whose order is not the index order ("v10" < "v2")
     labels = [f"v{i}" for i in draw(st.permutations(range(n)))]
     full = (1 << n) - 1
     starts = [None] + draw(st.lists(st.integers(0, full), max_size=4))
     return n, rows, labels, starts
 
 
+def in_label_order(rows, labels):
+    """The rows of ``Graph(labels, rows)``, whose indices follow label
+    order, and the index each vertex of ``rows`` moves to."""
+    g = Graph(tuple(labels), tuple(rows))
+    return g._rows, [g._index[lab] for lab in labels]
+
+
+def moved(mask, where):
+    return sum(1 << where[v] for v in _pure._bits(mask))
+
+
 class TestLazyGreedy:
     """The lazy pass deletes the same vertices in the same order as the
-    eager pass it replaced (`conftest.eager_greedy`)."""
+    eager pass it replaced (`conftest.eager_greedy`). On the rows of a
+    `Graph` its index tie-break is a label tie-break: relabeled so that
+    label order is some permutation of the indices, a graph reduces as the
+    eager pass does with that permutation as its tie-break."""
 
     def test_every_graph_up_to_6(self):
         for n in range(7):
@@ -594,22 +607,31 @@ class TestLazyGreedy:
         for n in range(5):
             for g in all_labeled_graphs(n):
                 for tie in itertools.permutations(range(n)):
-                    want = eager_greedy(n, g._rows, tie)
-                    assert _pure._greedy(*on_all(g), tie) == want, (g.edges(), tie)
+                    rows, where = in_label_order(g._rows, [f"w{t}" for t in tie])
+                    alive, order = eager_greedy(n, g._rows, tie)
+                    want = moved(alive, where), [where[v] for v in order]
+                    assert _pure._greedy(rows, (1 << n) - 1) == want, (g.edges(), tie)
 
     @settings(max_examples=300, deadline=None)
     @given(graphs_7_to_14_with_starts())
     def test_agrees_with_the_eager_pass(self, case):
         n, rows, labels, starts = case
+        by_label, where = in_label_order(rows, labels)
         rims: dict[int, bool] = {}
+        label_rims: dict[int, bool] = {}
         for start in starts:
             alive = (1 << n) - 1 if start is None else start
-            for tie in (None, labels):
-                want = eager_greedy(n, rows, tie, start)
-                assert _pure._greedy(rows, alive, tie) == want
-                assert _pure._greedy(rows, alive, tie, rims) == want
+            want = eager_greedy(n, rows, None, start)
+            assert _pure._greedy(rows, alive) == want
+            assert _pure._greedy(rows, alive, rims) == want
+            rest, order = eager_greedy(n, rows, labels, start)
+            want = moved(rest, where), [where[v] for v in order]
+            assert _pure._greedy(by_label, moved(alive, where)) == want
+            assert _pure._greedy(by_label, moved(alive, where), label_rims) == want
         for mask, verdict in rims.items():
             assert verdict == dense_oracle(rows, mask)
+        for mask, verdict in label_rims.items():
+            assert verdict == dense_oracle(by_label, mask)
 
     def test_reduce_keeps_the_eager_order_on_shells(self):
         from digitopo.covers import BoxCell
@@ -626,16 +648,16 @@ class TestLazyGreedy:
 
 
 def flipped_residues(graphs):
-    """``(rows, labels, start)`` for every vertex-pair flip of the `reduce`
-    residue of each graph: the start mask holds the pair and its common
-    neighbors, the only vertices whose rims the flip changed."""
+    """``(rows, start)`` for every vertex-pair flip of the `reduce` residue
+    of each graph: the start mask holds the pair and its common neighbors,
+    the only vertices whose rims the flip changed."""
     for g in graphs:
         residue, _ = reduce(g)
         for i, j in itertools.combinations(range(residue.order), 2):
             rows = list(residue._rows)
             rows[i] ^= 1 << j
             rows[j] ^= 1 << i
-            yield tuple(rows), residue._labels, rows[i] & rows[j] | 1 << i | 1 << j
+            yield tuple(rows), rows[i] & rows[j] | 1 << i | 1 << j
 
 
 def catalog_graphs():
@@ -651,11 +673,14 @@ class TestStartMask:
 
     def test_every_flip_of_every_catalog_residue(self):
         flips = 0
-        for rows, labels, start in flipped_residues(catalog_graphs()):
+        for rows, start in flipped_residues(catalog_graphs()):
             full = (1 << len(rows)) - 1
-            for tie in (None, labels):
-                want = _pure._greedy(rows, full, tie)
-                assert _pure._greedy(rows, full, tie, start=start) == want, (rows, start)
+            # and with the indices reversed, so ties fall the other way
+            n = len(rows)
+            reverse, where = in_label_order(rows, [f"u{n - i:03d}" for i in range(n)])
+            for rows, start in ((rows, start), (reverse, moved(start, where))):
+                want = _pure._greedy(rows, full)
+                assert _pure._greedy(rows, full, start=start) == want, (rows, start)
             flips += 1
         assert flips == 462
 
@@ -663,10 +688,10 @@ class TestStartMask:
     @given(graphs_7_to_14_with_starts())
     def test_every_flip_of_random_residues(self, case):
         n, rows, labels, _ = case
-        for rows, labels, start in flipped_residues([Graph(tuple(labels), tuple(rows))]):
+        for rows, start in flipped_residues([Graph(tuple(labels), tuple(rows))]):
             full = (1 << len(rows)) - 1
-            want = _pure._greedy(rows, full, labels)
-            assert _pure._greedy(rows, full, labels, start=start) == want, (rows, start)
+            want = _pure._greedy(rows, full)
+            assert _pure._greedy(rows, full, start=start) == want, (rows, start)
 
     def test_a_stuck_flip_tests_the_start_vertices_alone(self, monkeypatch):
         """When the flip makes no vertex simple, the pass tests the rim of
@@ -679,9 +704,9 @@ class TestStartMask:
 
         monkeypatch.setattr(_pure, "_simple", recording)
         stuck = 0
-        for rows, labels, start in flipped_residues(catalog_graphs()):
+        for rows, start in flipped_residues(catalog_graphs()):
             tested.clear()
-            if _pure._greedy(rows, (1 << len(rows)) - 1, labels, start=start)[1]:
+            if _pure._greedy(rows, (1 << len(rows)) - 1, start=start)[1]:
                 continue
             stuck += 1
             assert sorted(tested) == _pure._bits(start), (rows, start)

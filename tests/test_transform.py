@@ -51,19 +51,21 @@ class TestRTransform:
             assert not out.has_edge(u, v)
 
     def test_result_matches_build_graph_exhaustively(self):
-        # the new point is appended last; witness traces depend on that order
+        # the new point takes its label's place in label order: before,
+        # among or after the others, which then move up one index
         for g in small_graphs_out_of_label_order(5):
             vs = list(g.vertices)
             for u, v in g.edges():
-                out, step = r_transform(g, u, v, "x")
-                rim_set = {u, v} | (set(g.neighbors(u)) & set(g.neighbors(v)))
-                expected = build_graph(
-                    vs + ["x"],
-                    [e for e in g.edges() if set(e) != {u, v}] + [("x", w) for w in rim_set],
-                )
-                assert out.vertices == expected.vertices
-                assert set(out.edges()) == set(expected.edges())
-                assert step.rim_labels == tuple(sorted(rim_set))
+                for x in ("a", "v1a", "x"):
+                    out, step = r_transform(g, u, v, x)
+                    rim_set = {u, v} | (set(g.neighbors(u)) & set(g.neighbors(v)))
+                    expected = build_graph(
+                        vs + [x],
+                        [e for e in g.edges() if set(e) != {u, v}] + [(x, w) for w in rim_set],
+                    )
+                    assert out.vertices == expected.vertices
+                    assert set(out.edges()) == set(expected.edges())
+                    assert step.rim_labels == tuple(sorted(rim_set))
 
     def test_expansion_replays(self):
         g = octahedron()
