@@ -5,7 +5,9 @@ Micro rows call the kernel functions directly on graphs shaped like the
 package's real call sites (`canon_bytes` and `contractible_on` after
 clearing their memo tables); layer rows time `cubical_model` (a 2-D region,
 a 2-D hypersurface, a polyline and a 3-D sphere), `model_graph` (the
-sphere's and the region's models), cold-cache
+sphere's and the region's models), the growth loop of perfbench
+`recognize` (`_grown`: seeded edge-to-point replacements, each drawing
+from `Graph.edges()`) for each grown input below, cold-cache
 `classify` (grown spheres, a grown torus as a negative for the sphere
 clause, and the minimal 20-sphere, whose time is all rim walk), cold-cache
 `reduce` of 3-D sphere shells (the `digitize` hot path) and `homology` of
@@ -252,6 +254,14 @@ def layers():
         t = _time(lambda: model_graph(model))
         label = f"model_graph {label}, pitch {pitch}"
         print(f"{label:50s}{t * 1e3:>10.2f}ms{len(model.cubes):>10d} cubes")
+    # the growth loop alone, on the grown inputs of the classify rows below
+    for label, g, order in (
+        ("2-sphere", minimal_sphere(2), 120),
+        ("3-sphere", minimal_sphere(3), 60),
+        ("torus16", get("torus16").graph, 100),
+    ):
+        t = _time(lambda: _grown(g, order, 12))
+        print(f"{f'grow {label} to {order} vertices':50s}{t * 1e3:>10.2f}ms")
     # the torus is a negative for the sphere clause: every G - v fails; every
     # G - v of the minimal 20-sphere is a cone, so its deletion clause runs no
     # pass and the time is the rim walk

@@ -10,12 +10,14 @@ rim condition. It is one memoized walk, `_dimension`, on adjacency rows (see
 neighbors in it, and is connected; one walk around the cycle checks all
 three. It is a 2-sphere exactly when the rim of each of its vertices within
 it is a 1-sphere, it is connected and ``3V - E == 6`` (the Euler fact
-below; it stops at d = 2 for the reason given there). Such a rim is kept as
-the rows of the minimal sphere of its dimension, which answer every
-question the recognizers ask of a rim (its dimension, and whether it is a
-sphere of a given dimension) as the rim does. Any other rim is reindexed
-densely, by `subgraph_rows`, so the walk reindexes no rim of a 2- or
-3-manifold.
+below; it stops at d = 2 for the reason given there). The ring of a
+vertex w in the rim of v is the link of the edge vw, which the rim of w
+meets again, so the walk of one graph tests each ring once, in a table
+keyed by its mask. Such a rim is kept as the rows of the minimal sphere of
+its dimension, which answer every question the recognizers ask of a rim
+(its dimension, and whether it is a sphere of a given dimension) as the
+rim does. Any other rim is reindexed densely, by `subgraph_rows`, so the
+walk reindexes no rim of a 2- or 3-manifold.
 
 For each connected graph, keyed on its rows tuple (the key of the kernel's
 memo tables; its length is the vertex count) under the kernel's cap
@@ -155,28 +157,37 @@ def _cycle(rows: tuple[int, ...], r: int) -> bool:
     return step == n
 
 
-def _sphere_2(rows: tuple[int, ...], r: int) -> bool:
+def _sphere_2(rows: tuple[int, ...], r: int, links: Optional[dict[int, bool]] = None) -> bool:
     """Is the mask ``r`` a 2-sphere: the rim of each of its vertices within
     ``r`` a 1-sphere, ``r`` connected, and ``3V - E == 6`` (the Euler fact
-    of the module)?"""
+    of the module)? When ``r`` is the rim of a vertex v, the ring of w is
+    the link of the edge vw, met again from w's end; ``links`` keeps the
+    `_cycle` verdict of each ring mask, exact while ``rows`` stay fixed."""
+    if links is None:
+        links = {}
     twice_edges = 0
     for w in _bits(r):
         ring = rows[w] & r
-        if not _cycle(rows, ring):
+        ok = links.get(ring)
+        if ok is None:
+            ok = links[ring] = _cycle(rows, ring)
+        if not ok:
             return False
         twice_edges += ring.bit_count()
     return 6 * r.bit_count() - twice_edges == 12 and connected(rows, r)
 
 
-def _rim_rows(rows: tuple[int, ...], r: int) -> tuple[int, ...]:
+def _rim_rows(
+    rows: tuple[int, ...], r: int, links: Optional[dict[int, bool]] = None
+) -> tuple[int, ...]:
     """Rows that answer for the rim mask ``r`` in the walk: those of the
     minimal 0-, 1- or 2-sphere when ``r`` is one by the mask facts (see the
-    module), else ``r`` reindexed densely."""
+    module), else ``r`` reindexed densely. ``links`` goes to `_sphere_2`."""
     if r.bit_count() == 2 and not rows[(r & -r).bit_length() - 1] & r:
         return _SPHERE_ROWS[0]
     if _cycle(rows, r):
         return _SPHERE_ROWS[1]
-    if _sphere_2(rows, r):
+    if _sphere_2(rows, r, links):
         return _SPHERE_ROWS[2]
     return subgraph_rows(rows, r)
 
@@ -191,8 +202,10 @@ def _dimension(rows: tuple[int, ...]) -> Optional[int]:
         rims: list[tuple[int, ...]] = []
         dims: set[Optional[int]] = set()
         if not _cone(rows, full):
+            # each edge link is met from both ends of the edge: test it once
+            links: dict[int, bool] = {}
             for r in rows:
-                rims.append(_rim_rows(rows, r))
+                rims.append(_rim_rows(rows, r, links))
                 dims.add(_dimension(rims[-1]))
                 if None in dims or len(dims) > 1:
                     break

@@ -8,6 +8,15 @@ of the vertices in play. A labelled :class:`Graph` is built only at the API
 boundary, from a final mask or a single row edit. Graphs are values: no
 operation mutates its input, so shared graphs are safe under concurrency.
 
+A graph's edge tuple is computed at most once, on the first call of
+:meth:`Graph.edges`, and kept. The row edits behind the contractible
+transformations carry it: when the parent already holds its tuple, the
+child's is the parent's with one pair removed or a few inserted, so a
+growth loop that asks for the edges at every step pays for what the step
+changes. A graph whose edges nobody asks for never builds them. The lazy
+fill is the one write after construction; two threads that race on it
+compute the same tuple, and either one is kept, so sharing stays safe.
+
 A :class:`Graph` has one vertex order, whatever order its vertices were
 listed in: vertex ``i`` is the ``i``-th smallest label. So every tie-break
 by index is one by label, equal graphs have equal rows, and vertices,
@@ -16,7 +25,7 @@ edges, neighbors and components come out in label order with no sort.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernels as kernels
@@ -35,7 +44,7 @@ class Graph:
     another order than sorted are sorted, and ``rows`` permuted to match.
     """
 
-    __slots__ = ("_labels", "_index", "_rows")
+    __slots__ = ("_labels", "_index", "_rows", "_edges")
 
     def __init__(self, labels: tuple[str, ...], rows: tuple[int, ...]):
         order = tuple(sorted(labels))
@@ -48,6 +57,7 @@ class Graph:
             rows = tuple(moved)
         self._labels = order
         self._rows = rows
+        self._edges = None
 
     # -- basic queries ------------------------------------------------------
 
@@ -81,12 +91,20 @@ class Graph:
         return self._rows[self._require(v)].bit_count()
 
     def edges(self) -> tuple[tuple[str, str], ...]:
-        labels = self._labels
-        return tuple(
-            (labels[i], labels[j])
-            for i, r in enumerate(self._rows)
-            for j in _bits(r >> (i + 1) << (i + 1))
-        )
+        """Every edge ``(u, v)`` with ``u < v``, sorted by label pair.
+
+        Computed at most once per graph and then returned as is; the row
+        edits of the contractible transformations derive their result's
+        tuple from a parent that holds one (see the module)."""
+        edges = self._edges
+        if edges is None:
+            labels = self._labels
+            edges = self._edges = tuple(
+                (labels[i], labels[j])
+                for i, r in enumerate(self._rows)
+                for j in _bits(r >> (i + 1) << (i + 1))
+            )
+        return edges
 
     def _require(self, v: str) -> int:
         i = self._index.get(v)
@@ -142,6 +160,23 @@ def build_graph(vertices: Sequence[str], edges: Iterable[tuple[str, str]] = ()) 
     return Graph(labels, tuple(rows))
 
 
+def _sorted_graph(
+    labels: tuple[str, ...],
+    rows: tuple[int, ...],
+    index: dict[str, int] | None = None,
+    edges: tuple[tuple[str, str], ...] | None = None,
+) -> Graph:
+    """A graph on labels already in sorted order, built without
+    `Graph.__init__`'s sort; ``index`` and ``edges``, when given, must be
+    those of these labels and rows."""
+    g = Graph.__new__(Graph)
+    g._labels = labels
+    g._index = dict(zip(labels, range(len(labels)))) if index is None else index
+    g._rows = rows
+    g._edges = edges
+    return g
+
+
 def _check_label(lab) -> None:
     if not isinstance(lab, str):
         raise GraphError(f"vertex labels must be strings, got {lab!r}")
@@ -191,7 +226,7 @@ def _mask_of(g: Graph, labels: Iterable[str]) -> int:
 
 def _induced_mask(g: Graph, mask: int) -> Graph:
     labels = tuple(g._labels[i] for i in _bits(mask))
-    return Graph(labels, subgraph_rows(g._rows, mask))
+    return _sorted_graph(labels, subgraph_rows(g._rows, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +234,8 @@ def _induced_mask(g: Graph, mask: int) -> Graph:
 #
 # The one-row or two-bit edits behind the contractible transformations. A
 # new vertex goes in at its label's rank, and the vertices above it move up
-# one index.
+# one index. An edit carries its parent's edge tuple when the parent holds
+# one, by bisection, and leaves the child's empty otherwise.
 
 
 def _without_vertex(g: Graph, i: int) -> Graph:
@@ -212,9 +248,18 @@ def _with_vertex(g: Graph, v: str, rim_mask: int) -> Graph:
     _check_label(v)
     k = bisect_left(g._labels, v)
     low = (1 << k) - 1
-    rows = [r & low | r >> k << (k + 1) | (rim_mask >> i & 1) << k for i, r in enumerate(g._rows)]
+    rows = [r & low | r >> k << (k + 1) for r in g._rows]
+    for i in _bits(rim_mask):
+        rows[i] |= 1 << k
     rows.insert(k, rim_mask & low | rim_mask >> k << (k + 1))
-    return Graph(g._labels[:k] + (v,) + g._labels[k:], tuple(rows))
+    labels = g._labels
+    edges = g._edges
+    if edges is not None:
+        edges = list(edges)
+        for i in _bits(rim_mask):
+            insort(edges, (labels[i], v) if i < k else (v, labels[i]))
+        edges = tuple(edges)
+    return _sorted_graph(labels[:k] + (v,) + labels[k:], tuple(rows), edges=edges)
 
 
 def _flip_edge(g: Graph, i: int, j: int) -> Graph:
@@ -222,7 +267,16 @@ def _flip_edge(g: Graph, i: int, j: int) -> Graph:
     rows = list(g._rows)
     rows[i] ^= 1 << j
     rows[j] ^= 1 << i
-    return Graph(g._labels, tuple(rows))
+    edges = g._edges
+    if edges is not None:
+        pair = (g._labels[min(i, j)], g._labels[max(i, j)])
+        k = bisect_left(edges, pair)
+        if rows[i] >> j & 1:
+            edges = edges[:k] + (pair,) + edges[k:]
+        else:
+            edges = edges[:k] + edges[k + 1 :]
+    # the labels are the parent's, so is the index dict (no code mutates it)
+    return _sorted_graph(g._labels, tuple(rows), g._index, edges)
 
 
 def relabeled(g: Graph, mapping: Mapping[str, str]) -> Graph:

@@ -16,4 +16,5 @@ def test_bench_kernels_runs_every_section():
     lines = done.stdout.splitlines()
     for header in ("workload", "layer"):
         assert any(line.split() == [header, "time"] for line in lines), header
+    assert any(line.startswith("grow 2-sphere to 120 vertices") for line in lines)
     assert any(line.startswith("macro workload, cold caches:") for line in lines)

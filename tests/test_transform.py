@@ -5,10 +5,18 @@ import random
 import pytest
 
 from conftest import cycle_graph, octahedron, random_graph, small_graphs_out_of_label_order
-from digitopo.catalog import get
+from digitopo.catalog import get, names
 from digitopo.classify import is_n_manifold, is_n_sphere
-from digitopo.graph import GraphError, build_graph, canonical_key, edge_rim
-from digitopo.homotopy import apply_trace
+from digitopo.graph import Graph, GraphError, _without_vertex, build_graph, canonical_key, edge_rim
+from digitopo.homotopy import (
+    AttachEdge,
+    AttachPoint,
+    DeleteEdge,
+    DeletePoint,
+    TransformationError,
+    apply_trace,
+    apply_transformation,
+)
 from digitopo.invariants import euler_characteristic, homology, same_profile
 from digitopo.transform import fresh_label, r_transform
 
@@ -64,7 +72,7 @@ class TestRTransform:
                         [e for e in g.edges() if set(e) != {u, v}] + [(x, w) for w in rim_set],
                     )
                     assert out.vertices == expected.vertices
-                    assert set(out.edges()) == set(expected.edges())
+                    assert out.edges() == expected.edges()
                     assert step.rim_labels == tuple(sorted(rim_set))
 
     def test_expansion_replays(self):
@@ -107,3 +115,89 @@ class TestRTransform:
         assert is_n_manifold(g, 2).ok
         assert euler_characteristic(g) == 0
         assert homology(g).betti_q == (1, 2, 1)
+
+
+def _pair(rng: random.Random, g: Graph, adjacent: bool):
+    """A random vertex pair of ``g``, adjacent or not, read off the rows (so
+    the draw never asks ``g`` for its edges), or None when there is none."""
+    pairs = [
+        (g.vertices[i], g.vertices[j])
+        for i in range(g.order)
+        for j in range(i + 1, g.order)
+        if bool(g._rows[i] >> j & 1) == adjacent
+    ]
+    return rng.choice(pairs) if pairs else None
+
+
+def _random_edit(rng: random.Random, g: Graph, fresh: int) -> Graph | None:
+    """One seeded row edit of ``g``: an edge-to-point replacement, one of the
+    four homotopy steps through `apply_transformation`, or a bare vertex
+    deletion; None when the drawn edit does not apply. New labels start
+    with a letter drawn so that they land before, among or after the
+    others in label order."""
+    kind = rng.choice(["r", "del-point", "att-point", "del-edge", "att-edge", "without"])
+    label = f"{rng.choice('0aksvz')}n{fresh}"
+    try:
+        if kind == "r":
+            pair = _pair(rng, g, True)
+            return r_transform(g, *pair, label)[0] if pair else None
+        if kind == "del-point" and g.order > 1:
+            return apply_transformation(g, DeletePoint(rng.choice(g.vertices)))
+        if kind == "att-point" and g.order:
+            rim = rng.sample(g.vertices, rng.randint(1, min(3, g.order)))
+            return apply_transformation(g, AttachPoint(label, frozenset(rim)))
+        if kind in ("del-edge", "att-edge"):
+            pair = _pair(rng, g, kind == "del-edge")
+            step = DeleteEdge if kind == "del-edge" else AttachEdge
+            return apply_transformation(g, step(*pair)) if pair else None
+        if kind == "without" and g.order > 1:
+            return _without_vertex(g, rng.randrange(g.order))
+    except TransformationError:
+        pass
+    return None
+
+
+class TestEdgeTuple:
+    """A graph computes its edge tuple once, and the row edits carry it from
+    a parent that holds one: every carried tuple must equal the tuple
+    computed from scratch on the same labels and rows."""
+
+    @staticmethod
+    def scratch(g: Graph):
+        return Graph(g.vertices, g._rows).edges()
+
+    def chain(self, start: Graph, seed: int, warm: bool, steps: int = 14) -> Graph:
+        # a copy, so a cold chain starts from a graph that never built its edges
+        g = Graph(start.vertices, start._rows)
+        if warm:
+            g.edges()
+        rng = random.Random(seed)
+        for fresh in range(steps):
+            child = _random_edit(rng, g, fresh)
+            if child is None:
+                continue
+            if warm:
+                assert child.edges() == self.scratch(child), (seed, fresh)
+            else:
+                assert child._edges is None
+            g = child
+        assert g.edges() == self.scratch(g)
+        return g
+
+    def test_chains_on_the_catalog(self):
+        for k, name in enumerate(names()):
+            start = get(name).graph
+            for seed in range(3 * k, 3 * k + 3):
+                assert self.chain(start, seed, True) == self.chain(start, seed, False)
+
+    def test_chains_on_random_graphs(self):
+        rng = random.Random(29)
+        for seed in range(60):
+            start = random_graph(rng, rng.randint(1, 8), rng.choice([0.3, 0.5, 0.7]))
+            assert self.chain(start, seed, True) == self.chain(start, seed, False)
+
+    def test_edges_are_computed_once(self):
+        g = get("torus16").graph
+        assert g.edges() is g.edges()
+        out, _ = r_transform(g, *g.edges()[0], "x1")
+        assert out.edges() is out.edges()
