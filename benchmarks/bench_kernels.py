@@ -16,11 +16,13 @@ their residues, `homology` of a seeded random 20-vertex graph and
 79 columns), a cold `reduce` of the minimal 12-sphere, every residue and
 rim of which tier 2 refutes by its Euler characteristic, with its
 tracemalloc peak, tier 2 of contractibility on the dunce hat, a cold tier-3
-`decide` (the exact search, whose memo keeps refutations only) on the
-dunce hat, which has no simple point, so the search refutes its root at
-once, and on the dunce hat with pendant vertices at every 12th (4
-pendants) and every 8th (6 pendants) of its vertices, whose search visits
-one node per set of deleted pendants (each row prints its search nodes,
+`decide` (the exact search, which keys its refuted nodes by vertex mask
+and skips twin candidates) on the dunce hat, which has no simple point,
+so the search refutes its root at once, on the dunce hat with pendant
+vertices at every 12th (4 pendants) and every 8th (6 pendants) of its
+vertices, whose search visits one node per set of deleted pendants, and
+on the dunce hat with 12 twin pendants at one vertex, whose search visits
+one node per number of deleted pendants (each row prints its search nodes,
 the calls of `_pure._greedy_order`, its calls of `contractible_on`,
 nested rims included, and the canonical forms it computed, the calls of
 `_pure._canon_dense`), a cold `homotopy_equivalent` of `torus16` against
@@ -322,6 +324,7 @@ def layers():
         ("49-vertex dunce hat", hat),
         ("dunce hat with 4 pendants", pendant_dunce_hat(4, 12)),
         ("dunce hat with 6 pendants", pendant_dunce_hat(6, 8)),
+        ("dunce hat with 12 twin pendants", pendant_dunce_hat(1, 12, 12)),
     ):
 
         def cold_decide():

@@ -8,7 +8,8 @@ and a mask of the vertices whose induced subgraph is asked about
     canon_bytes(rows, mask)     exact canonical form of the induced subgraph,
                                 memoized on its dense rows tuple (the key of
                                 the contractibility memo too; for the whole
-                                graph, ``rows`` as they are)
+                                graph, ``rows`` as they are); no
+                                contractibility decision asks for one
     decide(rows, alive)         the one contractibility decision, on one
                                 rim table: (verdict, tier 1-3, deletion
                                 order), the order a witness to one vertex

@@ -8,15 +8,15 @@ vertex indices. Python integers make this work for any vertex count.
 Everything is deterministic and every verdict is exact. Contractibility is
 decided by one function on a vertex mask, `decide`, in three tiers (greedy
 deletion, homology of the stuck residue, exact search) and memoized in one
-table under two kinds of exact keys: the input rows, and the canonical
-forms of the exact search's refuted nodes. A cached verdict is always safe
-to reuse. A True verdict of `decide` comes with a deletion order to one
-vertex, the first successful branch of the exact search (a cone's order
-is empty). Rim tests go through one function, `_simple`, which reads a
-table of rim verdicts keyed on the rim mask, one table per decision, in
-front of that memo. Canonical forms are memoized in a second table, on
-the same keys (a graph's dense rows tuple, its length the vertex count),
-so no graph is canonicalized twice while the tables last.
+table keyed by the dense rows of each decided graph, an exact key. A
+cached verdict is always safe to reuse. A True verdict of `decide` comes
+with a deletion order to one vertex, the first successful branch of the
+exact search (a cone's order is empty). Rim tests go through one
+function, `_simple`, which reads a table of rim verdicts keyed on the rim
+mask, one table per decision, in front of that memo. Canonical forms are
+memoized in a second table, on the same keys (a graph's dense rows tuple,
+its length the vertex count), so no graph is canonicalized twice while
+the tables last; no decision computes one.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ BACKEND = "pure"
 _EMPTY_KEY = (0).to_bytes(2, "big") + b"\x00"
 
 # Contractibility memo. Keys are exact: the dense rows tuple of every
-# decided graph (label-dependent, but far cheaper than a canonical form), and
-# canonical bytes for the refuted nodes of the exact search (a contractible
-# node is searched again for its branch). The canonical-form memo beside it
-# maps the same rows tuples to their canonical bytes. The cap guards
-# unbounded growth on adversarial workloads; clearing is always sound.
+# decided graph (label-dependent, but far cheaper than a canonical form).
+# The canonical-form memo beside it maps the same rows tuples to their
+# canonical bytes. The cap guards unbounded growth on adversarial
+# workloads; clearing is always sound.
 _MEMO_CAP = 1_000_000
-_contractible: dict[object, bool] = {}
+_contractible: dict[tuple[int, ...], bool] = {}
 _canon: dict[tuple[int, ...], bytes] = {}
 
 
@@ -115,6 +114,12 @@ def subgraph_rows(rows, mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _twins(rows, mask: int, u: int, v: int) -> bool:
+    """Do ``u`` and ``v`` have the same neighbors in ``mask`` besides each
+    other? Then swapping them is an automorphism of the induced subgraph."""
+    return not (rows[u] ^ rows[v]) & mask & ~(1 << u | 1 << v)
+
+
 def _cone(rows, mask: int) -> bool:
     """Is some vertex of ``mask`` adjacent to all the others in it?"""
     rest = mask
@@ -133,15 +138,14 @@ def _cone(rows, mask: int) -> bool:
 # lexicographically smallest packed upper-triangle adjacency over all leaves
 # of the refinement tree. Branch choices depend only on isomorphism-invariant
 # data (degree groups, neighbor-count buckets), so the minimum is invariant.
-# Exactness matters: these bytes key every memo table in the package.
+# Exactness matters: these bytes key the equivalence search's states.
 #
 # `canon_bytes` is the one entry: it reindexes the mask densely and looks
 # the dense rows up in `_canon`, so a graph reached again under another
 # mask or in another `Graph` (the same residue from different moves of an
-# equivalence search, the same node on different paths of the exact search)
-# costs a reindex (none for a whole graph). A miss runs the refinement
-# tree, `_canon_dense`; the components of a disconnected graph go back
-# through the entry.
+# equivalence search) costs a reindex (none for a whole graph). A miss
+# runs the refinement tree, `_canon_dense`; the components of a
+# disconnected graph go back through the entry.
 
 
 def _refine(rows, cells: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -245,10 +249,7 @@ def _canon_dense(rows: tuple[int, ...]) -> bytes:
         cell = cells[target]
         branched: list[int] = []
         for v in cell:
-            if any(
-                rows[u] == rows[v] or rows[u] ^ rows[v] == (1 << u) | (1 << v)
-                for u in branched
-            ):
+            if any(_twins(rows, mask, u, v) for u in branched):
                 continue
             branched.append(v)
             rest = tuple(w for w in cell if w != v)
@@ -298,9 +299,9 @@ def _canon_dense(rows: tuple[int, ...]) -> bytes:
 # once and otherwise decides the rim densely reindexed, so the rows-keyed
 # memo behind the table still hits when a rim recurs under a different
 # mask: translated copies of a rim in `reduce`, equal rims of different
-# search states in `homotopy_equivalent`. Canonical forms key only the
-# refuted nodes of the exact search; a node reached on several paths reads
-# its form from `_canon`.
+# search states in `homotopy_equivalent`. The exact search keys its nodes
+# by mask, in a set local to the search, and skips twin candidates; no
+# decision computes a canonical form.
 
 
 def contractible_on(rows, mask: int) -> bool:
@@ -435,32 +436,33 @@ def _exact(rows, alive: int, rims: dict[int, bool]) -> list[int] | None:
     delete its simple points in greedy order. A child that the greedy pass
     reduces to a point proves its parent: the vertices deleted from the
     root down to the child, then its greedy order, are the branch. Any
-    other child becomes a node unless the memo holds its canonical form,
-    which it does for refuted nodes only: a contractible node has to be
-    searched again to give up its branch. Children skip tier 2: deleting a
-    simple point preserves homology, so every node has the homology of the
-    root.
+    other child becomes a node unless the search has refuted its mask
+    already (the rows are fixed, so the mask is an exact key); a
+    contractible node is never kept, since it ends the search. A candidate
+    that is a twin (see `_twins`) of a simple point already tried at the
+    node is skipped: swapping the two is an automorphism of the node, so
+    the two children are isomorphic and the first was refuted. Children
+    skip tier 2: deleting a simple point preserves homology, so every node
+    has the homology of the root.
     """
-    key = canon_bytes(rows, alive)
-    if key in _contractible:
-        return None
-    # (canonical key, vertex deleted from the parent node, mask, candidates)
-    stack = [(key, -1, alive, iter(_greedy_order(rows, alive)))]
+    refuted: set[int] = set()
+    # (vertex deleted from the parent node, mask, candidates, simple ones tried)
+    stack = [(-1, alive, iter(_greedy_order(rows, alive)), [])]
     while stack:
-        key, _, node, candidates = stack[-1]
+        _, node, candidates, tried = stack[-1]
         for v in candidates:
-            if not _simple(rows, v, node, rims):
+            if any(_twins(rows, node, u, v) for u in tried) or not _simple(rows, v, node, rims):
                 continue
+            tried.append(v)
             child = node ^ (1 << v)
             rest, order = _greedy(rows, child, rims=rims)
             if not rest & (rest - 1):
-                return [frame[1] for frame in stack[1:]] + [v] + order
-            ckey = canon_bytes(rows, child)
-            if ckey not in _contractible:
-                stack.append((ckey, v, child, iter(_greedy_order(rows, child))))
+                return [frame[0] for frame in stack[1:]] + [v] + order
+            if child not in refuted:
+                stack.append((v, child, iter(_greedy_order(rows, child)), []))
                 break
         else:
-            _memo_put(_contractible, key, False)
+            refuted.add(node)
             stack.pop()
     return None
 

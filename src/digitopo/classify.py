@@ -282,22 +282,23 @@ def _failing_deletion(rows: tuple[int, ...], d: int) -> Optional[int]:
     """First vertex whose deletion leaves a non-contractible graph, or
     None. Every rim of ``rows`` must be a (d-1)-sphere.
 
-    For d = 1 the graph is a cycle when connected, and every deletion
-    holds. For d = 2 every deletion holds when the graph is connected and
-    ``3V - E == 6`` (chi = 2), and none does otherwise, so vertex 0 is the
-    witness. Both shortcuts test connectivity because `_sphere_witness`
-    comes here without testing it. For d >= 3 every deletion
+    A disconnected graph fails at vertex 0: every component holds more
+    than one vertex, so ``G - 0`` is disconnected too. A connected one is
+    a cycle for d = 1, and every deletion holds. For d = 2 every deletion
+    holds when ``3V - E == 6`` (chi = 2), and none does otherwise, so
+    vertex 0 is the witness. For d >= 3 every deletion
     is decided on the parent rows, all of them share one rim table, seeded
     by `_seeded_rims`, and each greedy pass starts from the neighbors of
     the deleted vertex. The module docstring gives the five facts used
     here, and why the d = 2 formula does not extend to d >= 3.
     """
     full = (1 << len(rows)) - 1
-    if d == 1 and connected(rows, full):
+    if not connected(rows, full):
+        return 0
+    if d == 1:
         return None
     if d == 2:
-        edges = sum(r.bit_count() for r in rows) // 2
-        return None if 3 * len(rows) - edges == 6 and connected(rows, full) else 0
+        return None if 3 * len(rows) - sum(r.bit_count() for r in rows) // 2 == 6 else 0
     rims = _seeded_rims(rows)
     pending = full
     for v in range(len(rows)):

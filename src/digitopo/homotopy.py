@@ -146,9 +146,9 @@ def is_contractible(g: Graph, return_trace: bool = False):
     integer homology are checked: deletions preserve homology, so anything
     but the homology of a point answers False. Only what remains gets the full
     backtracking search. All tiers share one table of rim verdicts.
-    `contractible_on` memoizes verdicts on the exact adjacency rows, the
-    search its refuted nodes on canonical forms. The empty graph is not
-    contractible.
+    `contractible_on` memoizes verdicts on the exact adjacency rows; the
+    search keeps its refuted nodes as vertex masks and computes no
+    canonical form. The empty graph is not contractible.
 
     With ``return_trace=True`` returns ``(bool, HomotopyTrace | None)`` where
     the trace replays the witnessing deletions: the greedy order when the

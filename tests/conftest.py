@@ -74,13 +74,15 @@ def dunce_hat() -> Graph:
     return _glued_nine_gon(["1", "2", "3", "1", "2", "3", "1", "3", "2"])
 
 
-def pendant_dunce_hat(k: int, step: int) -> Graph:
-    """The dunce hat with ``k`` pendant vertices, hung at every ``step``-th
-    hat vertex. Each pendant is a simple point, so the exact search visits
-    one node per set of deleted pendants before it refutes the graph."""
+def pendant_dunce_hat(k: int, step: int, twins: int = 1) -> Graph:
+    """The dunce hat with ``twins`` pendant vertices at each of ``k`` hat
+    vertices, every ``step``-th one. Each pendant is a simple point, so the
+    exact search visits one node per set of deleted pendants before it
+    refutes the graph, up to swaps of pendants at the same vertex, which
+    are twins."""
     hat = dunce_hat()
-    pendants = tuple(f"p{i}" for i in range(k))
-    hung = tuple(zip(pendants, hat.vertices[::step]))
+    pendants = tuple(f"p{i}" for i in range(k * twins))
+    hung = tuple((p, hat.vertices[::step][i // twins]) for i, p in enumerate(pendants))
     return build_graph(hat.vertices + pendants, hat.edges() + hung)
 
 

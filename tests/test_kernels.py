@@ -545,18 +545,62 @@ class TestCanonMemo:
             assert _pure.canon_bytes(*on_all(g)) == canon_oracle(*on_all(g)), g.edges()
             assert len(_pure._canon) <= 3
 
-    def test_cold_decide_canonicalizes_no_dense_graph_twice(self, cold, monkeypatch):
+    def test_cold_decide_computes_no_canonical_form(self, cold, monkeypatch):
         """The exact search on the dunce hat with 4 pendants reaches its 16
-        nodes on several paths each: without the memo it computes 33 forms."""
-        real, computed = _pure._canon_dense, []
-
-        def counting(rows):
-            computed.append(rows)
-            return real(rows)
-
-        monkeypatch.setattr(_pure, "_canon_dense", counting)
+        nodes on several paths each, and keys them by vertex mask."""
+        computed = []
+        monkeypatch.setattr(_pure, "_canon_dense", computed.append)
         assert _pure.decide(*on_all(pendant_dunce_hat(4, 12)))[:2] == (False, 3)
-        assert len(computed) == len(set(computed)) == 16
+        assert computed == []
+
+
+def swap_is_automorphism(rows, mask, u, v):
+    """Brute force: does swapping ``u`` and ``v`` keep every adjacency of
+    the subgraph induced on ``mask`` and the two?"""
+    swap = list(range(len(rows)))
+    swap[u], swap[v] = v, u
+    inside = _pure._bits(mask | 1 << u | 1 << v)
+    return all(
+        rows[a] >> b & 1 == rows[swap[a]] >> swap[b] & 1 for a in inside for b in inside
+    )
+
+
+class TestExactSearchKeys:
+    """The exact search keys its nodes by vertex mask, which is exact on
+    fixed rows, and skips a candidate that is a twin of a simple point
+    already tried at the node. `test_agrees_with_exact_search` checks its
+    branches against a search keyed by canonical forms."""
+
+    @pytest.mark.parametrize("hubs, twins, nodes", [(1, 12, 13), (4, 2, 81)])
+    def test_twin_pendants_are_searched_once(self, cold, monkeypatch, hubs, twins, nodes):
+        """12 twin pendants at one hat vertex give one node per number of
+        pendants deleted (4,096 nodes without the twin skip); 4 twin pairs
+        give 3^4 (256 without)."""
+        real, count = _pure._greedy_order, []
+
+        def counting(rows, mask):
+            count.append(mask)
+            return real(rows, mask)
+
+        monkeypatch.setattr(_pure, "_greedy_order", counting)
+        assert _pure.decide(*on_all(pendant_dunce_hat(hubs, 12, twins)))[:2] == (False, 3)
+        assert len(count) == len(set(count)) == nodes
+
+    @pytest.mark.parametrize("args", [(4, 12), (6, 8), (1, 12, 12), (4, 12, 2)])
+    def test_decide_never_asks_for_a_canonical_form(self, cold, monkeypatch, args):
+        def refuse(rows, mask):
+            raise AssertionError("canon_bytes reached")
+
+        monkeypatch.setattr(_pure, "canon_bytes", refuse)
+        assert _pure.decide(*on_all(pendant_dunce_hat(*args)))[:2] == (False, 3)
+
+    def test_twins_is_a_swap_automorphism_up_to_5(self):
+        for n in range(6):
+            for g in all_labeled_graphs(n):
+                for u, v in itertools.combinations(range(n), 2):
+                    for mask in range(1 << n):
+                        want = swap_is_automorphism(g._rows, mask, u, v)
+                        assert _pure._twins(g._rows, mask, u, v) == want, (g.edges(), mask, u, v)
 
 
 # ---------------------------------------------------------------------------
