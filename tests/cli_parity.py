@@ -11,6 +11,13 @@ shuffled order, and labels like ``v3`` and ``v12`` sort differently as
 strings and as numbers, so an output that leaks the input order or the
 numeric order shows up as a changed digest.
 
+Each graph also gets four `replay` cases, whose digests cover the trace
+file they replay as well as both runs: the graph's own `reduce` trace; a
+seeded walk of accepted steps of all four kinds, whose new labels sort
+before, among and after the others; that walk's `invert_trace`, replayed
+on the walk's target; and the walk with a rejected step inserted, which
+fails there (exit 1, ``step i: ...``).
+
 `tests/test_parity.py` checks the recorded digests. A change that must keep
 the CLI output byte-identical leaves them as they are; re-record them only
 for a change meant to alter the output:
@@ -111,6 +118,74 @@ def _commands(name: str, k: int) -> list[list[str]]:
     ]
 
 
+def _fresh_label(rng: random.Random, vertices, k: int) -> str:
+    """A new label that sorts before every label, just after a drawn one,
+    or after every label (all labels here start with a letter or digit)."""
+    return rng.choice(("+x", f"{rng.choice(vertices)}~", "zx")) + str(k)
+
+
+def _random_step(rng: random.Random, g, k: int, names):
+    """One drawn step on ``g``, whether or not it is accepted; ``names`` are
+    the labels its existing vertices are drawn from."""
+    from digitopo.homotopy import AttachEdge, AttachPoint, DeleteEdge, DeletePoint
+
+    kind = rng.choice(("delete-point", "attach-point", "delete-edge", "attach-edge"))
+    if kind == "delete-point":
+        return DeletePoint(rng.choice(names))
+    if kind == "attach-point" or len(names) < 2:
+        rim = rng.sample(names, rng.randint(1, min(3, len(names))))
+        return AttachPoint(_fresh_label(rng, g.vertices, k), frozenset(rim))
+    if kind == "delete-edge" and g.size and rng.random() < 0.8:
+        return DeleteEdge(*rng.choice(g.edges()))
+    u, v = rng.sample(names, 2)
+    return (DeleteEdge if kind == "delete-edge" else AttachEdge)(u, v)
+
+
+def _walk(rng: random.Random, g, length: int = 8):
+    """A trace of up to ``length`` accepted steps from ``g``, and its target."""
+    from digitopo.homotopy import HomotopyTrace, TransformationError, apply_transformation
+
+    steps: list = []
+    for k in range(4 * length):
+        if len(steps) == length:
+            break
+        step = _random_step(rng, g, k, list(g.vertices))
+        try:
+            g = apply_transformation(g, step)
+        except TransformationError:
+            continue
+        steps.append(step)
+    return HomotopyTrace(tuple(steps)), g
+
+
+def _perturbed(rng: random.Random, g, walk):
+    """``walk`` with a step that is rejected at a drawn position inserted."""
+    from digitopo.homotopy import DeletePoint, HomotopyTrace, TransformationError, apply_trace, apply_transformation
+
+    at = rng.randint(0, len(walk))
+    here = apply_trace(g, HomotopyTrace(walk.steps[:at]))
+    bad = DeletePoint("absent")
+    for k in range(40):
+        step = _random_step(rng, here, 100 + k, [*here.vertices, "absent"])
+        try:
+            apply_transformation(here, step)
+        except TransformationError:
+            bad = step
+            break
+    return HomotopyTrace(walk.steps[:at] + (bad,) + walk.steps[at:])
+
+
+def _replays(rng: random.Random, g):
+    """``(kind, start graph, trace)`` of the four replay cases on ``g``."""
+    from digitopo.homotopy import invert_trace, reduce
+
+    walk, target = _walk(rng, g)
+    yield "reduce", g, reduce(g)[1]
+    yield "walk", g, walk
+    yield "inverse", target, invert_trace(g, walk)
+    yield "perturbed", g, _perturbed(rng, g, walk)
+
+
 def _run(argv: list[str]) -> list:
     from digitopo.cli import main
 
@@ -139,8 +214,9 @@ def digests(workdir: Path) -> dict[str, str]:
     written to ``workdir``. Both caches are cleared before each graph, as a
     fresh CLI process starts."""
     from digitopo import _kernels, classify
+    from digitopo.graph import build_graph
 
-    rng = random.Random(SEED + 1)
+    rng, replay_rng = random.Random(SEED + 1), random.Random(SEED + 2)
     out: dict[str, str] = {}
     with _one_parser():
         for k, (name, vertices, edges) in enumerate(_graphs()):
@@ -154,6 +230,19 @@ def digests(workdir: Path) -> dict[str, str]:
                 runs = [_run(pretty + cmd[:1] + [str(p)] + cmd[1:]) for p in paths]
                 blob = json.dumps(runs).replace(str(workdir), "<dir>")
                 out[f"{name}/{' '.join(cmd)}"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
+            for kind, start, trace in _replays(replay_rng, build_graph(vertices, edges)):
+                graph_paths = paths
+                if kind == "inverse":
+                    graph_paths = [workdir / f"{name}.target.json", workdir / f"{name}.target.txt"]
+                    target = (start.vertices, start.edges())
+                    graph_paths[0].write_text(_json_text(replay_rng, *target), encoding="utf-8")
+                    graph_paths[1].write_text(_edge_text(replay_rng, *target, False), encoding="utf-8")
+                trace_path = workdir / f"{name}.{kind}.trace.json"
+                trace_text = json.dumps(trace.to_obj())
+                trace_path.write_text(trace_text, encoding="utf-8")
+                runs = [_run(pretty + ["replay", str(p), str(trace_path)]) for p in graph_paths]
+                blob = json.dumps([trace_text, runs]).replace(str(workdir), "<dir>")
+                out[f"{name}/replay {kind}"] = hashlib.sha256(blob.encode()).hexdigest()[:16]
     return out
 
 
