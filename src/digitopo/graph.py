@@ -5,17 +5,17 @@ reduction, contractible transformations, rim and deletion tests) work on
 the row form only: dense indices, ``rows[i]`` an integer whose bit ``j`` is
 set exactly when vertices ``i`` and ``j`` are adjacent, and an integer mask
 of the vertices in play. A labelled :class:`Graph` is built only at the API
-boundary, from a final mask or a single row edit. Graphs are values: no
+boundary, from a final mask or final rows. Graphs are values: no
 operation mutates its input, so shared graphs are safe under concurrency.
 
 A graph's edge tuple is computed at most once, on the first call of
-:meth:`Graph.edges`, and kept. The row edits behind the contractible
-transformations carry it: when the parent already holds its tuple, the
-child's is the parent's with one pair removed or a few inserted, so a
-growth loop that asks for the edges at every step pays for what the step
-changes. A graph whose edges nobody asks for never builds them. The lazy
-fill is the one write after construction; two threads that race on it
-compute the same tuple, and either one is kept, so sharing stays safe.
+:meth:`Graph.edges`, and kept. Only `transform.r_transform` carries it:
+when the parent already holds its tuple, the child's is the parent's with
+one pair removed and a few inserted, so a growth loop that asks for the
+edges at every step pays for what the step changes. A graph whose edges
+nobody asks for never builds them. The lazy fill is the one write after
+construction; two threads that race on it compute the same tuple, and
+either one is kept, so sharing stays safe.
 
 A :class:`Graph` has one vertex order, whatever order its vertices were
 listed in: vertex ``i`` is the ``i``-th smallest label. So every tie-break
@@ -25,7 +25,6 @@ edges, neighbors and components come out in label order with no sort.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernels as kernels
@@ -93,9 +92,9 @@ class Graph:
     def edges(self) -> tuple[tuple[str, str], ...]:
         """Every edge ``(u, v)`` with ``u < v``, sorted by label pair.
 
-        Computed at most once per graph and then returned as is; the row
-        edits of the contractible transformations derive their result's
-        tuple from a parent that holds one (see the module)."""
+        Computed at most once per graph and then returned as is;
+        `transform.r_transform` derives its result's tuple from a parent
+        that holds one (see the module)."""
         edges = self._edges
         if edges is None:
             labels = self._labels
@@ -227,56 +226,6 @@ def _mask_of(g: Graph, labels: Iterable[str]) -> int:
 def _induced_mask(g: Graph, mask: int) -> Graph:
     labels = tuple(g._labels[i] for i in _bits(mask))
     return _sorted_graph(labels, subgraph_rows(g._rows, mask))
-
-
-# ---------------------------------------------------------------------------
-# row edits
-#
-# The one-row or two-bit edits behind the contractible transformations. A
-# new vertex goes in at its label's rank, and the vertices above it move up
-# one index. An edit carries its parent's edge tuple when the parent holds
-# one, by bisection, and leaves the child's empty otherwise.
-
-
-def _without_vertex(g: Graph, i: int) -> Graph:
-    return _induced_mask(g, ((1 << g.order) - 1) ^ (1 << i))
-
-
-def _with_vertex(g: Graph, v: str, rim_mask: int) -> Graph:
-    """Insert the fresh label ``v``, adjacent to the vertices of
-    ``rim_mask``, at its rank in label order."""
-    _check_label(v)
-    k = bisect_left(g._labels, v)
-    low = (1 << k) - 1
-    rows = [r & low | r >> k << (k + 1) for r in g._rows]
-    for i in _bits(rim_mask):
-        rows[i] |= 1 << k
-    rows.insert(k, rim_mask & low | rim_mask >> k << (k + 1))
-    labels = g._labels
-    edges = g._edges
-    if edges is not None:
-        edges = list(edges)
-        for i in _bits(rim_mask):
-            insort(edges, (labels[i], v) if i < k else (v, labels[i]))
-        edges = tuple(edges)
-    return _sorted_graph(labels[:k] + (v,) + labels[k:], tuple(rows), edges=edges)
-
-
-def _flip_edge(g: Graph, i: int, j: int) -> Graph:
-    """Delete the edge (i, j) if present, attach it otherwise."""
-    rows = list(g._rows)
-    rows[i] ^= 1 << j
-    rows[j] ^= 1 << i
-    edges = g._edges
-    if edges is not None:
-        pair = (g._labels[min(i, j)], g._labels[max(i, j)])
-        k = bisect_left(edges, pair)
-        if rows[i] >> j & 1:
-            edges = edges[:k] + (pair,) + edges[k:]
-        else:
-            edges = edges[:k] + edges[k + 1 :]
-    # the labels are the parent's, so is the index dict (no code mutates it)
-    return _sorted_graph(g._labels, tuple(rows), g._index, edges)
 
 
 def relabeled(g: Graph, mapping: Mapping[str, str]) -> Graph:

@@ -12,18 +12,8 @@ from itertools import combinations, zip_longest
 from typing import Any, Iterator, Optional, Union
 
 from . import _kernels as kernels
-from ._kernels._pure import _greedy
-from .graph import (
-    Graph,
-    _check_label,
-    _edge_rim_mask,
-    _flip_edge,
-    _induced_mask,
-    _mask_of,
-    _with_vertex,
-    _without_vertex,
-    canonical_key,
-)
+from ._kernels._pure import _bits, _greedy, subgraph_rows
+from .graph import Graph, _check_label, _edge_rim_mask, _induced_mask, _sorted_graph, canonical_key
 
 
 class TransformationError(ValueError):
@@ -171,87 +161,124 @@ def is_contractible(g: Graph, return_trace: bool = False):
 # applying transformations
 
 
+class _Replay:
+    """A graph under replay, edited in place: rows, labels by index and a
+    copy of the label index (graphs may share theirs). A deleted vertex
+    keeps its index, with no label and no bit in any row; a new one is next."""
+
+    __slots__ = ("rows", "labels", "index")
+
+    def __init__(self, g: Graph):
+        self.rows = list(g._rows)
+        self.labels: list[Optional[str]] = list(g._labels)
+        self.index = dict(g._index)
+
+    def apply(self, step: Step) -> Step:
+        """Apply ``step``, validating its precondition; return its inverse."""
+        rows, index = self.rows, self.index
+        if isinstance(step, DeletePoint):
+            i = index.get(step.v)
+            if i is None:
+                raise TransformationError(f"delete-point {step.v!r}: vertex not present")
+            rim = rows[i]
+            if not kernels.contractible_on(rows, rim):
+                raise TransformationError(f"delete-point {step.v!r}: rim is not contractible")
+            for j in _bits(rim):
+                rows[j] ^= 1 << i
+            rows[i] = 0
+            self.labels[i] = None
+            del index[step.v]
+            return AttachPoint(step.v, frozenset(self.labels[j] for j in _bits(rim)))
+
+        if isinstance(step, AttachPoint):
+            if step.v in index:
+                raise TransformationError(f"attach-point {step.v!r}: label already present")
+            missing = sorted(w for w in step.rim if w not in index)
+            if missing:
+                raise TransformationError(
+                    f"attach-point {step.v!r}: unknown rim vertices {missing}"
+                )
+            rim = sum(1 << index[w] for w in step.rim)
+            if not kernels.contractible_on(rows, rim):
+                raise TransformationError(
+                    f"attach-point {step.v!r}: rim set does not induce a contractible subgraph"
+                )
+            _check_label(step.v)
+            k = index[step.v] = len(rows)
+            for j in _bits(rim):
+                rows[j] |= 1 << k
+            rows.append(rim)
+            self.labels.append(step.v)
+            return DeletePoint(step.v)
+
+        if isinstance(step, DeleteEdge):
+            iu, iv = index.get(step.u), index.get(step.v)
+            if iu is None or iv is None or not rows[iu] >> iv & 1:
+                raise TransformationError(f"delete-edge ({step.u!r}, {step.v!r}): not an edge")
+            if not kernels.contractible_on(rows, rows[iu] & rows[iv]):
+                raise TransformationError(
+                    f"delete-edge ({step.u!r}, {step.v!r}): edge rim is not contractible"
+                )
+            inverse: Step = AttachEdge(step.u, step.v)
+
+        elif isinstance(step, AttachEdge):
+            for w in (step.u, step.v):
+                if w not in index:
+                    raise TransformationError(f"attach-edge: vertex {w!r} not present")
+            if step.u == step.v:
+                raise TransformationError("attach-edge: endpoints coincide")
+            iu, iv = index[step.u], index[step.v]
+            if rows[iu] >> iv & 1:
+                raise TransformationError(f"attach-edge ({step.u!r}, {step.v!r}): already an edge")
+            if not kernels.contractible_on(rows, rows[iu] & rows[iv]):
+                raise TransformationError(
+                    f"attach-edge ({step.u!r}, {step.v!r}): "
+                    "common-neighbor rim is not contractible"
+                )
+            inverse = DeleteEdge(step.u, step.v)
+
+        else:
+            raise TransformationError(f"unknown step {step!r}")
+        rows[iu] ^= 1 << iv
+        rows[iv] ^= 1 << iu
+        return inverse
+
+    def graph(self) -> Graph:
+        """The graph as it now stands."""
+        alive = sum(1 << i for i in self.index.values())
+        labels = tuple(lab for lab in self.labels if lab is not None)
+        return Graph(labels, subgraph_rows(self.rows, alive))
+
+
 def apply_transformation(g: Graph, step: Step) -> Graph:
     """Apply one contractible transformation, validating its precondition."""
-    if isinstance(step, DeletePoint):
-        if not g.has_vertex(step.v):
-            raise TransformationError(f"delete-point {step.v!r}: vertex not present")
-        if not is_simple_point(g, step.v):
-            raise TransformationError(f"delete-point {step.v!r}: rim is not contractible")
-        return _without_vertex(g, g._index[step.v])
+    state = _Replay(g)
+    state.apply(step)
+    return state.graph()
 
-    if isinstance(step, AttachPoint):
-        if g.has_vertex(step.v):
-            raise TransformationError(f"attach-point {step.v!r}: label already present")
-        missing = sorted(w for w in step.rim if not g.has_vertex(w))
-        if missing:
-            raise TransformationError(f"attach-point {step.v!r}: unknown rim vertices {missing}")
-        rim_mask = _mask_of(g, step.rim)
-        if not kernels.contractible_on(g._rows, rim_mask):
-            raise TransformationError(
-                f"attach-point {step.v!r}: rim set does not induce a contractible subgraph"
-            )
-        return _with_vertex(g, step.v, rim_mask)
 
-    if isinstance(step, DeleteEdge):
-        if not g.has_edge(step.u, step.v):
-            raise TransformationError(f"delete-edge ({step.u!r}, {step.v!r}): not an edge")
-        if not is_simple_edge(g, step.u, step.v):
-            raise TransformationError(
-                f"delete-edge ({step.u!r}, {step.v!r}): edge rim is not contractible"
-            )
-        return _flip_edge(g, g._index[step.u], g._index[step.v])
-
-    if isinstance(step, AttachEdge):
-        for w in (step.u, step.v):
-            if not g.has_vertex(w):
-                raise TransformationError(f"attach-edge: vertex {w!r} not present")
-        if step.u == step.v:
-            raise TransformationError("attach-edge: endpoints coincide")
-        if g.has_edge(step.u, step.v):
-            raise TransformationError(f"attach-edge ({step.u!r}, {step.v!r}): already an edge")
-        iu, iv = g._index[step.u], g._index[step.v]
-        if not kernels.contractible_on(g._rows, g._rows[iu] & g._rows[iv]):
-            raise TransformationError(
-                f"attach-edge ({step.u!r}, {step.v!r}): common-neighbor rim is not contractible"
-            )
-        return _flip_edge(g, iu, iv)
-
-    raise TransformationError(f"unknown step {step!r}")
+def _replay(g: Graph, trace: HomotopyTrace) -> tuple[_Replay, list[Step]]:
+    """The state after replaying ``trace`` on ``g``, and each step's inverse
+    in trace order; a failing step is named by its position."""
+    state, inverses = _Replay(g), []
+    for i, step in enumerate(trace):
+        try:
+            inverses.append(state.apply(step))
+        except TransformationError as exc:
+            raise TransformationError(f"step {i}: {exc}") from exc
+    return state, inverses
 
 
 def apply_trace(g: Graph, trace: HomotopyTrace) -> Graph:
-    """Replay a trace, validating every step at its moment."""
-    cur = g
-    for i, step in enumerate(trace):
-        try:
-            cur = apply_transformation(cur, step)
-        except TransformationError as exc:
-            raise TransformationError(f"step {i}: {exc}") from exc
-    return cur
-
-
-def invert_step(before: Graph, step: Step) -> Step:
-    """The inverse transformation, valid on the graph that ``step`` produces."""
-    if isinstance(step, DeletePoint):
-        return AttachPoint(step.v, frozenset(before.neighbors(step.v)))
-    if isinstance(step, AttachPoint):
-        return DeletePoint(step.v)
-    if isinstance(step, DeleteEdge):
-        return AttachEdge(step.u, step.v)
-    if isinstance(step, AttachEdge):
-        return DeleteEdge(step.u, step.v)
-    raise TransformationError(f"unknown step {step!r}")
+    """Replay a trace, validating every step at its moment. The steps edit
+    one set of rows and the result is built once, at the end."""
+    return _replay(g, trace)[0].graph()
 
 
 def invert_trace(source: Graph, trace: HomotopyTrace) -> HomotopyTrace:
-    """Trace running the transformation backwards (target back to source)."""
-    cur = source
-    inverses = []
-    for step in trace:
-        inverses.append(invert_step(cur, step))
-        cur = apply_transformation(cur, step)
-    return HomotopyTrace(tuple(reversed(inverses)))
+    """Trace running the transformation backwards (target back to source),
+    read off one replay of ``trace``; it fails as `apply_trace` does."""
+    return HomotopyTrace(tuple(reversed(_replay(source, trace)[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +343,12 @@ def _search_moves(g: Graph) -> Iterator[tuple[Step, Graph, int]]:
         common = rows[i] & rows[j]
         if common and kernels.contractible_on(rows, common):
             step = DeleteEdge if rows[i] >> j & 1 else AttachEdge
-            yield step(labels[i], labels[j]), _flip_edge(g, i, j), common | 1 << i | 1 << j
+            flipped = list(rows)
+            flipped[i] ^= 1 << j
+            flipped[j] ^= 1 << i
+            # same labels, so the same index dict: no graph edits its own
+            nxt = _sorted_graph(labels, tuple(flipped), g._index)
+            yield step(labels[i], labels[j]), nxt, common | 1 << i | 1 << j
 
 
 def _bidirectional_connect(

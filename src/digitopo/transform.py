@@ -8,10 +8,11 @@ with one more vertex and the same homotopy type.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from ._kernels._pure import _bits
-from .graph import Graph, GraphError, _flip_edge, _with_vertex
+from .graph import Graph, GraphError, _check_label, _sorted_graph
 from .homotopy import AttachPoint, DeleteEdge, HomotopyTrace
 
 
@@ -48,12 +49,29 @@ def r_transform(m: Graph, u: str, v: str, x: str) -> tuple[Graph, RStep]:
         raise GraphError(f"({u!r}, {v!r}) is not an edge")
     if m.has_vertex(x):
         raise GraphError(f"label {x!r} is already a vertex")
-    iu, iv = m._index[u], m._index[v]
+    _check_label(x)
+    labels, iu, iv = m._labels, m._index[u], m._index[v]
     shared = m._rows[iu] & m._rows[iv]
     rim_mask = shared | (1 << iu) | (1 << iv)
-    rim_labels = tuple(m._labels[i] for i in _bits(rim_mask))
-    # the edge goes first: inserting x may move u and v up one index
-    out = _with_vertex(_flip_edge(m, iu, iv), x, rim_mask)
+    rim_labels = tuple(labels[i] for i in _bits(rim_mask))
+    # x goes in at its label's rank k, and the vertices above it move up one
+    k = bisect_left(labels, x)
+    low = (1 << k) - 1
+    rows = [r & low | r >> k << (k + 1) for r in m._rows]
+    # the rows are still at m's positions, their bits already at the new ones
+    rows[iu] ^= 1 << (iv + (iv >= k))
+    rows[iv] ^= 1 << (iu + (iu >= k))
+    for i in _bits(rim_mask):
+        rows[i] |= 1 << k
+    rows.insert(k, rim_mask & low | rim_mask >> k << (k + 1))
+    edges = m._edges
+    if edges is not None:
+        edges = list(edges)
+        del edges[bisect_left(edges, (labels[min(iu, iv)], labels[max(iu, iv)]))]
+        for i in _bits(rim_mask):
+            insort(edges, (labels[i], x) if i < k else (x, labels[i]))
+        edges = tuple(edges)
+    out = _sorted_graph(labels[:k] + (x,) + labels[k:], tuple(rows), edges=edges)
     if out.order != m.order + 1 or out.size != m.size + shared.bit_count() + 1:
         raise AssertionError("edge-to-point replacement produced inconsistent counts")
     return out, RStep((u, v), x, rim_labels)

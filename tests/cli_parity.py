@@ -160,7 +160,13 @@ def _walk(rng: random.Random, g, length: int = 8):
 
 def _perturbed(rng: random.Random, g, walk):
     """``walk`` with a step that is rejected at a drawn position inserted."""
-    from digitopo.homotopy import DeletePoint, HomotopyTrace, TransformationError, apply_trace, apply_transformation
+    from digitopo.homotopy import (
+        DeletePoint,
+        HomotopyTrace,
+        TransformationError,
+        apply_trace,
+        apply_transformation,
+    )
 
     at = rng.randint(0, len(walk))
     here = apply_trace(g, HomotopyTrace(walk.steps[:at]))
@@ -233,10 +239,11 @@ def digests(workdir: Path) -> dict[str, str]:
             for kind, start, trace in _replays(replay_rng, build_graph(vertices, edges)):
                 graph_paths = paths
                 if kind == "inverse":
-                    graph_paths = [workdir / f"{name}.target.json", workdir / f"{name}.target.txt"]
                     target = (start.vertices, start.edges())
-                    graph_paths[0].write_text(_json_text(replay_rng, *target), encoding="utf-8")
-                    graph_paths[1].write_text(_edge_text(replay_rng, *target, False), encoding="utf-8")
+                    graph_paths = [workdir / f"{name}.target.json", workdir / f"{name}.target.txt"]
+                    texts = [_json_text(replay_rng, *target), _edge_text(replay_rng, *target, False)]
+                    for path, text in zip(graph_paths, texts):
+                        path.write_text(text, encoding="utf-8")
                 trace_path = workdir / f"{name}.{kind}.trace.json"
                 trace_text = json.dumps(trace.to_obj())
                 trace_path.write_text(trace_text, encoding="utf-8")

@@ -18,4 +18,6 @@ def test_bench_kernels_runs_every_section():
         assert any(line.split() == [header, "time"] for line in lines), header
     assert any(line.startswith("grow 2-sphere to 120 vertices") for line in lines)
     assert any(line.startswith("cold decide on the dunce hat with 12 twin pendants") for line in lines)
+    assert any(line.startswith("cold apply_trace disk reduce trace") for line in lines)
+    assert any(line.startswith("cold invert_trace disk reduce trace") for line in lines)
     assert any(line.startswith("macro workload, cold caches:") for line in lines)

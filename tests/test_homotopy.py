@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +250,33 @@ class TestTraces:
         restored = apply_trace(residue, back)
         assert canonical_key(restored) == canonical_key(g)
         assert set(restored.vertices) == set(g.vertices)
+
+    def test_invert_trace_names_the_failing_step(self):
+        g = path_graph(3)
+        # after the first two steps p1's rim is {p2, x}, two points
+        steps = (DeletePoint("p0"), AttachPoint("x", frozenset({"p1"})), DeletePoint("p1"))
+        trace = HomotopyTrace(steps)
+        want = "step 2: delete-point 'p1': rim is not contractible"
+        for replay in (apply_trace, invert_trace):
+            with pytest.raises(TransformationError) as err:
+                replay(g, trace)
+            assert str(err.value) == want
+
+    def test_large_disk_trace_replays_within_a_time_bound(self):
+        """`reduce`'s trace of the 5,188-cube unit disk (pitch 1/40) and its
+        inverse replay in well under a second: each step edits the rows, and
+        the graph is built once. A replay that rebuilt the graph at every
+        step took over a minute on a 2-vCPU host."""
+        from digitopo.covers import BoxCell
+        from digitopo.digitizer import cubical_model, model_graph, shape_disk
+
+        g = model_graph(cubical_model(shape_disk(), BoxCell.make([-2, -2], [2, 2]), "1/40"))
+        residue, trace = reduce(g)
+        assert g.order == 5188 and residue.order == 1
+        start = time.perf_counter()
+        assert apply_trace(g, trace) == residue
+        assert apply_trace(residue, invert_trace(g, trace)) == g
+        assert time.perf_counter() - start < 10
 
 
 class TestReduce:

@@ -7,7 +7,7 @@ import pytest
 from conftest import cycle_graph, octahedron, random_graph, small_graphs_out_of_label_order
 from digitopo.catalog import get, names
 from digitopo.classify import is_n_manifold, is_n_sphere
-from digitopo.graph import Graph, GraphError, _without_vertex, build_graph, canonical_key, edge_rim
+from digitopo.graph import Graph, GraphError, build_graph, canonical_key, edge_rim, induced_subgraph
 from digitopo.homotopy import (
     AttachEdge,
     AttachPoint,
@@ -151,7 +151,8 @@ def _random_edit(rng: random.Random, g: Graph, fresh: int) -> Graph | None:
             step = DeleteEdge if kind == "del-edge" else AttachEdge
             return apply_transformation(g, step(*pair)) if pair else None
         if kind == "without" and g.order > 1:
-            return _without_vertex(g, rng.randrange(g.order))
+            gone = rng.randrange(g.order)
+            return induced_subgraph(g, g.vertices[:gone] + g.vertices[gone + 1 :])
     except TransformationError:
         pass
     return None
